@@ -341,10 +341,10 @@ def prepmod_injective(kind, vertex, out):
     """The indecomposable injective module at a vertex, as module JSON."""
     try:
         rep = build_algebra_basis(kind).injective(vertex)
-    except (PrepmodError, ValueError, IndexError) as exc:
-        raise CliError(str(exc), EXIT_INVALID) from exc
     except ResourceCapError as exc:
         raise CliError(str(exc), EXIT_RESOURCE) from exc
+    except (PrepmodError, ValueError, IndexError) as exc:
+        raise CliError(str(exc), EXIT_INVALID) from exc
     text = json.dumps({"schema": SCHEMA, "module": rep.to_json()}, sort_keys=True, indent=2)
     if out:
         Path(out).write_text(text)
@@ -416,6 +416,8 @@ def prepmod_build_rigid(kind, k_set, word, as_json):
     """Complete rigid module from a reduced word (summand list report)."""
     try:
         res = build_complete_rigid(kind, _parse_ints(k_set), _parse_ints(word))
+    except ResourceCapError as exc:
+        raise CliError(str(exc), EXIT_RESOURCE) from exc
     except PrepmodError as exc:
         raise CliError(str(exc), EXIT_INVALID) from exc
     payload = {
@@ -456,11 +458,14 @@ def prepmod_exchange_matrix(input_path, builtin_name, as_json):
         sequences = list(case_registry.D4_SEQUENCES)
         coeff_vertices = (4,)
     else:
-        blob = json.loads(Path(input_path).read_text())
-        summands = [QuiverRep.from_json(m) for m in blob["summands"]]
-        n_frozen = int(blob["n_frozen"])
-        sequences = blob["sequences"]
-        coeff_vertices = tuple(blob.get("coeff_vertices", ()))
+        try:
+            blob = json.loads(Path(input_path).read_text())
+            summands = [QuiverRep.from_json(m) for m in blob["summands"]]
+            n_frozen = int(blob["n_frozen"])
+            sequences = blob["sequences"]
+            coeff_vertices = tuple(blob.get("coeff_vertices", ()))
+        except (OSError, ValueError, KeyError, TypeError, PrepmodError) as exc:
+            raise CliError(f"cannot parse exchange data {input_path}: {exc}", EXIT_INVALID) from exc
     try:
         out = exchange_matrix_from_sequences(summands, n_frozen, sequences, coeff_vertices)
     except PrepmodError as exc:
@@ -577,7 +582,11 @@ def phi_positivity_cmd(ctx, rigid_name, point, random_points, as_json):
     rng = random.Random(ctx.obj["rng_seed"])
     points = []
     if point:
-        points.append([Fraction(x) for x in point.split(",")])
+        try:
+            points.append([Fraction(x) for x in point.split(",")])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise CliError(f"expected comma-separated rationals for --point, got {point!r}",
+                           EXIT_INVALID) from exc
     for _ in range(random_points):
         points.append([Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in D4_W0_LETTERS])
     if not points:

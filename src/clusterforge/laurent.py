@@ -199,14 +199,18 @@ class LaurentPoly:
                 raise InexactDivisionError(f"monomial coefficient {coeff} is not a unit")
             inv = LaurentPoly(self.varnames, {tuple(-e for e in exps): coeff})
             return inv ** (-n)
-        result = LaurentPoly.one(self.varnames)
+        if n == 0:
+            return LaurentPoly.one(self.varnames)
+        # square only while exponent bits remain
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

@@ -11,6 +11,10 @@ dimension <= 1 the chain set is finite and field-independent and the exact
 backend returns its cardinality; otherwise the chains are counted over
 increasing prime fields and the count polynomial is evaluated at q = 1,
 accepting the fit once it is stable across two additional primes.
+
+The recursion is memoised in a `FlagCounter` keyed by the exact
+presentation of each quotient module.  Every top-level call owns its
+counter unless the caller passes one in, so no memo outlives the call.
 """
 
 from __future__ import annotations
@@ -21,15 +25,14 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .cluster import _compositions
 from .fields import PrimeField, RationalField
 from .laurent import LaurentPoly
-from .linalg import Matrix
 from .prepmod import (
     QuiverRep,
     direct_sum,
     ext1_dim,
     fingerprint,
-    proven_isomorphic,
     quotient_rep,
     socle_basis_at,
 )
@@ -95,49 +98,44 @@ def _default_memo_cap() -> int:
         return 1 << 20
 
 
-class FlagCounter:
-    """Shared memo tables for the counting recursions.
+def _module_key(rep: QuiverRep) -> tuple:
+    """Quiver kind, field, dimension vector and the map entries in one flat
+    sequence (the dimension vector fixes every shape).  GF(p) residues pack
+    into bytes when they fit; rationals become numerator/denominator ints,
+    which hash much faster than Fractions."""
+    entries = [x for m in rep.maps for row in m for x in row]
+    field = rep.field
+    if isinstance(field, PrimeField):
+        flat = bytes(entries) if field.p < 256 else tuple(entries)
+    else:
+        flat = tuple([n for x in entries for n in (x.numerator, x.denominator)])
+    return (rep.quiver.kind, field.name, rep.dims, flat)
 
-    Quotient modules are memoized first by exact matrix identity, then by
-    the cheap iso fingerprint backed by a Las Vegas isomorphism check; if
-    the check is inconclusive the branch is recomputed without memoization.
-    The entry cap (from CLUSTERFORGE_MAX_MEM, 512 bytes per entry assumed)
-    only disables insertion, never correctness.
+
+class FlagCounter:
+    """Memo table for the counting recursions.  A call without `counter=`
+    makes its own; pass one in to share entries across calls.
+
+    One exact tier: a module key (see `_module_key`) maps to a dict from
+    type words to chain counts, so only identical presentations share
+    entries.  The entry cap (from CLUSTERFORGE_MAX_MEM, 512 bytes per entry
+    assumed) only disables insertion, never correctness.
     """
 
     def __init__(self, max_entries: Optional[int] = None):
-        self.exact: dict = {}
-        self.by_fingerprint: dict = {}
+        self.tables: dict[tuple, dict[tuple[int, ...], int]] = {}
         self.max_entries = _default_memo_cap() if max_entries is None else max_entries
         self.entry_count = 0
 
-    def _room(self) -> bool:
-        return self.entry_count < self.max_entries
-
-    def lookup(self, rep: QuiverRep, word: tuple[int, ...]):
-        key = (rep.quiver.kind, rep.field.name, rep.dims, rep.maps, word)
-        hit = self.exact.get(key)
-        if hit is not None:
-            return hit
-        if rep.total_dim >= 4:
-            fp = (rep.quiver.kind, rep.field.name, fingerprint(rep), word)
-            for stored_rep, count in self.by_fingerprint.get(fp, ()):
-                if proven_isomorphic(rep, stored_rep) is True:
-                    return count
-        return None
+    def lookup(self, rep: QuiverRep, word: tuple[int, ...]) -> Optional[int]:
+        table = self.tables.get(_module_key(rep))
+        return None if table is None else table.get(word)
 
     def store(self, rep: QuiverRep, word: tuple[int, ...], count: int) -> None:
-        if not self._room():
+        if self.entry_count >= self.max_entries:
             return
-        key = (rep.quiver.kind, rep.field.name, rep.dims, rep.maps, word)
-        self.exact[key] = count
+        self.tables.setdefault(_module_key(rep), {})[word] = count
         self.entry_count += 1
-        if rep.total_dim >= 4:
-            fp = (rep.quiver.kind, rep.field.name, fingerprint(rep), word)
-            self.by_fingerprint.setdefault(fp, []).append((rep, count))
-
-
-_SHARED_COUNTER = FlagCounter()
 
 
 def _word_matches_dims(rep: QuiverRep, word: Sequence[int]) -> bool:
@@ -149,12 +147,8 @@ def _word_matches_dims(rep: QuiverRep, word: Sequence[int]) -> bool:
     return all(counts[v] == rep.dim(v) for v in rep.quiver.vertices)
 
 
-def _line_matrix(rep: QuiverRep, vec) -> Matrix:
-    return tuple((x,) for x in vec)
-
-
 def _quotient_by_line(rep: QuiverRep, v: int, vec) -> QuiverRep:
-    return quotient_rep(rep, {v: _line_matrix(rep, vec)})
+    return quotient_rep(rep, {v: tuple((x,) for x in vec)})
 
 
 def _lines_of_subspace(field: PrimeField, basis_vectors: list) -> Iterable[tuple]:
@@ -196,7 +190,8 @@ def count_flags(rep: QuiverRep, word: Sequence[int], counter: Optional[FlagCount
     demanded socle part has no finite line count there), which is also the
     exact chi backend; the branch raises _SocleBranching internally.
     """
-    counter = counter or _SHARED_COUNTER
+    if counter is None:
+        counter = FlagCounter()
     word = tuple(word)
     if isinstance(rep.field, RationalField):
         strict_unique = True
@@ -276,17 +271,6 @@ def _reduce_mod_p(rep: QuiverRep, gf: PrimeField) -> QuiverRep:
     return rep_p
 
 
-def _lagrange_at_one(points: Sequence[tuple[int, int]]) -> Fraction:
-    total = Fraction(0)
-    for i, (xi, yi) in enumerate(points):
-        term = Fraction(yi)
-        for j, (xj, _) in enumerate(points):
-            if i != j:
-                term *= Fraction(1 - xj, xi - xj)
-        total += term
-    return total
-
-
 def _lagrange_eval(points: Sequence[tuple[int, int]], x: int) -> Fraction:
     total = Fraction(0)
     for i, (xi, yi) in enumerate(points):
@@ -306,7 +290,8 @@ def chi(rep: QuiverRep, word: Sequence[int], counter: Optional[FlagCounter] = No
     interpolates, accepting the fit once two further primes confirm it.
     An unstable interpolation is an explicit failure, never a guess.
     """
-    counter = counter or _SHARED_COUNTER
+    if counter is None:
+        counter = FlagCounter()
     word = tuple(word)
     if not isinstance(rep.field, RationalField):
         raise PhiError("chi expects a module over the rationals")
@@ -330,7 +315,7 @@ def chi(rep: QuiverRep, word: Sequence[int], counter: Optional[FlagCounter] = No
                 break
             head = points[:m]
             if all(_lagrange_eval(head, q) == c for q, c in points[m : m + 2]):
-                value = _lagrange_at_one(head)
+                value = _lagrange_eval(head, 1)
                 if value.denominator != 1:
                     raise PhiError(f"interpolated chi {value} is not an integer")
                 return ChiResult(int(value), INTERPOLATED, tuple(used))
@@ -366,7 +351,7 @@ def _expansions(word_positions: Mapping[int, list[int]], dims: Mapping[int, int]
     per_vertex: list[list[tuple[int, ...]]] = []
     for v in items:
         slots = word_positions[v]
-        per_vertex.append(list(_compositions_of(dims[v], len(slots))))
+        per_vertex.append(list(_compositions(dims[v], len(slots))))
 
     def rec(idx, acc):
         if idx == len(items):
@@ -384,16 +369,6 @@ def _expansions(word_positions: Mapping[int, list[int]], dims: Mapping[int, int]
     yield from rec(0, [0] * length)
 
 
-def _compositions_of(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions_of(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def phi_eval(
     rep: QuiverRep,
     letters: Sequence[int],
@@ -407,7 +382,8 @@ def phi_eval(
     contribute; each coefficient chi / prod a_j! is checked to be an integer
     before emission.
     """
-    counter = counter or _SHARED_COUNTER
+    if counter is None:
+        counter = FlagCounter()
     letters = tuple(letters)
     if params is None:
         params = tuple(f"t{i + 1}" for i in range(len(letters)))
@@ -475,7 +451,8 @@ def verify_multiplication(
     """Check phi_M phi_N = phi_{M + N}, and when the two middle terms X, Y of
     the non-split extensions are supplied (dim Ext^1 must be 1), also
     phi_M phi_N = phi_X + phi_Y.  Failures carry a differing monomial."""
-    counter = counter or _SHARED_COUNTER
+    if counter is None:
+        counter = FlagCounter()
     pm = phi_eval(m, letters, counter=counter)
     pn = phi_eval(n, letters, counter=counter)
     product = pm.poly * pn.poly
@@ -513,6 +490,8 @@ def positivity_check(
         raise PhiError("positivity check requires strictly positive coordinates")
     if labels is None:
         labels = [f"T{i + 1}" for i in range(len(summands))]
+    if counter is None:
+        counter = FlagCounter()
     rows = []
     all_positive = True
     for label, rep in zip(labels, summands):

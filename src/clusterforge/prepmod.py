@@ -395,7 +395,11 @@ def sub_rep(rep: QuiverRep, bases: Mapping[int, Matrix]) -> QuiverRep:
 
 
 def quotient_rep(rep: QuiverRep, sub_bases: Mapping[int, Matrix]) -> QuiverRep:
-    """Quotient by a submodule given by per-vertex subspace bases (columns)."""
+    """Quotient by a submodule given by per-vertex subspace bases (columns).
+
+    Only the vertices with a nonzero subspace get a projection and a
+    section; an arrow's map is multiplied by the section of its source and
+    the projection of its target only where those vertices were cut."""
     q, F = rep.quiver, rep.field
     projections = {}
     sections = {}
@@ -404,8 +408,6 @@ def quotient_rep(rep: QuiverRep, sub_bases: Mapping[int, Matrix]) -> QuiverRep:
         dv = rep.dim(v)
         kb = sub_bases.get(v)
         if kb is None or (kb and len(kb[0]) == 0) or dv == 0:
-            projections[v] = identity_matrix(F, dv)
-            sections[v] = identity_matrix(F, dv)
             new_dims.append(dv)
             continue
         rows = tuple(zip(*kb))  # subspace basis vectors as rows
@@ -425,8 +427,11 @@ def quotient_rep(rep: QuiverRep, sub_bases: Mapping[int, Matrix]) -> QuiverRep:
         sections[v] = tuple(tuple(r) for r in sect)
         new_dims.append(len(comp))
     maps = []
-    for a in q.arrows:
-        m = mat_mul(F, projections[a.target], mat_mul(F, rep.map_of(a), sections[a.source]))
+    for a, m in zip(q.arrows, rep.maps):
+        if a.source in sections:
+            m = mat_mul(F, m, sections[a.source])
+        if a.target in projections:
+            m = mat_mul(F, projections[a.target], m)
         maps.append(m)
     return QuiverRep(q, F, tuple(new_dims), tuple(maps))
 

@@ -167,3 +167,34 @@ def test_rng_seed_is_reported(runner):
                                   "--case", "a2-thm61"])
     assert result.exit_code == 0
     assert "rng-seed: 7" in result.stderr
+
+
+def _assert_one_line_error(result, code):
+    assert result.exit_code == code
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1
+
+
+def test_resource_cap_exits_4(runner):
+    # A45's preprojective algebra is infinite-dimensional: the path basis
+    # never vanishes, so the build stops at its degree cap.
+    result = runner.invoke(main, ["prepmod", "injective", "--type", "A45", "--vertex", "1"])
+    _assert_one_line_error(result, 4)
+    result = runner.invoke(main, ["prepmod", "build-rigid", "--type", "A45", "--K", "1",
+                                  "--word", "1"])
+    _assert_one_line_error(result, 4)
+
+
+def test_positivity_bad_point_exits_2(runner):
+    result = runner.invoke(main, ["phi", "positivity", "--rigid", "d4-example",
+                                  "--point", "1,2,x"])
+    _assert_one_line_error(result, 2)
+    assert "--point" in result.stderr
+
+
+def test_exchange_matrix_bad_json_exits_2(runner, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    result = runner.invoke(main, ["prepmod", "exchange-matrix", "--input", str(bad)])
+    _assert_one_line_error(result, 2)

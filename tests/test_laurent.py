@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from clusterforge.laurent import (
     EvaluationError,
     InexactDivisionError,
+    LaurentError,
     LaurentPoly,
     VariableMismatchError,
 )
@@ -56,6 +57,22 @@ def test_gr25_exchange_numerator():
 def test_monomial_unit_inverse():
     x = var("x")
     assert x * x ** -1 == 1
+
+
+def test_power_equals_repeated_product():
+    x, y = LaurentPoly.variables(XY)
+    p = 2 * x * y ** -1 - y + 3
+    expected = LaurentPoly.one(XY)
+    for n in range(6):
+        assert p ** n == expected
+        expected = expected * p
+    inverse = -(x * y ** 2) ** -1
+    expected = LaurentPoly.one(XY)
+    for n in range(6):
+        assert (-x * y * y) ** -n == expected
+        expected = expected * inverse
+    with pytest.raises(LaurentError):
+        p ** -1
 
 
 def test_difference_of_squares():

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from clusterforge.fields import PrimeField
+from clusterforge import phi as phi_module
+from clusterforge.fields import QQ, PrimeField
 from clusterforge.laurent import LaurentPoly
 from clusterforge.nmatrix import A3_W0_LETTERS, D4_W0_LETTERS
 from clusterforge.phi import (
@@ -19,6 +20,7 @@ from clusterforge.phi import (
     verify_multiplication,
 )
 from clusterforge.prepmod import (
+    QuiverRep,
     direct_sum,
     dynkin_quiver,
     functor_E,
@@ -315,6 +317,72 @@ def test_capped_counter_stops_memoizing(a2_algebra):
     q1 = a2_algebra.injective(1)
     assert count_flags(q1, (1, 2), counter) == 1
     assert counter.entry_count == 0
+
+
+def _rebased(rep, rng):
+    """An isomorphic copy of rep: each vertex basis permuted and re-signed."""
+    order, signs = {}, {}
+    for v in rep.quiver.vertices:
+        order[v] = rng.sample(range(rep.dim(v)), rep.dim(v))
+        signs[v] = [rng.choice((1, -1)) for _ in order[v]]
+    maps = tuple(
+        tuple(
+            tuple(signs[a.target][i] * signs[a.source][j] * m[order[a.target][i]][order[a.source][j]]
+                  for j in range(len(order[a.source])))
+            for i in range(len(order[a.target]))
+        )
+        for a, m in zip(rep.quiver.arrows, rep.maps)
+    )
+    return QuiverRep(rep.quiver, rep.field, rep.dims, maps)
+
+
+def test_rebased_q4_keeps_its_phi(d4_algebra, d4_product):
+    q4 = d4_algebra.injective(4)
+    copy = _rebased(q4, random.Random(5))
+    assert copy.maps != q4.maps
+    report = phi_eval(copy, D4_W0_LETTERS)
+    assert report.poly == d4_product.entry(1, 8)
+    assert report.backend == EXACT
+
+
+def test_calls_without_counter_share_no_memo(d4_algebra, monkeypatch):
+    made = []
+
+    class RecordingCounter(FlagCounter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(phi_module, "FlagCounter", RecordingCounter)
+    q4 = d4_algebra.injective(4)
+    first = phi_eval(q4, D4_W0_LETTERS)
+    second = phi_eval(q4, D4_W0_LETTERS)
+    assert first.poly == second.poly
+    assert len(made) == 2
+    assert made[0].entry_count == made[1].entry_count > 0
+    assert not [v for v in vars(phi_module).values() if isinstance(v, FlagCounter)]
+
+
+def test_counting_over_a_large_prime(a2_algebra):
+    # Q1 + Q1 over A2: a line in the 2-dimensional socle, then the line left
+    # at vertex 1, then a line in the 2-dimensional top: (p + 1)^2 chains.
+    m = direct_sum(a2_algebra.injective(1), a2_algebra.injective(1))
+    for p in (3, 257, 263):
+        counter = FlagCounter()
+        assert count_flags_mod_p(m, (1, 1, 2, 2), p, counter) == (p + 1) ** 2
+        assert counter.entry_count > 0
+
+
+def test_memo_keys_tell_reciprocals_apart():
+    def rep(x):
+        return QuiverRep(A2, QQ, (1, 1), (((Fraction(x),),), ((Fraction(0),),)))
+
+    half, two = rep(Fraction(1, 2)), rep(2)
+    counter = FlagCounter()
+    counter.store(half, (1, 2), 5)
+    assert counter.lookup(half, (1, 2)) == 5
+    assert counter.lookup(two, (1, 2)) is None
+    assert counter.lookup(rep(Fraction(2, 4)), (1, 2)) == 5
 
 
 def test_phi_report_json(a2_algebra):
