@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 2 invalid input, 3 verification failure, 4 resource
 limit (exploration did not exhaust), 5 undetermined Euler characteristic.
+EXIT_CODES below is the one place that maps a library error class to its
+code; the main group applies it to whatever a subcommand raises, so command
+bodies call the library directly and catch nothing.
+
 Every subcommand has a --json mode with a versioned schema; output is
 deterministic for a fixed --rng-seed (printed on stderr, default 0).
 """
@@ -29,7 +33,7 @@ from .cluster import (
     mutation_class_to_dot,
 )
 from .laurent import LaurentError
-from .nmatrix import NMatrixError, Word, minor, product, verify_quadric_relation
+from .nmatrix import D4_W0_LETTERS, NMatrixError, Word, minor, product, verify_quadric_relation
 from .phi import ChiUndeterminedError, PhiError, chi, phi_eval, positivity_check
 from .prepmod import (
     PrepmodError,
@@ -54,10 +58,36 @@ EXIT_RESOURCE = 4
 EXIT_UNDETERMINED = 5
 
 
+# A subclass's code beats its base's: the lookup walks the raised error's MRO.
+EXIT_CODES: dict[type[Exception], int] = {
+    ChiUndeterminedError: EXIT_UNDETERMINED,
+    ResourceCapError: EXIT_RESOURCE,
+    LaurentPhenomenonError: EXIT_VERIFY_FAILED,
+    ClusterError: EXIT_INVALID,
+    LaurentError: EXIT_INVALID,
+    NMatrixError: EXIT_INVALID,
+    PrepmodError: EXIT_INVALID,
+    PhiError: EXIT_INVALID,
+    OSError: EXIT_INVALID,  # reading or writing a path named on the command line
+}
+
+
 class CliError(click.ClickException):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.exit_code = code
+
+
+class _ExitCodeGroup(click.Group):
+    """Reports a library error from any subcommand as one `Error:` line and
+    exits with its EXIT_CODES code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(EXIT_CODES) as exc:
+            code = next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
+            raise CliError(str(exc), code) from exc
 
 
 def _emit_json(payload: dict) -> None:
@@ -78,17 +108,13 @@ def _parse_names(text: str) -> tuple[str, ...]:
 
 def _load_seed(source: str, n: int | None) -> Seed:
     if source.startswith("builtin:"):
-        name = source.split(":", 1)[1]
-        try:
-            return builtin_seed(name, n=n)
-        except ClusterError as exc:
-            raise CliError(str(exc), EXIT_INVALID) from exc
+        return builtin_seed(source.split(":", 1)[1], n=n)
     path = Path(source)
     if not path.is_file():
         raise CliError(f"seed source {source!r} is neither builtin:<name> nor a file", EXIT_INVALID)
     try:
         return Seed.from_json(json.loads(path.read_text()))
-    except (ValueError, KeyError, ClusterError, LaurentError) as exc:
+    except (ValueError, KeyError, TypeError, ArithmeticError, ClusterError, LaurentError) as exc:
         raise CliError(f"cannot parse seed file {source}: {exc}", EXIT_INVALID) from exc
 
 
@@ -101,7 +127,7 @@ def _load_module(path: str) -> QuiverRep:
         if "module" in blob and "type" not in blob:
             blob = blob["module"]
         return QuiverRep.from_json(blob)
-    except (ValueError, KeyError, PrepmodError) as exc:
+    except (ValueError, KeyError, TypeError, ArithmeticError, PrepmodError) as exc:
         raise CliError(f"cannot parse module file {path}: {exc}", EXIT_INVALID) from exc
 
 
@@ -115,7 +141,7 @@ def _word_from_options(word: str, params: str | None) -> Word:
     return Word.with_default_params(letters)
 
 
-@click.group()
+@click.group(cls=_ExitCodeGroup)
 @click.option("--rng-seed", default=0, show_default=True, help="seed for randomized checks")
 @click.pass_context
 def main(ctx, rng_seed):
@@ -141,13 +167,7 @@ def cluster():
 @click.option("--json", "as_json", is_flag=True)
 def cluster_mutate(seed_source, n, direction, as_json):
     """Mutate a seed in one direction; prints the new matrix and variable."""
-    s = _load_seed(seed_source, n)
-    try:
-        t = mutate_seed(s, direction)
-    except LaurentPhenomenonError as exc:
-        raise CliError(str(exc), EXIT_VERIFY_FAILED) from exc
-    except ClusterError as exc:
-        raise CliError(str(exc), EXIT_INVALID) from exc
+    t = mutate_seed(_load_seed(seed_source, n), direction)
     if as_json:
         _emit_json({"seed": t.to_json(), "new_variable": t.cluster[direction - 1].to_json()})
         return
@@ -155,16 +175,6 @@ def cluster_mutate(seed_source, n, direction, as_json):
     for row in t.matrix.rows:
         click.echo(f"  {list(row)}")
     click.echo(f"new variable y_{direction}* = {t.cluster[direction - 1]}")
-
-
-def _explore_from_options(seed_source, n, max_seeds, max_depth):
-    s = _load_seed(seed_source, n)
-    try:
-        return explore(s, max_seeds=max_seeds, max_depth=max_depth)
-    except LaurentPhenomenonError as exc:
-        raise CliError(str(exc), EXIT_VERIFY_FAILED) from exc
-    except ClusterError as exc:
-        raise CliError(str(exc), EXIT_INVALID) from exc
 
 
 @cluster.command("explore")
@@ -176,7 +186,7 @@ def _explore_from_options(seed_source, n, max_seeds, max_depth):
 @click.option("--json", "as_json", is_flag=True)
 def cluster_explore(seed_source, n, max_seeds, max_depth, dot_path, as_json):
     """Breadth-first closure of a seed under mutation."""
-    mc = _explore_from_options(seed_source, n, max_seeds, max_depth)
+    mc = explore(_load_seed(seed_source, n), max_seeds=max_seeds, max_depth=max_depth)
     if dot_path:
         Path(dot_path).write_text(mutation_class_to_dot(mc))
     payload = {
@@ -201,8 +211,7 @@ def cluster_explore(seed_source, n, max_seeds, max_depth, dot_path, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def cluster_finite_type(seed_source, n, max_seeds, max_depth, as_json):
     """Finite-type detection by exhaustion under limits."""
-    s = _load_seed(seed_source, n)
-    result = is_finite_type(s, max_seeds=max_seeds, max_depth=max_depth)
+    result = is_finite_type(_load_seed(seed_source, n), max_seeds=max_seeds, max_depth=max_depth)
     if as_json:
         _emit_json(result)
     else:
@@ -221,7 +230,7 @@ def cluster_finite_type(seed_source, n, max_seeds, max_depth, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def cluster_monomials_cmd(seed_source, n, degree_bound, max_seeds, max_depth, as_json):
     """Cluster monomials up to a total-degree bound."""
-    mc = _explore_from_options(seed_source, n, max_seeds, max_depth)
+    mc = explore(_load_seed(seed_source, n), max_seeds=max_seeds, max_depth=max_depth)
     if not mc.exhausted:
         raise CliError("exploration hit its limits; cannot enumerate monomials", EXIT_RESOURCE)
     records = cluster_monomials(mc, degree_bound)
@@ -259,11 +268,7 @@ def nmatrix():
 @click.option("--json", "as_json", is_flag=True)
 def nmatrix_product(gtype, word, params, as_json):
     """Symbolic product of one-parameter generators along a word."""
-    w = _word_from_options(word, params)
-    try:
-        x = product(gtype, w)
-    except NMatrixError as exc:
-        raise CliError(str(exc), EXIT_INVALID) from exc
+    x = product(gtype, _word_from_options(word, params))
     if as_json:
         _emit_json({"matrix": x.to_json()})
         return
@@ -283,12 +288,8 @@ def nmatrix_product(gtype, word, params, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def nmatrix_minor(gtype, word, params, rows, cols, as_json):
     """Exact minor of a generator product."""
-    w = _word_from_options(word, params)
-    try:
-        x = product(gtype, w)
-        value = minor(x, _parse_ints(rows), _parse_ints(cols))
-    except NMatrixError as exc:
-        raise CliError(str(exc), EXIT_INVALID) from exc
+    x = product(gtype, _word_from_options(word, params))
+    value = minor(x, _parse_ints(rows), _parse_ints(cols))
     if as_json:
         _emit_json({"minor": value.to_json()})
     else:
@@ -305,7 +306,7 @@ def nmatrix_quadric_check(rank, word, params, as_json):
     if word is None:
         if rank != 4:
             raise CliError("--word is required for rank != 4", EXIT_INVALID)
-        w = Word.with_default_params(nmatrix_default_d4_word())
+        w = Word.with_default_params(D4_W0_LETTERS)
     else:
         w = _word_from_options(word, params)
     ok, witness = verify_quadric_relation(rank, w)
@@ -316,12 +317,6 @@ def nmatrix_quadric_check(rank, word, params, as_json):
         click.echo(f"holds: {ok}" + ("" if ok else f" witness: {witness}"))
     if not ok:
         sys.exit(EXIT_VERIFY_FAILED)
-
-
-def nmatrix_default_d4_word():
-    from .nmatrix import D4_W0_LETTERS
-
-    return D4_W0_LETTERS
 
 
 # ----------------------------------------------------------------------
@@ -339,12 +334,7 @@ def prepmod():
 @click.option("--out", type=click.Path(), default=None, help="write the module JSON here")
 def prepmod_injective(kind, vertex, out):
     """The indecomposable injective module at a vertex, as module JSON."""
-    try:
-        rep = build_algebra_basis(kind).injective(vertex)
-    except ResourceCapError as exc:
-        raise CliError(str(exc), EXIT_RESOURCE) from exc
-    except (PrepmodError, ValueError, IndexError) as exc:
-        raise CliError(str(exc), EXIT_INVALID) from exc
+    rep = build_algebra_basis(kind).injective(vertex)
     text = json.dumps({"schema": SCHEMA, "module": rep.to_json()}, sort_keys=True, indent=2)
     if out:
         Path(out).write_text(text)
@@ -390,10 +380,7 @@ def prepmod_hom(m_path, n_path, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def prepmod_ext(m_path, n_path, as_json):
     """dim Ext^1(M, N)."""
-    try:
-        value = ext1_dim(_load_module(m_path), _load_module(n_path))
-    except PrepmodError as exc:
-        raise CliError(str(exc), EXIT_INVALID) from exc
+    value = ext1_dim(_load_module(m_path), _load_module(n_path))
     _emit_json({"ext1_dim": value}) if as_json else click.echo(str(value))
 
 
@@ -402,8 +389,7 @@ def prepmod_ext(m_path, n_path, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def prepmod_rigid(module_path, as_json):
     """Rigidity test: Ext^1(M, M) = 0."""
-    rep = _load_module(module_path)
-    value = is_rigid(rep)
+    value = is_rigid(_load_module(module_path))
     _emit_json({"rigid": value}) if as_json else click.echo(str(value))
 
 
@@ -414,12 +400,7 @@ def prepmod_rigid(module_path, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def prepmod_build_rigid(kind, k_set, word, as_json):
     """Complete rigid module from a reduced word (summand list report)."""
-    try:
-        res = build_complete_rigid(kind, _parse_ints(k_set), _parse_ints(word))
-    except ResourceCapError as exc:
-        raise CliError(str(exc), EXIT_RESOURCE) from exc
-    except PrepmodError as exc:
-        raise CliError(str(exc), EXIT_INVALID) from exc
+    res = build_complete_rigid(kind, _parse_ints(k_set), _parse_ints(word))
     payload = {
         "labels": res["labels"],
         "dim_NK": res["dim_NK"],
@@ -462,14 +443,12 @@ def prepmod_exchange_matrix(input_path, builtin_name, as_json):
             blob = json.loads(Path(input_path).read_text())
             summands = [QuiverRep.from_json(m) for m in blob["summands"]]
             n_frozen = int(blob["n_frozen"])
-            sequences = blob["sequences"]
-            coeff_vertices = tuple(blob.get("coeff_vertices", ()))
-        except (OSError, ValueError, KeyError, TypeError, PrepmodError) as exc:
+            sequences = [{"X": tuple(map(int, s["X"])), "Y": tuple(map(int, s["Y"]))}
+                         for s in blob["sequences"]]
+            coeff_vertices = tuple(int(v) for v in blob.get("coeff_vertices", ()))
+        except (OSError, ValueError, KeyError, TypeError, ArithmeticError, PrepmodError) as exc:
             raise CliError(f"cannot parse exchange data {input_path}: {exc}", EXIT_INVALID) from exc
-    try:
-        out = exchange_matrix_from_sequences(summands, n_frozen, sequences, coeff_vertices)
-    except PrepmodError as exc:
-        raise CliError(str(exc), EXIT_INVALID) from exc
+    out = exchange_matrix_from_sequences(summands, n_frozen, sequences, coeff_vertices)
     payload = {
         "matrix": out["matrix"].to_lists(),
         "extended_rows": {str(k): list(v) for k, v in out["extended_rows"].items()},
@@ -500,14 +479,8 @@ def phi_group():
 def phi_eval_cmd(module_path, word, params, as_json):
     """phi_M over a word, as an exact polynomial in the parameters."""
     rep = _load_module(module_path)
-    letters = _parse_ints(word)
     names = _parse_names(params) if params else None
-    try:
-        report = phi_eval(rep, letters, params=names)
-    except ChiUndeterminedError as exc:
-        raise CliError(str(exc), EXIT_UNDETERMINED) from exc
-    except PhiError as exc:
-        raise CliError(str(exc), EXIT_INVALID) from exc
+    report = phi_eval(rep, _parse_ints(word), params=names)
     if as_json:
         _emit_json(report.to_json())
     else:
@@ -521,13 +494,7 @@ def phi_eval_cmd(module_path, word, params, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def phi_chi_cmd(module_path, type_word, as_json):
     """Euler characteristic of the composition-series variety of one type."""
-    rep = _load_module(module_path)
-    try:
-        result = chi(rep, _parse_ints(type_word))
-    except ChiUndeterminedError as exc:
-        raise CliError(str(exc), EXIT_UNDETERMINED) from exc
-    except PhiError as exc:
-        raise CliError(str(exc), EXIT_INVALID) from exc
+    result = chi(_load_module(module_path), _parse_ints(type_word))
     payload = {"value": result.value, "backend": result.backend, "primes_used": list(result.primes)}
     if as_json:
         _emit_json(payload)
@@ -569,8 +536,6 @@ def phi_verify_cmd(case_name, n, as_json):
 @click.pass_context
 def phi_positivity_cmd(ctx, rigid_name, point, random_points, as_json):
     """Positivity of the summand functions of the basic complete rigid modules."""
-    from .nmatrix import D4_W0_LETTERS
-
     data = case_registry.d4_rigid_summands()
     base = dict(zip(data["labels"], data["ordered"]))
     families = {
@@ -595,10 +560,7 @@ def phi_positivity_cmd(ctx, rigid_name, point, random_points, as_json):
     results = []
     for name, summands in sorted(families.items()):
         for pt in points:
-            try:
-                rep = positivity_check(summands, D4_W0_LETTERS, pt)
-            except PhiError as exc:
-                raise CliError(str(exc), EXIT_INVALID) from exc
+            rep = positivity_check(summands, D4_W0_LETTERS, pt)
             results.append({"family": name, "point": [str(x) for x in pt],
                             "all_positive": rep["all_positive"],
                             "values": [str(r["value"]) for r in rep["rows"]]})

@@ -161,9 +161,21 @@ class Seed:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Seed":
-        matrix = ExchangeMatrix(tuple(tuple(r) for r in data["matrix"]), int(data["n"]))
+        """Read the form written by to_json; raises ClusterError on a blob
+        that is not an object, a matrix that is not integer rows, or
+        labels that are not strings."""
+        if not isinstance(data, Mapping):
+            raise ClusterError("a seed must be a JSON object")
+        rows = data["matrix"]
+        if not isinstance(rows, list) or not all(
+            isinstance(r, list) and all(isinstance(x, int) for x in r) for r in rows
+        ):
+            raise ClusterError("seed matrix must be a list of integer rows")
+        matrix = ExchangeMatrix(tuple(tuple(r) for r in rows), int(data["n"]))
         cluster = tuple(LaurentPoly.from_json(p) for p in data["cluster"])
         labels = tuple(data.get("labels") or [f"y{i + 1}" for i in range(matrix.d)])
+        if not all(isinstance(label, str) for label in labels):
+            raise ClusterError("seed labels must be strings")
         return cls(matrix, cluster, labels)
 
 
@@ -240,7 +252,6 @@ def explore(
     s: Seed,
     max_seeds: int = 100000,
     max_depth: int = 64,
-    check_matrices: bool = True,
 ) -> MutationClass:
     """Breadth-first closure of a seed under mutation, with canonical
     de-duplication.  Returns a partial class flagged exhausted=False when a
@@ -264,8 +275,7 @@ def explore(
                 neighbor = mutate_seed(seed, k)
                 nkey = neighbor.key()
                 if nkey in seeds:
-                    if check_matrices:
-                        _assert_matrix_consistency(seeds[nkey], neighbor)
+                    _assert_matrix_consistency(seeds[nkey], neighbor)
                 else:
                     if len(seeds) >= max_seeds:
                         exhausted = False
@@ -453,6 +463,7 @@ def mutation_class_to_dot(mc: MutationClass) -> str:
     for key in mc.order:
         seed = mc.seeds[key]
         label = ", ".join(seed.labels[: seed.matrix.n_mutable])
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  s{index[key]} [label="{label}"];')
     seen = set()
     for src, k, dst in mc.edges():

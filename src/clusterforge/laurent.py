@@ -313,6 +313,8 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, data: Mapping) -> "LaurentPoly":
         terms = {tuple(t["exponents"]): int(t["coeff"]) for t in data["terms"]}
+        if not all(isinstance(e, int) for exps in terms for e in exps):
+            raise LaurentError("exponents must be integers")
         return cls(tuple(data["vars"]), terms)
 
     def _term_str(self, exps: Monomial, coeff: int) -> str:

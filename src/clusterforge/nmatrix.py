@@ -22,7 +22,7 @@ class NMatrixError(Exception):
 
 def parse_type(gtype: str) -> tuple[str, int]:
     """Parse a type string like "A2" or "D4" into (letter, rank)."""
-    letter = gtype[0].upper()
+    letter = gtype[:1].upper()
     if letter not in ("A", "D"):
         raise NMatrixError(f"unsupported type {gtype!r}; expected A<n> or D<n>")
     try:

@@ -132,8 +132,12 @@ def dynkin_edges(letter: str, rank: int) -> tuple[tuple[int, int], ...]:
 @lru_cache(maxsize=None)
 def dynkin_quiver(kind: str) -> DoubleQuiver:
     """Build the double quiver from a type string like "A3" or "D4"."""
-    letter = kind[0].upper()
-    rank = int(kind[1:])
+    letter, digits = kind[:1].upper(), kind[1:]
+    if not digits.isdecimal() or int(digits) < 1:
+        raise PrepmodError(
+            f"cannot read a Dynkin type from {kind!r}; expected A<n>, D<n> or E<n> with n >= 1"
+        )
+    rank = int(digits)
     edges = dynkin_edges(letter, rank)
     return DoubleQuiver(f"{letter}{rank}", tuple(range(1, rank + 1)), edges)
 
@@ -224,25 +228,51 @@ class QuiverRep:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "QuiverRep":
-        quiver = dynkin_quiver(data["type"])
-        dims = tuple(int(data["dims"].get(str(v), 0)) for v in quiver.vertices)
+        """Read the form written by to_json.  Raises PrepmodError on a
+        malformed blob and on a module that violates the preprojective
+        relation."""
+        if not isinstance(data, Mapping):
+            raise PrepmodError("a module must be a JSON object")
+        kind = data["type"]
+        if not isinstance(kind, str):
+            raise PrepmodError(f"module type must be a string, got {kind!r}")
+        quiver = dynkin_quiver(kind)
+        dims_blob, maps_blob = data["dims"], data.get("maps", {})
+        for field, blob, names in (
+            ("dims", dims_blob, [str(v) for v in quiver.vertices]),
+            ("maps", maps_blob, [a.name for a in quiver.arrows]),
+        ):
+            if not isinstance(blob, Mapping):
+                raise PrepmodError(f"module {field} must be a JSON object")
+            unknown = sorted(set(blob) - set(names))
+            if unknown:
+                raise PrepmodError(
+                    f"module {field} has unknown keys {unknown}; {quiver.kind} allows {names}"
+                )
+        dims = tuple(int(dims_blob.get(str(v), 0)) for v in quiver.vertices)
         if any(d < 0 for d in dims):
             raise PrepmodError(f"negative dimension in {dims}")
         maps = []
         for a in quiver.arrows:
-            rows = data.get("maps", {}).get(a.name)
+            rows = maps_blob.get(a.name)
             tdim = dims[quiver.vertex_index(a.target)]
             sdim = dims[quiver.vertex_index(a.source)]
             if rows is None:
                 maps.append(zero_matrix(QQ, tdim, sdim))
                 continue
+            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                raise PrepmodError(f"map {a.name} must be a list of rows")
             matrix = tuple(tuple(Fraction(x) for x in row) for row in rows)
             if len(matrix) != tdim or any(len(row) != sdim for row in matrix):
                 raise PrepmodError(
                     f"map {a.name} has the wrong shape; expected {tdim} x {sdim}"
                 )
             maps.append(matrix)
-        return cls(quiver, QQ, dims, tuple(maps))
+        rep = cls(quiver, QQ, dims, tuple(maps))
+        holds, vertex = check_relation(rep)
+        if not holds:
+            raise PrepmodError(f"module violates the preprojective relation at vertex {vertex}")
+        return rep
 
 
 def zero_rep(quiver: DoubleQuiver, field=QQ) -> QuiverRep:
@@ -498,6 +528,9 @@ def functor_E_word(rep: QuiverRep, letters: Sequence[int], dagger: bool = False)
     the last occurrence of each letter in a reduced word for w_0 must kill
     the corresponding injective).
     """
+    bad = sorted(set(letters) - set(rep.quiver.vertices))
+    if bad:
+        raise PrepmodError(f"letters {bad} are not vertices of {rep.quiver.kind}")
     f = functor_E_dagger if dagger else functor_E
     current = rep
     for i in reversed(tuple(letters)):

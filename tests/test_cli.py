@@ -1,9 +1,17 @@
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterforge.cli import main
+from clusterforge.cluster import LaurentPhenomenonError, builtin_seed
+from clusterforge.phi import ChiUndeterminedError, PhiError
+from clusterforge.prepmod import ResourceCapError
 
 
 @pytest.fixture
@@ -169,8 +177,8 @@ def test_rng_seed_is_reported(runner):
     assert "rng-seed: 7" in result.stderr
 
 
-def _assert_one_line_error(result, code):
-    assert result.exit_code == code
+def _assert_one_line_error(result, *codes):
+    assert result.exit_code in codes, (result.exit_code, result.exception)
     assert isinstance(result.exception, SystemExit)
     errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
     assert len(errors) == 1
@@ -198,3 +206,211 @@ def test_exchange_matrix_bad_json_exits_2(runner, tmp_path):
     bad.write_text("{not json")
     result = runner.invoke(main, ["prepmod", "exchange-matrix", "--input", str(bad)])
     _assert_one_line_error(result, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cluster", "finite-type", "--seed", "builtin:quadric", "--n", "4", "--max-seeds", "0"],
+    ["cluster", "monomials", "--seed", "builtin:grassmannian_2_5", "--degree-bound", "-1"],
+    ["prepmod", "hom", "--m", "{dir}/a2.json", "--n", "{dir}/d4.json"],
+    ["phi", "verify", "--case", "quadric", "--n", "2"],
+    ["nmatrix", "quadric-check", "--rank", "2", "--word", "1"],
+    ["cluster", "explore", "--seed", "builtin:quadric", "--n", "4", "--dot", "{dir}/no/x.dot"],
+    ["prepmod", "efunctor", "--module", "{dir}/d4.json", "--word", "9"],
+    ["phi", "eval", "--module", "{dir}/dims_list.json", "--word", "1"],
+    ["prepmod", "rigid", "--module", "{dir}/no_relation.json"],
+    ["prepmod", "injective", "--type", "Dx", "--vertex", "1"],
+    ["prepmod", "injective", "--type", "", "--vertex", "1"],
+], ids=["finite-type-max-seeds", "monomials-degree", "hom-types", "verify-quadric-n",
+        "quadric-check-rank", "explore-dot-path", "efunctor-letter", "eval-dims-list",
+        "rigid-relation", "injective-type", "injective-empty-type"])
+def test_library_error_exits_2_with_one_line(runner, tmp_path, argv):
+    files = {"a2.json": A2_MODULE, "d4.json": D4_MODULE,
+             "dims_list.json": {"type": "A2", "dims": [1, 0]},
+             "no_relation.json": relation_violating_module("A2", 1)}
+    for name, blob in files.items():
+        (tmp_path / name).write_text(json.dumps(blob))
+    result = runner.invoke(main, [a.format(dir=tmp_path) for a in argv])
+    _assert_one_line_error(result, 2)
+
+
+@pytest.mark.parametrize("exc, code", [
+    (ChiUndeterminedError("point counts never stabilized"), 5),
+    (ResourceCapError("no vanishing by degree 40"), 4),
+    (LaurentPhenomenonError(builtin_seed("quadric", n=4), 1, "remainder y1"), 3),
+    (PhiError("chi expects a module over the rationals"), 2),
+    (OSError("disk full"), 2),
+])
+def test_exit_code_follows_the_most_specific_error_class(runner, monkeypatch, tmp_path, exc, code):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("clusterforge.cli.chi", fail)
+    module = tmp_path / "a2.json"
+    module.write_text(json.dumps(A2_MODULE))
+    result = runner.invoke(main, ["phi", "chi", "--module", str(module), "--type", "1,2"])
+    _assert_one_line_error(result, code)
+
+
+def test_errors_outside_the_table_are_not_reported_as_input_errors(runner, monkeypatch, tmp_path):
+    def fail(*args, **kwargs):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr("clusterforge.cli.chi", fail)
+    module = tmp_path / "a2.json"
+    module.write_text(json.dumps(A2_MODULE))
+    result = runner.invoke(main, ["phi", "chi", "--module", str(module), "--type", "1,2"])
+    assert result.exit_code == 1 and isinstance(result.exception, ValueError)
+
+
+# Valid inputs that the property tests below break in one place each.
+A2_MODULE = {"type": "A2", "dims": {"1": 1, "2": 1}, "maps": {"1->2": [["0"]], "2->1": [["1"]]}}
+A3_MODULE = {"type": "A3", "dims": {"1": 0, "2": 1, "3": 1},
+             "maps": {"3->2": [["1"]], "2->3": [["0"]]}}
+D4_MODULE = {"type": "D4", "dims": {"3": 1}}
+A2_SEED = {
+    "d": 2, "n": 0,
+    "matrix": [[0, 1], [-1, 0]],
+    "cluster": [
+        {"vars": ["y1", "y2"], "terms": [{"exponents": [1, 0], "coeff": "1"}]},
+        {"vars": ["y1", "y2"], "terms": [{"exponents": [0, 1], "coeff": "1"}]},
+    ],
+    "labels": ["y1", "y2"],
+}
+ARROWS = {"A2": ["1->2", "2->1"], "A3": ["1->2", "2->1", "2->3", "3->2"],
+          "D4": ["1->3", "3->1", "2->3", "3->2", "3->4", "4->3"]}
+NOT_A_LIST = [None, "x", 3, {}]
+
+
+def relation_violating_module(kind, scalar):
+    """Every space 1-dimensional and every arrow a nonzero scalar: at the
+    leaf vertex 1 the relation reads scalar^2 = 0, so it fails there."""
+    vertices = {v for arrow in ARROWS[kind] for v in arrow.split("->")}
+    return {"type": kind, "dims": {v: 1 for v in vertices},
+            "maps": {a: [[str(scalar)]] for a in ARROWS[kind]}}
+
+
+@st.composite
+def malformed_modules(draw):
+    blob = copy.deepcopy(draw(st.sampled_from([A2_MODULE, A3_MODULE, D4_MODULE])))
+    kind = blob["type"]
+    arrow = draw(st.sampled_from(ARROWS[kind]))
+    fault = draw(st.sampled_from(["drop", "swap", "vertex", "arrow", "shape", "relation"]))
+    if fault == "drop":
+        del blob[draw(st.sampled_from(["type", "dims"]))]
+    elif fault == "swap":
+        target = draw(st.sampled_from(["blob", "type", "dims", "maps", "rows", "row"]))
+        if target == "blob":
+            blob = draw(st.sampled_from([[blob], "x", 3, None]))
+        elif target == "type":
+            blob["type"] = draw(st.sampled_from([4, None, [kind], {}, "", "Dx", "Q3"]))
+        elif target in ("dims", "maps"):
+            blob[target] = draw(st.sampled_from([[1], "x", 3, None]))
+        elif target == "rows":
+            blob.setdefault("maps", {})[arrow] = draw(st.sampled_from(["x", 3, {}]))
+        else:
+            blob.setdefault("maps", {})[arrow] = [draw(st.sampled_from(NOT_A_LIST))]
+    elif fault == "vertex":
+        blob["dims"][draw(st.sampled_from(["0", "9", "x", "1 "]))] = 1
+    elif fault == "arrow":
+        blob.setdefault("maps", {})[draw(st.sampled_from(["1 ->2", "9->1", "1->1", "4->1"]))] = []
+    elif fault == "shape":
+        source, target = arrow.split("->")
+        rows = blob["dims"].get(target, 0) + 1
+        blob.setdefault("maps", {})[arrow] = [["0"] * blob["dims"].get(source, 0)] * rows
+    else:
+        blob = relation_violating_module(kind, draw(st.integers(1, 5) | st.integers(-5, -1)))
+    return blob
+
+
+@st.composite
+def malformed_seeds(draw):
+    blob = copy.deepcopy(A2_SEED)
+    fault = draw(st.sampled_from(["drop", "swap", "shape", "skew", "labels", "vars", "exponents"]))
+    if fault == "drop":
+        del blob[draw(st.sampled_from(["matrix", "n", "cluster"]))]
+    elif fault == "swap":
+        target = draw(st.sampled_from(["blob", "matrix", "n", "cluster"]))
+        if target == "blob":
+            blob = draw(st.sampled_from([[blob], "x", 3, None]))
+        elif target == "matrix":
+            blob["matrix"] = draw(st.sampled_from(["x", 3, None, {}, [0, 1], [["0", "1"], ["-1", "0"]]]))
+        elif target == "n":
+            blob["n"] = draw(st.sampled_from(["x", None, [], {}, -1, 3]))
+        else:
+            blob["cluster"] = draw(st.sampled_from(["x", 3, None, {}, []]))
+    elif fault == "shape":
+        del blob[draw(st.sampled_from(["matrix", "cluster"]))][-1]
+    elif fault == "skew":
+        blob["matrix"][0][1] += draw(st.integers(1, 3))
+    elif fault == "labels":
+        blob["labels"] = draw(st.sampled_from([[1, 2], ["y1"], ["y1", None]]))
+    elif fault == "vars":
+        blob["cluster"][0]["vars"] = ["z1", "z2"]
+    else:
+        blob["cluster"][0]["terms"][0]["exponents"] = ["1", "0"]
+    return blob
+
+
+@st.composite
+def malformed_int_lists(draw):
+    tokens = draw(st.lists(st.integers(1, 4).map(str), max_size=4))
+    bad = draw(st.sampled_from(["x", "1.5", "1/2", "0x1", "1e3", "one", "[1]", "1;2"]))
+    tokens.insert(draw(st.integers(0, len(tokens))), bad)
+    return ",".join(tokens)
+
+
+PROPERTY_SETTINGS = settings(max_examples=50, derandomize=True, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(malformed_modules())
+def test_malformed_module_files_exit_with_one_line(blob):
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        bad, good, exchange = (Path(tmp) / name for name in ("bad.json", "good.json", "x.json"))
+        bad.write_text(json.dumps(blob))
+        good.write_text(json.dumps(A2_MODULE))
+        exchange.write_text(json.dumps({"summands": [blob], "n_frozen": 1, "sequences": []}))
+        for argv in (
+            ["phi", "eval", "--module", bad, "--word", "1,2"],
+            ["phi", "chi", "--module", bad, "--type", "1"],
+            ["prepmod", "efunctor", "--module", bad, "--word", "1"],
+            ["prepmod", "hom", "--m", bad, "--n", good],
+            ["prepmod", "ext", "--m", good, "--n", bad],
+            ["prepmod", "rigid", "--module", bad],
+            ["prepmod", "exchange-matrix", "--input", exchange],
+        ):
+            _assert_one_line_error(runner.invoke(main, [str(a) for a in argv]), 2, 3, 4, 5)
+
+
+@PROPERTY_SETTINGS
+@given(malformed_seeds())
+def test_malformed_seed_files_exit_with_one_line(blob):
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        seed = Path(tmp) / "seed.json"
+        seed.write_text(json.dumps(blob))
+        for argv in (
+            ["cluster", "mutate", "--seed", str(seed), "--direction", "1"],
+            ["cluster", "explore", "--seed", str(seed), "--max-depth", "3"],
+            ["cluster", "finite-type", "--seed", str(seed), "--max-depth", "3"],
+        ):
+            _assert_one_line_error(runner.invoke(main, argv), 2, 3, 4, 5)
+
+
+@PROPERTY_SETTINGS
+@given(malformed_int_lists())
+def test_malformed_integer_lists_exit_with_one_line(text):
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        module = Path(tmp) / "a2.json"
+        module.write_text(json.dumps(A2_MODULE))
+        for argv in (
+            ["phi", "eval", "--module", str(module), "--word", text],
+            ["phi", "chi", "--module", str(module), "--type", text],
+            ["prepmod", "efunctor", "--module", str(module), "--word", text],
+            ["prepmod", "build-rigid", "--type", "A2", "--K", text, "--word", "1,2,1"],
+            ["nmatrix", "product", "--type", "A2", "--word", text],
+        ):
+            _assert_one_line_error(runner.invoke(main, argv), 2, 3, 4, 5)
+

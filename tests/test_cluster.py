@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -210,6 +211,25 @@ def test_seed_json_round_trip():
     assert t.matrix.rows == s.matrix.rows
     assert t.cluster == s.cluster
     assert t.labels == s.labels
+
+
+def test_seed_json_rejects_malformed_seed():
+    blob = builtin_seed("d4_flag").to_json()
+    for bad in ([blob], "seed", {**blob, "matrix": [[0, "1"], [-1, 0]]},
+                {**blob, "labels": [1] * len(blob["labels"])}):
+        with pytest.raises(ClusterError):
+            Seed.from_json(bad)
+
+
+def test_dot_export_escapes_labels():
+    s = builtin_seed("quadric", n=4)
+    evil = 'a"] ; evil [x="'
+    s = Seed(s.matrix, s.cluster, (evil, "back\\slash") + s.labels[2:])
+    dot = mutation_class_to_dot(explore(s))
+    assert '  s0 [label="a\\"] ; evil [x=\\", back\\\\slash"];' in dot.splitlines()
+    # Every node and edge line stays one statement with a single quoted label.
+    for line in dot.splitlines()[1:-1]:
+        assert re.fullmatch(r' *s\d+( -- s\d+)? \[label="(?:[^"\\]|\\.)*"\];', line), line
 
 
 def test_random_matrix_mutation_properties():

@@ -81,6 +81,8 @@ def test_invalid_vertex_and_type():
         generator("A2", 3, "t", ("t",))
     with pytest.raises(NMatrixError):
         product("B3", Word.with_default_params((1,)))
+    with pytest.raises(NMatrixError):
+        product("", Word.with_default_params((1,)))
 
 
 def test_a2_product_golden():

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -449,6 +450,45 @@ def test_module_json_rejects_malformed_input():
         QuiverRep.from_json(
             {"type": "A2", "dims": {"1": 1, "2": 1}, "maps": {"1->2": [["1", "2"]]}}
         )
+
+
+A2_INJECTIVE_1 = {"type": "A2", "dims": {"1": 1, "2": 1}, "maps": {"1->2": [["0"]], "2->1": [["1"]]}}
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        ([A2_INJECTIVE_1], "must be a JSON object"),
+        ({**A2_INJECTIVE_1, "dims": [1, 1]}, "dims must be a JSON object"),
+        ({**A2_INJECTIVE_1, "maps": [[["1"]]]}, "maps must be a JSON object"),
+        ({**A2_INJECTIVE_1, "dims": {"1": 1, "7": 1}}, "unknown keys ['7']"),
+        ({**A2_INJECTIVE_1, "maps": {"1 ->2": [["1"]]}}, "unknown keys ['1 ->2']"),
+        ({**A2_INJECTIVE_1, "maps": {"2->1": ["1"]}}, "must be a list of rows"),
+        ({**A2_INJECTIVE_1, "maps": {"2->1": "1"}}, "must be a list of rows"),
+        ({**A2_INJECTIVE_1, "type": 2}, "type must be a string"),
+        # (2->1)(1->2) = 1 at vertex 1: e_1 (a* a) e_1 must vanish
+        ({**A2_INJECTIVE_1, "maps": {"1->2": [["1"]], "2->1": [["1"]]}}, "relation at vertex 1"),
+    ],
+    ids=["blob-list", "dims-list", "maps-list", "dims-vertex", "maps-arrow", "row-not-list",
+         "rows-not-list", "type-not-string", "relation"],
+)
+def test_module_json_rejects_malformed_module(blob, message):
+    with pytest.raises(PrepmodError, match=re.escape(message)):
+        QuiverRep.from_json(blob)
+
+
+@pytest.mark.parametrize("kind", ["", "Dx", "D", "A0", "A-1", "Q3", "B2"])
+def test_dynkin_quiver_rejects_bad_type_strings(kind):
+    with pytest.raises(PrepmodError):
+        dynkin_quiver(kind)
+
+
+def test_functor_word_rejects_non_vertex_letters(d4_algebra):
+    q4 = d4_algebra.injective(4)
+    with pytest.raises(PrepmodError, match=r"letters \[9\]"):
+        functor_E_word(q4, (4, 9))
+    with pytest.raises(PrepmodError, match=r"letters \[0\]"):
+        functor_E_word(q4, (0,), dagger=True)
 
 
 def test_zero_rep_and_direct_sum():
