@@ -6,11 +6,14 @@ submodules whose k-th factor is the simple at the k-th expanded letter and
 the first letter consumes the socle end.
 
 chi is computed by a bottom-up recursion (enumerate lines in the demanded
-socle part, quotient, recurse).  When every step meets a socle part of
-dimension <= 1 the chain set is finite and field-independent and the exact
-backend returns its cardinality; otherwise the chains are counted over
-increasing prime fields and the count polynomial is evaluated at q = 1,
-accepting the fit once it is stable across two additional primes.
+socle part, quotient, recurse).  The field fixes the mode: over QQ only
+socle parts of dimension <= 1 are allowed, so the chain set is finite and
+field-independent and the exact backend returns its cardinality; over GF(p)
+every line is enumerated.  When the QQ recursion meets a larger socle part,
+chi reduces the module mod increasing primes, skipping bad ones (a
+denominator vanishes or the socle/radical layers change), counts the chains
+over each, and evaluates the count polynomial at q = 1, accepting the fit
+once it is stable across two additional primes.
 
 The recursion is memoised in a `FlagCounter` keyed by the exact
 presentation of each quotient module.  Every top-level call owns its
@@ -22,6 +25,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import factorial
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -46,12 +50,9 @@ class ChiUndeterminedError(PhiError):
     """Interpolation never stabilized within the prime cap."""
 
 
-class _SocleBranching(Exception):
-    """Internal: the exact backend hit a >= 2-dimensional socle part."""
-
-
-class _BadReduction(Exception):
-    """Internal: reduction mod p changed the module's filtration invariants."""
+class _SocleBranching(PhiError):
+    """Counting over QQ met a >= 2-dimensional socle part; chi falls back to
+    interpolation."""
 
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -142,7 +143,7 @@ def _word_matches_dims(rep: QuiverRep, word: Sequence[int]) -> bool:
     counts = {v: 0 for v in rep.quiver.vertices}
     for letter in word:
         if letter not in counts:
-            return False
+            raise PhiError(f"letter {letter} is not a vertex of the quiver")
         counts[letter] += 1
     return all(counts[v] == rep.dim(v) for v in rep.quiver.vertices)
 
@@ -154,53 +155,36 @@ def _quotient_by_line(rep: QuiverRep, v: int, vec) -> QuiverRep:
 def _lines_of_subspace(field: PrimeField, basis_vectors: list) -> Iterable[tuple]:
     """Canonical representatives of the lines of a GF(p)-span: coefficient
     tuples with first nonzero entry 1, mapped through the basis."""
-    k = len(basis_vectors)
     p = field.p
     dim = len(basis_vectors[0])
-
-    def combos(position):
-        for tail in _tuples(p, k - position - 1):
-            yield (0,) * position + (1,) + tail
-
-    for position in range(k):
-        for coeffs in combos(position):
-            vec = [0] * dim
-            for c, b in zip(coeffs, basis_vectors):
+    for position, lead in enumerate(basis_vectors):
+        rest = basis_vectors[position + 1 :]
+        for coeffs in product(range(p), repeat=len(rest)):
+            vec = list(lead)
+            for c, b in zip(coeffs, rest):
                 if c:
                     for idx in range(dim):
                         vec[idx] = (vec[idx] + c * b[idx]) % p
             yield tuple(vec)
 
 
-def _tuples(p: int, length: int):
-    if length == 0:
-        yield ()
-        return
-    for head in range(p):
-        for tail in _tuples(p, length - 1):
-            yield (head,) + tail
-
-
-def count_flags(rep: QuiverRep, word: Sequence[int], counter: Optional[FlagCounter] = None,
-                strict_unique: bool = False) -> int:
+def count_flags(rep: QuiverRep, word: Sequence[int], counter: Optional[FlagCounter] = None) -> int:
     """Number of composition series of the given type.
 
-    Over a prime field this is the chain count over that field.  Rational
-    modules always run in the unique-chain mode (a >= 2-dimensional
-    demanded socle part has no finite line count there), which is also the
-    exact chi backend; the branch raises _SocleBranching internally.
+    Over GF(p) this is the chain count over that field.  Over QQ it is the
+    exact chi backend: a demanded socle part of dimension >= 2 has
+    infinitely many lines, so it raises PhiError.  A letter that is not a
+    vertex raises PhiError.
     """
     if counter is None:
         counter = FlagCounter()
     word = tuple(word)
-    if isinstance(rep.field, RationalField):
-        strict_unique = True
     if not _word_matches_dims(rep, word):
         return 0
-    return _count(rep, word, counter, strict_unique)
+    return _count(rep, word, counter)
 
 
-def _count(rep: QuiverRep, word: tuple[int, ...], counter: FlagCounter, strict: bool) -> int:
+def _count(rep: QuiverRep, word: tuple[int, ...], counter: FlagCounter) -> int:
     if not word:
         return 1 if rep.is_zero else 0
     hit = counter.lookup(rep, word)
@@ -210,14 +194,14 @@ def _count(rep: QuiverRep, word: tuple[int, ...], counter: FlagCounter, strict: 
     soc = socle_basis_at(rep, v)
     if not soc:
         result = 0
-    elif strict:
-        if len(soc) >= 2:
-            raise _SocleBranching()
-        result = _count(_quotient_by_line(rep, v, soc[0]), word[1:], counter, strict)
+    elif len(soc) == 1:
+        result = _count(_quotient_by_line(rep, v, soc[0]), word[1:], counter)
+    elif isinstance(rep.field, RationalField):
+        raise _SocleBranching(f"socle part of dimension {len(soc)} at vertex {v} over QQ")
     else:
         result = 0
         for vec in _lines_of_subspace(rep.field, soc):
-            result += _count(_quotient_by_line(rep, v, vec), word[1:], counter, strict)
+            result += _count(_quotient_by_line(rep, v, vec), word[1:], counter)
     counter.store(rep, word, result)
     return result
 
@@ -227,48 +211,42 @@ def count_flags_mod_p(rep: QuiverRep, word: Sequence[int], p: Optional[int] = No
     """Chain count over a prime field.
 
     Accepts either a module already over GF(p), or a rational module
-    together with p (reduced here; a degenerate reduction is an error)."""
+    together with p (reduced here; a bad prime is an error)."""
     if isinstance(rep.field, PrimeField):
         return count_flags(rep, word, counter)
     if p is None:
         raise PhiError("count_flags_mod_p needs a prime for a rational module")
-    try:
-        rep_p = _reduce_mod_p(rep, PrimeField(p))
-    except _BadReduction as exc:
-        raise PhiError(str(exc)) from exc
+    rep_p = _reduce_mod_p(rep, p)
+    if rep_p is None:
+        raise PhiError(f"{p} is a bad prime for this module")
     return count_flags(rep_p, word, counter)
 
 
-def _reduce_mod_p(rep: QuiverRep, gf: PrimeField) -> QuiverRep:
-    """Reduce a rational module mod p; cached on the instance.
-
-    Raises ZeroDivisionError when a denominator vanishes mod p, and
-    _BadReduction when the reduction degenerates (its socle/radical
-    filtration invariants differ from the rational ones), e.g. when an
-    integer matrix entry is divisible by p.  Both conditions disqualify the
-    prime as an interpolation point.
+def _reduce_mod_p(rep: QuiverRep, p: int) -> Optional[QuiverRep]:
+    """Reduce a rational module mod p, or None when p is a bad prime: a
+    denominator vanishes mod p, or the reduction degenerates (its
+    socle/radical filtration invariants differ from the rational ones),
+    e.g. when an integer matrix entry is divisible by p.  Either way p is
+    no interpolation point.  Cached on the instance, None included.
     """
     cache = rep.__dict__.get("_mod_p_cache")
     if cache is None:
         cache = {}
         object.__setattr__(rep, "_mod_p_cache", cache)
-    hit = cache.get(gf.p)
-    if hit is not None:
-        if isinstance(hit, Exception):
-            raise hit
-        return hit
-    try:
-        maps = tuple(
-            tuple(tuple(gf.coerce(x) for x in row) for row in m) for m in rep.maps
-        )
-        rep_p = QuiverRep(rep.quiver, gf, rep.dims, maps)
-        if fingerprint(rep_p) != fingerprint(rep):
-            raise _BadReduction(f"module degenerates mod {gf.p}")
-    except (ZeroDivisionError, _BadReduction) as exc:
-        cache[gf.p] = exc
-        raise
-    cache[gf.p] = rep_p
-    return rep_p
+    if p not in cache:
+        gf = PrimeField(p)
+        try:
+            maps = tuple(
+                tuple(tuple(gf.coerce(x) for x in row) for row in m) for m in rep.maps
+            )
+        except ZeroDivisionError:
+            rep_p = None
+        else:
+            rep_p = QuiverRep(rep.quiver, gf, rep.dims, maps)
+            if fingerprint(rep_p) != fingerprint(rep):
+                rep_p = None
+        cache[p] = rep_p
+    return cache[p]
 
 
 def _lagrange_eval(points: Sequence[tuple[int, int]], x: int) -> Fraction:
@@ -296,29 +274,23 @@ def chi(rep: QuiverRep, word: Sequence[int], counter: Optional[FlagCounter] = No
     if not isinstance(rep.field, RationalField):
         raise PhiError("chi expects a module over the rationals")
     try:
-        value = count_flags(rep, word, counter, strict_unique=True)
-        return ChiResult(value, EXACT)
+        return ChiResult(count_flags(rep, word, counter), EXACT)
     except _SocleBranching:
         pass
     points: list[tuple[int, int]] = []
-    used: list[int] = []
     for p in PRIMES:
-        gf = PrimeField(p)
-        try:
-            rep_p = _reduce_mod_p(rep, gf)
-        except (ZeroDivisionError, _BadReduction):
+        rep_p = _reduce_mod_p(rep, p)
+        if rep_p is None:
             continue
         points.append((p, count_flags(rep_p, word, counter)))
-        used.append(p)
-        for m in range(1, len(points) - 1):
-            if len(points) < m + 2:
-                break
-            head = points[:m]
-            if all(_lagrange_eval(head, q) == c for q, c in points[m : m + 2]):
-                value = _lagrange_eval(head, 1)
-                if value.denominator != 1:
-                    raise PhiError(f"interpolated chi {value} is not an integer")
-                return ChiResult(int(value), INTERPOLATED, tuple(used))
+        # A shorter head points[:m] is confirmed only by points[m:m+2], a
+        # test that already failed when those two were the newest points.
+        head = points[:-2]
+        if head and all(_lagrange_eval(head, q) == c for q, c in points[-2:]):
+            value = _lagrange_eval(head, 1)
+            if value.denominator != 1:
+                raise PhiError(f"interpolated chi {value} is not an integer")
+            return ChiResult(int(value), INTERPOLATED, tuple(q for q, _ in points))
     raise ChiUndeterminedError(
         f"point counts {points} never stabilized within the prime cap"
     )
@@ -348,25 +320,14 @@ def _expansions(word_positions: Mapping[int, list[int]], dims: Mapping[int, int]
     """All multiplicity vectors a with per-vertex letter counts equal to the
     dimension vector, as full-length tuples."""
     items = sorted(word_positions)
-    per_vertex: list[list[tuple[int, ...]]] = []
-    for v in items:
-        slots = word_positions[v]
-        per_vertex.append(list(_compositions(dims[v], len(slots))))
-
-    def rec(idx, acc):
-        if idx == len(items):
-            yield tuple(acc)
-            return
-        v = items[idx]
-        slots = word_positions[v]
-        for combo in per_vertex[idx]:
-            for pos, val in zip(slots, combo):
-                acc[pos] = val
-            yield from rec(idx + 1, acc)
-        for pos in slots:
-            acc[pos] = 0
-
-    yield from rec(0, [0] * length)
+    per_vertex = [_compositions(dims[v], len(word_positions[v])) for v in items]
+    # The concatenated compositions give the multiplicity at slots[k];
+    # order lists the k of each word position in turn.
+    slots = [pos for v in items for pos in word_positions[v]]
+    order = sorted(range(length), key=slots.__getitem__)
+    for combos in product(*per_vertex):
+        flat = sum(combos, ())
+        yield tuple([flat[k] for k in order])
 
 
 def phi_eval(

@@ -466,23 +466,15 @@ def quotient_rep(rep: QuiverRep, sub_bases: Mapping[int, Matrix]) -> QuiverRep:
     return QuiverRep(q, F, tuple(new_dims), tuple(maps))
 
 
-def socle_subrep_bases(rep: QuiverRep) -> dict[int, Matrix]:
-    out = {}
-    for v in rep.quiver.vertices:
-        vecs = socle_basis_at(rep, v)
-        out[v] = tuple(zip(*vecs)) if vecs else zero_matrix(rep.field, rep.dim(v), 0)
-    return out
-
-
 def socle_series(rep: QuiverRep) -> tuple[tuple[int, ...], ...]:
     """Layer dimension vectors of the socle filtration, socle first."""
     layers = []
     current = rep
     guard = rep.total_dim + 1
     while not current.is_zero and guard:
-        soc = socle_top(current)["socle"]
-        layers.append(soc)
-        current = quotient_rep(current, socle_subrep_bases(current))
+        bases = {v: socle_basis_at(current, v) for v in current.quiver.vertices}
+        layers.append(tuple(len(vecs) for vecs in bases.values()))
+        current = quotient_rep(current, {v: tuple(zip(*vecs)) for v, vecs in bases.items() if vecs})
         guard -= 1
     return tuple(layers)
 
@@ -1004,7 +996,7 @@ def exchange_matrix_from_sequences(
     (0 -> T_k -> X_k -> T_k* -> 0) and "Y" the middle term of the sequence
     ending at it (0 -> T_k* -> Y_k -> T_k -> 0).  Summand rows receive
     +[Y_k : T_i] - [X_k : T_i]; each appended coefficient row (one per
-    vertex j in coeff_vertices) receives
+    vertex j in coeff_vertices, a vertex of the summands' quiver) receives
     dim Hom(S_j, X_k) - dim Hom(S_j, Y_k); both sign conventions are pinned
     by the d4-example152 verification case.
     """
@@ -1028,7 +1020,12 @@ def exchange_matrix_from_sequences(
     matrix = ExchangeMatrix(rows, n_frozen)
     extended_rows = {}
     if coeff_vertices:
+        if not summands:
+            raise PrepmodError(f"coefficient vertex {coeff_vertices[0]} needs at least one summand")
         quiver = summands[0].quiver
+        for j in coeff_vertices:
+            if j not in quiver.vertices:
+                raise PrepmodError(f"coefficient vertex {j} is not a vertex of the {quiver.kind} quiver")
         hom_to_simple = {
             j: [hom_dim(simple_rep(quiver, j, summands[0].field), t) for t in summands]
             for j in coeff_vertices

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterforge.cases import D4_SEQUENCES, d4_rigid_summands
 from clusterforge.cli import main
 from clusterforge.cluster import LaurentPhenomenonError, builtin_seed
 from clusterforge.phi import ChiUndeterminedError, PhiError
@@ -220,9 +221,10 @@ def test_exchange_matrix_bad_json_exits_2(runner, tmp_path):
     ["prepmod", "rigid", "--module", "{dir}/no_relation.json"],
     ["prepmod", "injective", "--type", "Dx", "--vertex", "1"],
     ["prepmod", "injective", "--type", "", "--vertex", "1"],
+    ["phi", "chi", "--module", "{dir}/a2.json", "--type", "1,9"],
 ], ids=["finite-type-max-seeds", "monomials-degree", "hom-types", "verify-quadric-n",
         "quadric-check-rank", "explore-dot-path", "efunctor-letter", "eval-dims-list",
-        "rigid-relation", "injective-type", "injective-empty-type"])
+        "rigid-relation", "injective-type", "injective-empty-type", "chi-letter"])
 def test_library_error_exits_2_with_one_line(runner, tmp_path, argv):
     files = {"a2.json": A2_MODULE, "d4.json": D4_MODULE,
              "dims_list.json": {"type": "A2", "dims": [1, 0]},
@@ -231,6 +233,32 @@ def test_library_error_exits_2_with_one_line(runner, tmp_path, argv):
         (tmp_path / name).write_text(json.dumps(blob))
     result = runner.invoke(main, [a.format(dir=tmp_path) for a in argv])
     _assert_one_line_error(result, 2)
+
+
+def d4_example152_data(coeff_vertices):
+    summands = d4_rigid_summands()["ordered"]
+    return {"summands": [m.to_json() for m in summands], "n_frozen": 4,
+            "sequences": [{k: list(v) for k, v in s.items()} for s in D4_SEQUENCES],
+            "coeff_vertices": coeff_vertices}
+
+
+@pytest.mark.parametrize("data", [
+    lambda: {"summands": [], "n_frozen": 0, "sequences": [], "coeff_vertices": [4]},
+    lambda: d4_example152_data([9]),
+], ids=["no-summands", "not-a-vertex"])
+def test_exchange_matrix_rejects_bad_coefficient_vertices(runner, tmp_path, data):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(data()))
+    result = runner.invoke(main, ["prepmod", "exchange-matrix", "--input", str(path)])
+    _assert_one_line_error(result, 2)
+    assert "coefficient vertex" in result.stderr
+
+
+def test_exchange_matrix_input_keeps_the_builtin_rows(runner, tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(d4_example152_data([4])))
+    result = invoke(runner, "prepmod", "exchange-matrix", "--input", str(path), "--json")
+    assert json.loads(result.stdout)["extended_rows"] == {"4": [1, 0]}
 
 
 @pytest.mark.parametrize("exc, code", [

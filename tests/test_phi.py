@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -83,6 +85,7 @@ def test_chi_goldens(a2_algebra, d4_algebra):
     ss = direct_sum(simple_rep(A2, 1), simple_rep(A2, 1))
     result = chi(ss, (1, 1))
     assert result.value == 2 and result.backend == INTERPOLATED
+    assert result.primes == (2, 3, 5, 7)
     q4 = d4_algebra.injective(4)
     result = chi(q4, (4, 3, 1, 2, 3, 4))
     assert result.value == 1 and result.backend == EXACT
@@ -94,7 +97,37 @@ def test_chi_full_flag_variety_is_factorial():
     triple = direct_sum(*[simple_rep(A2, 1)] * 3)
     result = chi(triple, (1, 1, 1))
     assert result.value == 6 and result.backend == INTERPOLATED
-    assert len(result.primes) >= 4
+    assert result.primes == (2, 3, 5, 7, 11, 13)
+
+
+def _halves_module():
+    """A2's q + q where q has map 1->2 = 1/2: p = 2 is a bad prime."""
+    q = QuiverRep(A2, QQ, (1, 1), (((Fraction(1, 2),),), ((Fraction(0),),)))
+    return direct_sum(q, q)
+
+
+def test_interpolation_skips_a_bad_prime():
+    result = chi(_halves_module(), (2, 2, 1, 1))
+    assert result.value == 4 and result.backend == INTERPOLATED
+    assert result.primes == (3, 5, 7, 11, 13)
+    with pytest.raises(PhiError):
+        count_flags_mod_p(_halves_module(), (2, 2, 1, 1), 2)
+
+
+def test_a_bad_prime_keeps_no_counter_alive():
+    m = _halves_module()
+    counter = FlagCounter()
+    chi(m, (2, 2, 1, 1), counter=counter)
+    ref = weakref.ref(counter)
+    del counter
+    gc.collect()
+    assert ref() is None
+
+
+def test_count_flags_over_qq_rejects_a_branching_socle():
+    ss = direct_sum(simple_rep(A2, 1), simple_rep(A2, 1))
+    with pytest.raises(PhiError):
+        count_flags(ss, (1, 1))
 
 
 def test_chi_results_do_not_depend_on_memo_sharing(d4_algebra):
@@ -152,6 +185,9 @@ def test_phi_weight_grading():
 def test_phi_rejects_bad_letters(a2_algebra):
     with pytest.raises(PhiError):
         phi_eval(a2_algebra.injective(1), (1, 7))
+    for count in (chi, count_flags):
+        with pytest.raises(PhiError, match="9 is not a vertex"):
+            count(simple_rep(A2, 1), (1, 9))
     with pytest.raises(PhiError):
         phi_eval(a2_algebra.injective(1), (1, 2), params=("t1",))
 
