@@ -21,9 +21,6 @@ class RationalField:
     def one(self):
         return Fraction(1)
 
-    def from_int(self, n: int):
-        return Fraction(n)
-
     def add(self, a, b):
         return a + b
 
@@ -63,9 +60,6 @@ class PrimeField:
 
     def one(self):
         return 1
-
-    def from_int(self, n: int):
-        return n % self.p
 
     def add(self, a, b):
         return (a + b) % self.p

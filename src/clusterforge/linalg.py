@@ -13,10 +13,6 @@ Matrix = tuple[tuple, ...]
 Vector = tuple
 
 
-def mat(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(r) for r in rows)
-
-
 def zero_matrix(field, nrows: int, ncols: int) -> Matrix:
     z = field.zero()
     return tuple((z,) * ncols for _ in range(nrows))
@@ -62,14 +58,6 @@ def _dot(field, u, v):
     for x, y in zip(u, v):
         acc = field.add(acc, field.mul(x, y))
     return acc
-
-
-def mat_add(field, a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(field.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(field, c, a: Matrix) -> Matrix:
-    return tuple(tuple(field.mul(c, x) for x in row) for row in a)
 
 
 def hstack(field, blocks: Sequence[Matrix], nrows: int) -> Matrix:

@@ -148,10 +148,6 @@ def _word_matches_dims(rep: QuiverRep, word: Sequence[int]) -> bool:
     return all(counts[v] == rep.dim(v) for v in rep.quiver.vertices)
 
 
-def _quotient_by_line(rep: QuiverRep, v: int, vec) -> QuiverRep:
-    return quotient_rep(rep, {v: tuple((x,) for x in vec)})
-
-
 def _lines_of_subspace(field: PrimeField, basis_vectors: list) -> Iterable[tuple]:
     """Canonical representatives of the lines of a GF(p)-span: coefficient
     tuples with first nonzero entry 1, mapped through the basis."""
@@ -195,13 +191,13 @@ def _count(rep: QuiverRep, word: tuple[int, ...], counter: FlagCounter) -> int:
     if not soc:
         result = 0
     elif len(soc) == 1:
-        result = _count(_quotient_by_line(rep, v, soc[0]), word[1:], counter)
+        result = _count(quotient_rep(rep, {v: (soc[0],)}), word[1:], counter)
     elif isinstance(rep.field, RationalField):
         raise _SocleBranching(f"socle part of dimension {len(soc)} at vertex {v} over QQ")
     else:
         result = 0
         for vec in _lines_of_subspace(rep.field, soc):
-            result += _count(_quotient_by_line(rep, v, vec), word[1:], counter)
+            result += _count(quotient_rep(rep, {v: (vec,)}), word[1:], counter)
     counter.store(rep, word, result)
     return result
 
@@ -210,9 +206,12 @@ def count_flags_mod_p(rep: QuiverRep, word: Sequence[int], p: Optional[int] = No
                       counter: Optional[FlagCounter] = None) -> int:
     """Chain count over a prime field.
 
-    Accepts either a module already over GF(p), or a rational module
-    together with p (reduced here; a bad prime is an error)."""
+    Accepts either a module already over GF(p), with p omitted or equal to
+    its prime, or a rational module together with p (reduced here; a bad
+    prime is an error)."""
     if isinstance(rep.field, PrimeField):
+        if p is not None and p != rep.field.p:
+            raise PhiError(f"the module is over {rep.field.name}, not GF({p})")
         return count_flags(rep, word, counter)
     if p is None:
         raise PhiError("count_flags_mod_p needs a prime for a rational module")

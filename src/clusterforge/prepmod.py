@@ -2,14 +2,10 @@
 
 The double quiver replaces each Dynkin edge {i,j} (oriented here as i<j) by
 arrows a: i->j and a*: j->i.  The defining relation, localized at a vertex
-v, reads
-
-    sum_{edges (v,w), v<w} M(a*) M(a)  -  sum_{edges (u,v), u<v} M(a) M(a*) = 0,
-
-i.e. "back-and-forth" composites through higher-numbered neighbours minus
-those through lower-numbered neighbours.  Every quantity this package
-reports (dimensions, Hom, Ext, filtration layers) is invariant under this
-choice of signs.
+v, is the signed sum of the back-and-forth composites through v's
+neighbours; `DoubleQuiver.relation` holds its terms and fixes the signs.
+Every quantity this package reports (dimensions, Hom, Ext, filtration
+layers) is invariant under that choice of signs.
 
 The algebra basis is computed degree by degree: spanning paths are reduced
 modulo the relation ideal until the graded piece vanishes.  Injectives are
@@ -18,7 +14,6 @@ realized as duals of the right projectives e_i Lambda, never hard-coded.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,12 +67,23 @@ class DoubleQuiver:
 
     def __post_init__(self):
         arrows = []
+        relation = {v: [] for v in self.vertices}
         for i, j in self.edges:
+            fwd, back = len(arrows), len(arrows) + 1
             arrows.append(Arrow(f"{i}->{j}", i, j))
             arrows.append(Arrow(f"{j}->{i}", j, i))
-        object.__setattr__(self, "_arrows", tuple(arrows))
-        object.__setattr__(self, "_arrow_index", {a.name: k for k, a in enumerate(arrows)})
-        object.__setattr__(self, "_vertex_index", {v: k for k, v in enumerate(self.vertices)})
+            relation[i].append((1, back, fwd))
+            relation[j].append((-1, fwd, back))
+        table = {
+            "_arrows": tuple(arrows),
+            "_arrow_index": {a.name: k for k, a in enumerate(arrows)},
+            "_vertex_index": {v: k for k, v in enumerate(self.vertices)},
+            "_from": {v: tuple(a for a in arrows if a.source == v) for v in self.vertices},
+            "_into": {v: tuple(a for a in arrows if a.target == v) for v in self.vertices},
+            "_relation": {v: tuple(terms) for v, terms in relation.items()},
+        }
+        for name, value in table.items():
+            object.__setattr__(self, name, value)
 
     @property
     def arrows(self) -> tuple[Arrow, ...]:
@@ -89,20 +95,20 @@ class DoubleQuiver:
     def vertex_index(self, v: int) -> int:
         return self._vertex_index[v]
 
-    def arrows_from(self, v: int) -> list[Arrow]:
-        return [a for a in self.arrows if a.source == v]
+    def arrows_from(self, v: int) -> tuple[Arrow, ...]:
+        return self._from[v]
 
-    def arrows_into(self, v: int) -> list[Arrow]:
-        return [a for a in self.arrows if a.target == v]
+    def arrows_into(self, v: int) -> tuple[Arrow, ...]:
+        return self._into[v]
 
-    def neighbours(self, v: int) -> list[int]:
-        out = []
-        for i, j in self.edges:
-            if i == v:
-                out.append(j)
-            elif j == v:
-                out.append(i)
-        return out
+    def relation(self, v: int) -> tuple[tuple[int, int, int], ...]:
+        """The preprojective relation at v as (sign, outer, inner) terms:
+        the relation reads sum sign * M(outer) M(inner) = 0, with outer and
+        inner positions in `arrows`.  An edge {i,j}, i < j, gives the term
+        (+1, j->i, i->j) at i and (-1, i->j, j->i) at j, i.e. back-and-forth
+        composites through higher-numbered neighbours count +1 and through
+        lower-numbered ones -1."""
+        return self._relation[v]
 
     def adjacent(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
@@ -322,16 +328,16 @@ def check_relation(rep: QuiverRep) -> tuple[bool, Optional[int]]:
     q, F = rep.quiver, rep.field
     for v in q.vertices:
         dv = rep.dim(v)
-        acc = zero_matrix(F, dv, dv)
-        for i, j in q.edges:
-            if i == v:
-                fwd = rep.map_of(Arrow(f"{i}->{j}", i, j))
-                back = rep.map_of(Arrow(f"{j}->{i}", j, i))
-                acc = linalg.mat_add(F, acc, mat_mul(F, back, fwd))
-            elif j == v:
-                fwd = rep.map_of(Arrow(f"{i}->{j}", i, j))
-                back = rep.map_of(Arrow(f"{j}->{i}", j, i))
-                acc = linalg.mat_add(F, acc, linalg.mat_scale(F, F.from_int(-1), mat_mul(F, fwd, back)))
+        acc = [[F.zero()] * dv for _ in range(dv)]
+        for sign, outer, inner in q.relation(v):
+            # a term through a zero-dimensional vertex is zero, and () hides its column count
+            if rep.dim(q.arrows[inner].target) == 0:
+                continue
+            term = mat_mul(F, rep.maps[outer], rep.maps[inner])
+            combine = F.add if sign > 0 else F.sub
+            for x in range(dv):
+                for y in range(dv):
+                    acc[x][y] = combine(acc[x][y], term[x][y])
         if any(not F.is_zero(x) for row in acc for x in row):
             return False, v
     return True, None
@@ -424,46 +430,43 @@ def sub_rep(rep: QuiverRep, bases: Mapping[int, Matrix]) -> QuiverRep:
     return QuiverRep(q, F, dims, tuple(maps))
 
 
-def quotient_rep(rep: QuiverRep, sub_bases: Mapping[int, Matrix]) -> QuiverRep:
-    """Quotient by a submodule given by per-vertex subspace bases (columns).
+def quotient_rep(rep: QuiverRep, spans: Mapping[int, Sequence[Sequence]]) -> QuiverRep:
+    """Quotient by the submodule spanned at each vertex v by the row
+    vectors spans[v] (the spans must be arrow-stable; this is not checked).
 
-    Only the vertices with a nonzero subspace get a projection and a
-    section; an arrow's map is multiplied by the section of its source and
-    the projection of its target only where those vertices were cut."""
+    At a cut vertex the quotient keeps the coordinates that are not pivot
+    columns of the rref of the vectors.  An arrow out of the vertex drops
+    the pivot columns; an arrow into it replaces each kept row c by
+    m[c] - sum_r red[r][c] m[pivot_r], which reduces the image modulo the
+    span.  These are the entries of P m S for the projection P along the
+    span and the section S onto the kept coordinates."""
     q, F = rep.quiver, rep.field
-    projections = {}
-    sections = {}
-    new_dims = []
-    for v in q.vertices:
-        dv = rep.dim(v)
-        kb = sub_bases.get(v)
-        if kb is None or (kb and len(kb[0]) == 0) or dv == 0:
-            new_dims.append(dv)
-            continue
-        rows = tuple(zip(*kb))  # subspace basis vectors as rows
-        red, pivots = rref(F, rows)
-        comp = [c for c in range(dv) if c not in pivots]
-        proj = []
-        for c in comp:
-            row = [F.zero()] * dv
-            row[c] = F.one()
-            for r, pc in enumerate(pivots):
-                row[pc] = F.neg(red[r][c])
-            proj.append(tuple(row))
-        projections[v] = tuple(proj)
-        sect = [[F.zero()] * len(comp) for _ in range(dv)]
-        for idx, c in enumerate(comp):
-            sect[c][idx] = F.one()
-        sections[v] = tuple(tuple(r) for r in sect)
-        new_dims.append(len(comp))
+    cuts = {}
+    for v, vecs in spans.items():
+        if vecs:
+            red, pivots = rref(F, tuple(vecs))
+            if pivots:
+                kept = [c for c in range(rep.dim(v)) if c not in pivots]
+                cuts[v] = (red, pivots, kept)
+    dims = tuple(len(cuts[v][2]) if v in cuts else d for v, d in zip(q.vertices, rep.dims))
     maps = []
     for a, m in zip(q.arrows, rep.maps):
-        if a.source in sections:
-            m = mat_mul(F, m, sections[a.source])
-        if a.target in projections:
-            m = mat_mul(F, projections[a.target], m)
+        if a.source in cuts:
+            kept = cuts[a.source][2]
+            m = tuple(tuple(row[c] for c in kept) for row in m)
+        if a.target in cuts:
+            red, pivots, kept = cuts[a.target]
+            rows = []
+            for c in kept:
+                row = m[c]
+                for r, pc in enumerate(pivots):
+                    coeff = red[r][c]
+                    if not F.is_zero(coeff):
+                        row = tuple(F.sub(x, F.mul(coeff, y)) for x, y in zip(row, m[pc]))
+                rows.append(row)
+            m = tuple(rows)
         maps.append(m)
-    return QuiverRep(q, F, tuple(new_dims), tuple(maps))
+    return QuiverRep(q, F, dims, tuple(maps))
 
 
 def socle_series(rep: QuiverRep) -> tuple[tuple[int, ...], ...]:
@@ -474,7 +477,7 @@ def socle_series(rep: QuiverRep) -> tuple[tuple[int, ...], ...]:
     while not current.is_zero and guard:
         bases = {v: socle_basis_at(current, v) for v in current.quiver.vertices}
         layers.append(tuple(len(vecs) for vecs in bases.values()))
-        current = quotient_rep(current, {v: tuple(zip(*vecs)) for v, vecs in bases.items() if vecs})
+        current = quotient_rep(current, bases)
         guard -= 1
     return tuple(layers)
 
@@ -508,8 +511,7 @@ def functor_E_dagger(rep: QuiverRep, i: int) -> QuiverRep:
     vecs = socle_basis_at(rep, i)
     if not vecs:
         return rep
-    bases = {i: tuple(zip(*vecs))}
-    return quotient_rep(rep, bases)
+    return quotient_rep(rep, {i: vecs})
 
 
 def functor_E_word(rep: QuiverRep, letters: Sequence[int], dagger: bool = False) -> QuiverRep:
@@ -614,63 +616,45 @@ def fingerprint(rep: QuiverRep) -> tuple:
     return cached
 
 
-def proven_isomorphic(
-    m: QuiverRep, n: QuiverRep, rng: Optional[random.Random] = None, attempts: int = 8
-) -> Optional[bool]:
+def is_isomorphic(m: QuiverRep, n: QuiverRep) -> bool:
     """Las Vegas isomorphism test.
 
-    Returns False only on a certificate (invariant mismatch or empty Hom),
-    True when an invertible intertwiner is found, and None when the search
-    is inconclusive.  With rational coefficients drawn from [-99, 99] the
-    chance of missing an existing isomorphism is below (dim/199) per try.
+    False on a certificate (dimension vectors or socle/radical layers
+    differ, or Hom(m, n) is zero); True when an invertible intertwiner is
+    found among 8 random combinations of a Hom basis, coefficients drawn
+    from [-99, 99] by Random(0); False when none of them is invertible.
+    With rational coefficients the chance of missing an existing
+    isomorphism is below dim/199 per try.
     """
     if m.dims != n.dims:
         return False
-    if m.total_dim == 0:
-        return True
-    if m.maps == n.maps:
+    if m.total_dim == 0 or m.maps == n.maps:
         return True
     if fingerprint(m) != fingerprint(n):
         return False
     basis = hom_basis(m, n)
     if not basis:
         return False
-    rng = rng or random.Random(0)
     F = m.field
-    nverts = len(m.quiver.vertices)
-    if hasattr(F, "p") and F.p ** len(basis) <= 256:
-        coeff_space = itertools.product(range(F.p), repeat=len(basis))
-    else:
-        coeff_space = (
-            tuple(F.coerce(rng.randint(-99, 99)) for _ in basis) for _ in range(attempts)
-        )
-    for coeffs in coeff_space:
-        if all(F.is_zero(c) for c in coeffs):
-            continue
-        ok = True
-        for vi in range(nverts):
-            dv = m.dims[vi]
-            if dv == 0:
-                continue
-            block = [[F.zero()] * dv for _ in range(dv)]
-            for c, h in zip(coeffs, basis):
-                if F.is_zero(c):
-                    continue
-                hb = h[vi]
-                for x in range(dv):
-                    for y in range(dv):
-                        block[x][y] = F.add(block[x][y], F.mul(c, hb[x][y]))
-            if not linalg.is_invertible(F, tuple(tuple(r) for r in block)):
-                ok = False
-                break
-        if ok:
+
+    def combination(coeffs, vi, dv):
+        block = [[F.zero()] * dv for _ in range(dv)]
+        for c, h in zip(coeffs, basis):
+            if not F.is_zero(c):
+                for x, row in enumerate(h[vi]):
+                    for y, e in enumerate(row):
+                        block[x][y] = F.add(block[x][y], F.mul(c, e))
+        return tuple(tuple(r) for r in block)
+
+    rng = random.Random(0)
+    for _ in range(8):
+        coeffs = tuple(F.coerce(rng.randint(-99, 99)) for _ in basis)
+        if any(not F.is_zero(c) for c in coeffs) and all(
+            linalg.is_invertible(F, combination(coeffs, vi, dv))
+            for vi, dv in enumerate(m.dims) if dv
+        ):
             return True
-    return None
-
-
-def is_isomorphic(m: QuiverRep, n: QuiverRep, rng_seed: int = 0, attempts: int = 8) -> bool:
-    """Boolean form of proven_isomorphic; inconclusive searches count as False."""
-    return proven_isomorphic(m, n, random.Random(rng_seed), attempts) is True
+    return False
 
 
 # ----------------------------------------------------------------------
@@ -700,20 +684,6 @@ class PreprojectiveAlgebra:
 
     # -- construction ---------------------------------------------------
 
-    def _relation_terms(self, v: int) -> list[tuple[int, Arrow, Arrow]]:
-        """The relation at v as (sign, second_arrow, first_arrow) composites."""
-        terms = []
-        for i, j in self.quiver.edges:
-            if i == v:
-                fwd = Arrow(f"{i}->{j}", i, j)
-                back = Arrow(f"{j}->{i}", j, i)
-                terms.append((1, back, fwd))
-            elif j == v:
-                fwd = Arrow(f"{i}->{j}", i, j)
-                back = Arrow(f"{j}->{i}", j, i)
-                terms.append((-1, fwd, back))
-        return terms
-
     def _build(self, max_degree: int, max_dim: int) -> None:
         q = self.quiver
         degree0 = [BasisPath(0, v, v, ()) for v in q.vertices]
@@ -741,10 +711,10 @@ class PreprojectiveAlgebra:
                         continue
                     pos = {c: idx for idx, c in enumerate(cand)}
                     row: dict[int, Fraction] = {}
-                    for sign, second, first in self._relation_terms(v):
-                        mid = self.lmul[degree - 1].get(first.name, {}).get(qi, {})
+                    for sign, outer, inner in q.relation(v):
+                        mid = self.lmul[degree - 1].get(arrows[inner].name, {}).get(qi, {})
                         for bi, coeff in mid.items():
-                            col = pos.get((second.name, bi))
+                            col = pos.get((arrows[outer].name, bi))
                             if col is None:
                                 continue
                             val = row.get(col, Fraction(0)) + sign * coeff
@@ -897,10 +867,6 @@ class PreprojectiveAlgebra:
 def build_algebra_basis(kind: str) -> PreprojectiveAlgebra:
     """Build (and cache) the algebra for a type string like "D4"."""
     return PreprojectiveAlgebra(dynkin_quiver(kind))
-
-
-def injective_rep(kind: str, i: int) -> QuiverRep:
-    return build_algebra_basis(kind).injective(i)
 
 
 # ----------------------------------------------------------------------

@@ -140,6 +140,24 @@ def test_phi_eval_and_chi(runner, tmp_path):
     assert payload["value"] == 1 and payload["backend"] == "exact-enumeration"
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("kind, vertex, word, golden", [
+    ("D4", "4", "4,3,1", "efunctor_dagger_D4_Q4_4-3-1.json"),
+    ("D5", "3", "3,2,4,3", "efunctor_dagger_D5_Q3_3-2-4-3.json"),
+])
+def test_efunctor_dagger_presentation_is_pinned(runner, tmp_path, kind, vertex, word, golden):
+    """The quotient's maps, not only its dimensions, match a recorded run."""
+    module_file = tmp_path / "q.json"
+    invoke(runner, "prepmod", "injective", "--type", kind, "--vertex", vertex,
+           "--out", str(module_file))
+    result = invoke(runner, "prepmod", "efunctor", "--module", str(module_file),
+                    "--word", word, "--dagger", "--json")
+    assert result.exit_code == 0
+    assert result.stdout == (GOLDEN / golden).read_text()
+
+
 def test_phi_verify_case(runner):
     result = invoke(runner, "phi", "verify", "--case", "a2-thm61")
     assert result.exit_code == 0
@@ -222,13 +240,16 @@ def test_exchange_matrix_bad_json_exits_2(runner, tmp_path):
     ["prepmod", "injective", "--type", "Dx", "--vertex", "1"],
     ["prepmod", "injective", "--type", "", "--vertex", "1"],
     ["phi", "chi", "--module", "{dir}/a2.json", "--type", "1,9"],
+    ["phi", "eval", "--module", "{dir}/zero_vertex.json", "--word", "1,2,3,1,2,1"],
 ], ids=["finite-type-max-seeds", "monomials-degree", "hom-types", "verify-quadric-n",
         "quadric-check-rank", "explore-dot-path", "efunctor-letter", "eval-dims-list",
-        "rigid-relation", "injective-type", "injective-empty-type", "chi-letter"])
+        "rigid-relation", "injective-type", "injective-empty-type", "chi-letter",
+        "eval-relation-beside-zero-vertex"])
 def test_library_error_exits_2_with_one_line(runner, tmp_path, argv):
     files = {"a2.json": A2_MODULE, "d4.json": D4_MODULE,
              "dims_list.json": {"type": "A2", "dims": [1, 0]},
-             "no_relation.json": relation_violating_module("A2", 1)}
+             "no_relation.json": relation_violating_module("A2", 1),
+             "zero_vertex.json": ZERO_VERTEX_MODULE}
     for name, blob in files.items():
         (tmp_path / name).write_text(json.dumps(blob))
     result = runner.invoke(main, [a.format(dir=tmp_path) for a in argv])
@@ -295,6 +316,9 @@ A2_MODULE = {"type": "A2", "dims": {"1": 1, "2": 1}, "maps": {"1->2": [["0"]], "
 A3_MODULE = {"type": "A3", "dims": {"1": 0, "2": 1, "3": 1},
              "maps": {"3->2": [["1"]], "2->3": [["0"]]}}
 D4_MODULE = {"type": "D4", "dims": {"3": 1}}
+# The relation fails at vertex 2 ((1->2)(2->1) != 0), beside the empty vertex 3.
+ZERO_VERTEX_MODULE = {"type": "A3", "dims": {"1": 1, "2": 2, "3": 0},
+                      "maps": {"1->2": [["1"], ["0"]], "2->1": [["0", "1"]]}}
 A2_SEED = {
     "d": 2, "n": 0,
     "matrix": [[0, 1], [-1, 0]],

@@ -77,6 +77,15 @@ def test_count_flags_mod_p_requires_prime_for_rational_input(a2_algebra):
     assert count_flags_mod_p(a2_algebra.injective(1), (1, 2), 3) == 1
 
 
+def test_count_flags_mod_p_rejects_a_second_prime_for_a_prime_field_module():
+    gf3 = PrimeField(3)
+    ss = direct_sum(simple_rep(A2, 1, gf3), simple_rep(A2, 1, gf3))
+    assert count_flags_mod_p(ss, (1, 1)) == 3 + 1
+    assert count_flags_mod_p(ss, (1, 1), 3) == 3 + 1
+    with pytest.raises(PhiError, match="GF\\(5\\)"):
+        count_flags_mod_p(ss, (1, 1), 5)
+
+
 # ----------------------------------------------------------------------
 # chi backends
 

@@ -123,6 +123,16 @@ def test_identity_maps_violate_relation():
     assert not ok and witness in (1, 2)
 
 
+def test_relation_violation_next_to_a_zero_dimensional_vertex():
+    # dims (1, 2, 0): (1->2)(2->1) != 0 at vertex 2, beside the empty vertex 3
+    maps = {"1->2": ((Fraction(1),), (Fraction(0),)), "2->1": ((Fraction(0), Fraction(1)),),
+            "2->3": (), "3->2": ((), ())}
+    rep = QuiverRep(A3, QQ, (1, 2, 0), tuple(maps[a.name] for a in A3.arrows))
+    assert check_relation(rep) == (False, 2)
+    with pytest.raises(PrepmodError, match="relation at vertex 2"):
+        QuiverRep.from_json(rep.to_json())
+
+
 # ----------------------------------------------------------------------
 # socle / top / functors
 
