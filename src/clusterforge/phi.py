@@ -1,19 +1,27 @@
-"""Flag functions phi_M: composition-series counting and polynomial assembly.
+"""Flag functions phi_M: partial-flag counting and polynomial assembly.
 
 phi_M evaluated on x_{i_1}(t_1)...x_{i_k}(t_k) is the sum over multiplicity
-vectors a of chi_{i^a,M} t^a / a!, where chi counts ascending chains of
-submodules whose k-th factor is the simple at the k-th expanded letter and
-the first letter consumes the socle end.
+vectors a of chi(F_a) t^a, where F_a is the variety of ascending chains of
+submodules 0 = U_0 < ... < U_k = M with U_j/U_{j-1} isomorphic to
+S_{i_j}^{a_j}; the first letter consumes the socle end (GLS,
+math/0402448 and math/0609138).  There is no 1/a!: the double quiver has no
+loops, so a module whose composition factors are all S_v is semisimple, and
+over every F_q each such partial flag refines to prod_j [a_j]_q! full flags
+of the expanded word.  Hence chi(full) = a! chi(partial).
 
-chi is computed by a bottom-up recursion (enumerate lines in the demanded
-socle part, quotient, recurse).  The field fixes the mode: over QQ only
-socle parts of dimension <= 1 are allowed, so the chain set is finite and
-field-independent and the exact backend returns its cardinality; over GF(p)
-every line is enumerated.  When the QQ recursion meets a larger socle part,
-chi reduces the module mod increasing primes, skipping bad ones (a
-denominator vanishes or the socle/radical layers change), counts the chains
-over each, and evaluates the count polynomial at q = 1, accepting the fit
-once it is stable across two additional primes.
+One recursion counts both.  A state is a quotient module and a letter
+position j: with s the dimension of the socle part at v = i_j, it chooses
+an a-dimensional subspace of that part, quotients by it and moves to j+1.
+`chi` and `count_flags` are the same recursion with every a_j = 1.  The
+field fixes the mode: over QQ only the unique choices a = 0 and a = s are
+allowed, so the chain set is finite and field-independent and the exact
+backend returns its cardinality; over GF(p) every subspace of a
+Grassmannian Gr(a, s) is enumerated.  When the QQ recursion meets
+0 < a < s, the module is reduced mod increasing primes, skipping bad ones
+(a denominator vanishes or the socle/radical layers change); each prime
+counts every coefficient at once, and each coefficient's count polynomial
+is evaluated at q = 1, its fit accepted once it is stable across two
+additional primes.
 
 The recursion is memoised in a `FlagCounter` keyed by the exact
 presentation of each quotient module.  Every top-level call owns its
@@ -25,11 +33,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from math import factorial
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import combinations, product
+from typing import Iterable, Optional, Sequence
 
-from .cluster import _compositions
 from .fields import PrimeField, RationalField
 from .laurent import LaurentPoly
 from .prepmod import (
@@ -51,8 +57,8 @@ class ChiUndeterminedError(PhiError):
 
 
 class _SocleBranching(PhiError):
-    """Counting over QQ met a >= 2-dimensional socle part; chi falls back to
-    interpolation."""
+    """Counting over QQ met a proper nonzero subspace of a socle part of
+    dimension >= 2; the caller falls back to interpolation."""
 
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -70,23 +76,10 @@ class ChiResult:
 
 @dataclass
 class ChiTable:
-    """Computed Euler characteristics keyed by expanded type words, with
-    per-entry backend provenance."""
+    """The coefficients of phi_M keyed by multiplicity vector a, each with
+    its backend provenance."""
 
     entries: dict = field(default_factory=dict)
-
-    def record(self, word: tuple[int, ...], result: ChiResult) -> None:
-        self.entries[word] = result
-
-    def to_json(self) -> dict:
-        return {
-            ",".join(map(str, word)): {
-                "chi": r.value,
-                "backend": r.backend,
-                "primes_used": list(r.primes),
-            }
-            for word, r in sorted(self.entries.items())
-        }
 
 
 def _default_memo_cap() -> int:
@@ -114,29 +107,30 @@ def _module_key(rep: QuiverRep) -> tuple:
 
 
 class FlagCounter:
-    """Memo table for the counting recursions.  A call without `counter=`
+    """Memo table for the counting recursion.  A call without `counter=`
     makes its own; pass one in to share entries across calls.
 
     One exact tier: a module key (see `_module_key`) maps to a dict from
-    type words to chain counts, so only identical presentations share
-    entries.  The entry cap (from CLUSTERFORGE_MAX_MEM, 512 bytes per entry
-    assumed) only disables insertion, never correctness.
+    state keys to results, so only identical presentations share entries.
+    The cap (from CLUSTERFORGE_MAX_MEM, 512 bytes per entry assumed) counts
+    one entry per stored coefficient, and at least one per stored result;
+    reaching it only disables insertion, never correctness.
     """
 
     def __init__(self, max_entries: Optional[int] = None):
-        self.tables: dict[tuple, dict[tuple[int, ...], int]] = {}
+        self.tables: dict[tuple, dict] = {}
         self.max_entries = _default_memo_cap() if max_entries is None else max_entries
         self.entry_count = 0
 
-    def lookup(self, rep: QuiverRep, word: tuple[int, ...]) -> Optional[int]:
+    def lookup(self, rep: QuiverRep, key: tuple):
         table = self.tables.get(_module_key(rep))
-        return None if table is None else table.get(word)
+        return None if table is None else table.get(key)
 
-    def store(self, rep: QuiverRep, word: tuple[int, ...], count: int) -> None:
+    def store(self, rep: QuiverRep, key: tuple, result) -> None:
         if self.entry_count >= self.max_entries:
             return
-        self.tables.setdefault(_module_key(rep), {})[word] = count
-        self.entry_count += 1
+        self.tables.setdefault(_module_key(rep), {})[key] = result
+        self.entry_count += max(1, len(result)) if isinstance(result, dict) else 1
 
 
 def _word_matches_dims(rep: QuiverRep, word: Sequence[int]) -> bool:
@@ -148,20 +142,61 @@ def _word_matches_dims(rep: QuiverRep, word: Sequence[int]) -> bool:
     return all(counts[v] == rep.dim(v) for v in rep.quiver.vertices)
 
 
-def _lines_of_subspace(field: PrimeField, basis_vectors: list) -> Iterable[tuple]:
-    """Canonical representatives of the lines of a GF(p)-span: coefficient
-    tuples with first nonzero entry 1, mapped through the basis."""
-    p = field.p
-    dim = len(basis_vectors[0])
-    for position, lead in enumerate(basis_vectors):
-        rest = basis_vectors[position + 1 :]
-        for coeffs in product(range(p), repeat=len(rest)):
-            vec = list(lead)
-            for c, b in zip(coeffs, rest):
-                if c:
+def _subspaces(field: PrimeField, basis: list, a: int) -> Iterable[list]:
+    """The a-dimensional subspaces of a GF(p)-span, each once: the rows of
+    every a x s reduced row echelon coefficient matrix, mapped through the
+    basis."""
+    p, s = field.p, len(basis)
+    dim = len(basis[0])
+    for pivots in combinations(range(s), a):
+        free = [(r, c) for r, pivot in enumerate(pivots)
+                for c in range(pivot + 1, s) if c not in pivots]
+        for values in product(range(p), repeat=len(free)):
+            rows = [list(basis[pivot]) for pivot in pivots]
+            for (r, c), x in zip(free, values):
+                if x:
+                    row, b = rows[r], basis[c]
                     for idx in range(dim):
-                        vec[idx] = (vec[idx] + c * b[idx]) % p
-            yield tuple(vec)
+                        row[idx] = (row[idx] + x * b[idx]) % p
+            yield rows
+
+
+def _flags(rep: QuiverRep, letters: tuple[int, ...], full: bool,
+           counter: FlagCounter) -> dict[tuple[int, ...], int]:
+    """{a: number of chains of type (letters, a)} over rep's field, zero
+    counts omitted.  `full` forces every a_j = 1, counting composition
+    series.  Over QQ a proper nonzero subspace of a socle part raises
+    _SocleBranching."""
+    if not letters:
+        return {(): 1} if rep.is_zero else {}
+    v, rest = letters[0], letters[1:]
+    if any(rep.dim(u) and u != v and u not in rest for u in rep.quiver.vertices):
+        return {}
+    key = (full, letters)
+    hit = counter.lookup(rep, key)
+    if hit is not None:
+        return hit
+    soc = socle_basis_at(rep, v)
+    s = len(soc)
+    # With no later v, this step must take all of M_v.
+    least = rep.dim(v) if v not in rest else 0
+    choices = [a for a in ((1,) if full else range(s + 1)) if least <= a <= s]
+    result: dict[tuple[int, ...], int] = {}
+    for a in choices:
+        if a == 0:
+            quotients: Iterable[QuiverRep] = (rep,)
+        elif a == s:
+            quotients = (quotient_rep(rep, {v: soc}),)
+        elif isinstance(rep.field, RationalField):
+            raise _SocleBranching(f"socle part of dimension {s} at vertex {v} over QQ")
+        else:
+            quotients = (quotient_rep(rep, {v: w}) for w in _subspaces(rep.field, soc, a))
+        for quotient in quotients:
+            for tail, count in _flags(quotient, rest, full, counter).items():
+                avec = (a,) + tail
+                result[avec] = result.get(avec, 0) + count
+    counter.store(rep, key, result)
+    return result
 
 
 def count_flags(rep: QuiverRep, word: Sequence[int], counter: Optional[FlagCounter] = None) -> int:
@@ -177,29 +212,7 @@ def count_flags(rep: QuiverRep, word: Sequence[int], counter: Optional[FlagCount
     word = tuple(word)
     if not _word_matches_dims(rep, word):
         return 0
-    return _count(rep, word, counter)
-
-
-def _count(rep: QuiverRep, word: tuple[int, ...], counter: FlagCounter) -> int:
-    if not word:
-        return 1 if rep.is_zero else 0
-    hit = counter.lookup(rep, word)
-    if hit is not None:
-        return hit
-    v = word[0]
-    soc = socle_basis_at(rep, v)
-    if not soc:
-        result = 0
-    elif len(soc) == 1:
-        result = _count(quotient_rep(rep, {v: (soc[0],)}), word[1:], counter)
-    elif isinstance(rep.field, RationalField):
-        raise _SocleBranching(f"socle part of dimension {len(soc)} at vertex {v} over QQ")
-    else:
-        result = 0
-        for vec in _lines_of_subspace(rep.field, soc):
-            result += _count(quotient_rep(rep, {v: (vec,)}), word[1:], counter)
-    counter.store(rep, word, result)
-    return result
+    return _flags(rep, word, True, counter).get((1,) * len(word), 0)
 
 
 def count_flags_mod_p(rep: QuiverRep, word: Sequence[int], p: Optional[int] = None,
@@ -259,6 +272,54 @@ def _lagrange_eval(points: Sequence[tuple[int, int]], x: int) -> Fraction:
     return total
 
 
+def _solve(rep: QuiverRep, letters: tuple[int, ...], full: bool,
+           counter: FlagCounter) -> tuple[dict[tuple[int, ...], ChiResult], tuple[int, ...]]:
+    """The Euler characteristics {a: ChiResult} of `_flags`, and the primes
+    counted over (none when the exact backend sufficed).
+
+    Exact whenever the QQ recursion never branches; otherwise every prime
+    counts all coefficients, and each coefficient takes the first fit that
+    two further primes confirm.  In full mode the all-ones coefficient is
+    fitted even when it counts 0 at every prime.  A coefficient that never
+    stabilizes is an explicit failure, never a guess.
+    """
+    try:
+        exact = _flags(rep, letters, full, counter)
+    except _SocleBranching:
+        pass
+    else:
+        return {a: ChiResult(count, EXACT) for a, count in exact.items()}, ()
+    tracked = {(1,) * len(letters)} if full else set()
+    counts: list[tuple[int, dict]] = []
+    results: dict[tuple[int, ...], ChiResult] = {}
+    for p in PRIMES:
+        rep_p = _reduce_mod_p(rep, p)
+        if rep_p is None:
+            continue
+        counts.append((p, _flags(rep_p, letters, full, counter)))
+        tracked.update(counts[-1][1])
+        if len(counts) < 3:
+            continue
+        primes = tuple(q for q, _ in counts)
+        for a in sorted(tracked - results.keys()):
+            points = [(q, table.get(a, 0)) for q, table in counts]
+            # A shorter head points[:m] is confirmed only by points[m:m+2], a
+            # test that already failed when those two were the newest points.
+            head = points[:-2]
+            if all(_lagrange_eval(head, q) == c for q, c in points[-2:]):
+                value = _lagrange_eval(head, 1)
+                if value.denominator != 1:
+                    raise PhiError(f"interpolated chi {value} is not an integer")
+                results[a] = ChiResult(int(value), INTERPOLATED, primes)
+        if tracked <= results.keys():
+            return results, primes
+    a = min(tracked - results.keys(), default=None)
+    points = [(q, table.get(a, 0)) for q, table in counts]
+    raise ChiUndeterminedError(
+        f"point counts {points} never stabilized within the prime cap"
+    )
+
+
 def chi(rep: QuiverRep, word: Sequence[int], counter: Optional[FlagCounter] = None) -> ChiResult:
     """Euler characteristic of the composition-series variety of type word.
 
@@ -272,27 +333,10 @@ def chi(rep: QuiverRep, word: Sequence[int], counter: Optional[FlagCounter] = No
     word = tuple(word)
     if not isinstance(rep.field, RationalField):
         raise PhiError("chi expects a module over the rationals")
-    try:
-        return ChiResult(count_flags(rep, word, counter), EXACT)
-    except _SocleBranching:
-        pass
-    points: list[tuple[int, int]] = []
-    for p in PRIMES:
-        rep_p = _reduce_mod_p(rep, p)
-        if rep_p is None:
-            continue
-        points.append((p, count_flags(rep_p, word, counter)))
-        # A shorter head points[:m] is confirmed only by points[m:m+2], a
-        # test that already failed when those two were the newest points.
-        head = points[:-2]
-        if head and all(_lagrange_eval(head, q) == c for q, c in points[-2:]):
-            value = _lagrange_eval(head, 1)
-            if value.denominator != 1:
-                raise PhiError(f"interpolated chi {value} is not an integer")
-            return ChiResult(int(value), INTERPOLATED, tuple(q for q, _ in points))
-    raise ChiUndeterminedError(
-        f"point counts {points} never stabilized within the prime cap"
-    )
+    if not _word_matches_dims(rep, word):
+        return ChiResult(0, EXACT)
+    results, _ = _solve(rep, word, True, counter)
+    return results.get((1,) * len(word), ChiResult(0, EXACT))
 
 
 # ----------------------------------------------------------------------
@@ -314,21 +358,6 @@ class PhiReport:
         }
 
 
-def _expansions(word_positions: Mapping[int, list[int]], dims: Mapping[int, int],
-                length: int) -> Iterable[tuple[int, ...]]:
-    """All multiplicity vectors a with per-vertex letter counts equal to the
-    dimension vector, as full-length tuples."""
-    items = sorted(word_positions)
-    per_vertex = [_compositions(dims[v], len(word_positions[v])) for v in items]
-    # The concatenated compositions give the multiplicity at slots[k];
-    # order lists the k of each word position in turn.
-    slots = [pos for v in items for pos in word_positions[v]]
-    order = sorted(range(length), key=slots.__getitem__)
-    for combos in product(*per_vertex):
-        flat = sum(combos, ())
-        yield tuple([flat[k] for k in order])
-
-
 def phi_eval(
     rep: QuiverRep,
     letters: Sequence[int],
@@ -336,12 +365,8 @@ def phi_eval(
     counter: Optional[FlagCounter] = None,
 ) -> PhiReport:
     """phi_M over the word x_{i_1}(t_1)...x_{i_k}(t_k) as a polynomial in the
-    t-parameters.
-
-    Only multiplicity vectors whose per-vertex letter counts equal dim M
-    contribute; each coefficient chi / prod a_j! is checked to be an integer
-    before emission.
-    """
+    t-parameters: the coefficient of t^a is the Euler characteristic of the
+    partial flags of type (letters, a), from one `_solve` over all a."""
     if counter is None:
         counter = FlagCounter()
     letters = tuple(letters)
@@ -350,43 +375,14 @@ def phi_eval(
     params = tuple(params)
     if len(params) != len(letters):
         raise PhiError("letters and parameters must have equal length")
-    varnames = params
-    table = ChiTable()
-    positions: dict[int, list[int]] = {}
-    for idx, letter in enumerate(letters):
-        positions.setdefault(letter, []).append(idx)
-    bad = [v for v in positions if v not in rep.quiver.vertices]
+    if not isinstance(rep.field, RationalField):
+        raise PhiError("phi_eval expects a module over the rationals")
+    bad = sorted(set(letters) - set(rep.quiver.vertices))
     if bad:
-        raise PhiError(f"letters {sorted(bad)} are not vertices of the quiver")
-    dims = {v: rep.dim(v) for v in rep.quiver.vertices}
-    for v, d in dims.items():
-        if d and v not in positions:
-            return PhiReport(LaurentPoly.zero(varnames), EXACT, (), table)
-    terms: dict[tuple[int, ...], int] = {}
-    backend = EXACT
-    primes_used: set[int] = set()
-    for avec in _expansions(positions, dims, len(letters)):
-        expanded = tuple(
-            letter for letter, mult in zip(letters, avec) for _ in range(mult)
-        )
-        result = chi(rep, expanded, counter)
-        table.record(expanded, result)
-        if result.backend == INTERPOLATED:
-            backend = INTERPOLATED
-            primes_used.update(result.primes)
-        if result.value == 0:
-            continue
-        denom = 1
-        for a in avec:
-            denom *= factorial(a)
-        coeff = Fraction(result.value, denom)
-        if coeff.denominator != 1:
-            raise PhiError(
-                f"coefficient chi/a! = {coeff} is not an integer for a = {avec}"
-            )
-        terms[avec] = terms.get(avec, 0) + int(coeff)
-    poly = LaurentPoly(varnames, terms)
-    return PhiReport(poly, backend, tuple(sorted(primes_used)), table)
+        raise PhiError(f"letters {bad} are not vertices of the quiver")
+    results, primes = _solve(rep, letters, False, counter)
+    poly = LaurentPoly(params, {a: r.value for a, r in results.items() if r.value})
+    return PhiReport(poly, INTERPOLATED if primes else EXACT, primes, ChiTable(results))
 
 
 # ----------------------------------------------------------------------

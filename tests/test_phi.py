@@ -1,4 +1,6 @@
 import gc
+import itertools
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -8,10 +10,11 @@ import pytest
 from clusterforge import phi as phi_module
 from clusterforge.fields import QQ, PrimeField
 from clusterforge.laurent import LaurentPoly
-from clusterforge.nmatrix import A3_W0_LETTERS, D4_W0_LETTERS
+from clusterforge.nmatrix import A3_W0_LETTERS, D4_W0_LETTERS, Word, minor, product
 from clusterforge.phi import (
     EXACT,
     INTERPOLATED,
+    ChiResult,
     FlagCounter,
     PhiError,
     chi,
@@ -23,6 +26,7 @@ from clusterforge.phi import (
 )
 from clusterforge.prepmod import (
     QuiverRep,
+    build_algebra_basis,
     direct_sum,
     dynkin_quiver,
     functor_E,
@@ -199,14 +203,65 @@ def test_phi_rejects_bad_letters(a2_algebra):
             count(simple_rep(A2, 1), (1, 9))
     with pytest.raises(PhiError):
         phi_eval(a2_algebra.injective(1), (1, 2), params=("t1",))
+    with pytest.raises(PhiError, match="over the rationals"):
+        phi_eval(simple_rep(A2, 1, PrimeField(3)), (1,))
 
 
 def test_chi_table_provenance(d4_algebra):
+    # t1^2 + 2 t1 t2 + t2^2: taking the whole socle part at once, a line
+    # of it (the projective line, chi 2), or nothing.  The line is a
+    # Grassmannian branch, so every coefficient comes from the primes.
     report = phi_eval(direct_sum(simple_rep(D4, 4), simple_rep(D4, 4)), (4, 4))
     assert report.backend == INTERPOLATED
-    blob = report.table.to_json()
-    assert blob["4,4"]["backend"] == INTERPOLATED
-    assert blob["4,4"]["primes_used"][:2] == [2, 3]
+    entries = report.table.entries
+    assert {a: r.value for a, r in entries.items()} == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+    for r in entries.values():
+        assert r.backend == INTERPOLATED
+        assert list(r.primes[:2]) == [2, 3]
+    assert list(report.primes[:2]) == [2, 3]
+
+
+def test_whole_socle_part_is_one_exact_choice():
+    # One letter takes all of S1 + S1: a single point, no primes needed.
+    report = phi_eval(direct_sum(simple_rep(A2, 1), simple_rep(A2, 1)), (1,))
+    assert report.poly == LaurentPoly.monomial(("t1",), (2,), 1)
+    assert report.backend == EXACT and report.primes == ()
+    assert report.table.entries == {(2,): ChiResult(1, EXACT)}
+
+
+def _multiplicity_vectors(rep, letters):
+    """Every a whose per-vertex letter sums equal the dimension vector."""
+    ranges = [range(rep.dim(v) + 1) for v in letters]
+    for avec in itertools.product(*ranges):
+        sums = {v: 0 for v in rep.quiver.vertices}
+        for v, a in zip(letters, avec):
+            sums[v] += a
+        if all(sums[v] == rep.dim(v) for v in sums):
+            yield avec
+
+
+def test_full_flags_are_a_factorial_times_partial_flags():
+    # chi(full flags of the expanded word) = a! chi(partial flags): lines
+    # enumerated one at a time against Gr(a, s) enumerated at once.  Direct
+    # sums give socle parts of dimension 2 and more, on both backends.
+    rng = random.Random(11)
+    for _ in range(5):
+        m = direct_sum(random_module("A3", rng, 4), random_module("A3", rng, 4))
+        coeffs = phi_eval(m, A3_W0_LETTERS).poly.terms
+        for avec in _multiplicity_vectors(m, A3_W0_LETTERS):
+            expanded = tuple(v for v, a in zip(A3_W0_LETTERS, avec) for _ in range(a))
+            weight = math.prod(math.factorial(a) for a in avec)
+            assert chi(m, expanded).value == weight * coeffs.get(avec, 0), (m.dims, avec)
+
+
+D5_W0_LETTERS = (1, 2, 3, 4, 5) * 4
+
+
+@pytest.mark.parametrize("vertex, rows, cols", [(4, (1, 2), (9, 10)), (3, (1, 2, 3), (8, 9, 10))])
+def test_d5_injectives_are_minors(vertex, rows, cols):
+    x = product("D5", Word.with_default_params(D5_W0_LETTERS))
+    q = build_algebra_basis("D5").injective(vertex)
+    assert phi_eval(q, D5_W0_LETTERS).poly == minor(x, rows, cols)
 
 
 # ----------------------------------------------------------------------
@@ -416,6 +471,17 @@ def test_counting_over_a_large_prime(a2_algebra):
         counter = FlagCounter()
         assert count_flags_mod_p(m, (1, 1, 2, 2), p, counter) == (p + 1) ** 2
         assert counter.entry_count > 0
+
+
+def test_a_shared_counter_keeps_full_and_partial_flags_apart():
+    # The same quotient and letters are one state for count_flags and
+    # another for phi_eval: the full count {(1, 1): p + 1} must not stand
+    # in for the partial counts.
+    ss = direct_sum(simple_rep(A2, 1), simple_rep(A2, 1))
+    counter = FlagCounter()
+    assert count_flags_mod_p(ss, (1, 1), 3, counter) == 3 + 1
+    t1, t2 = (LaurentPoly.variable(v, ("t1", "t2")) for v in ("t1", "t2"))
+    assert phi_eval(ss, (1, 1), counter=counter).poly == t1 * t1 + 2 * t1 * t2 + t2 * t2
 
 
 def test_memo_keys_tell_reciprocals_apart():
