@@ -162,8 +162,8 @@ class Seed:
     @classmethod
     def from_json(cls, data: Mapping) -> "Seed":
         """Read the form written by to_json; raises ClusterError on a blob
-        that is not an object, a matrix that is not integer rows, or
-        labels that are not strings."""
+        that is not an object, a matrix that is not integer rows, an n that
+        is not an integer, or labels that are not strings."""
         if not isinstance(data, Mapping):
             raise ClusterError("a seed must be a JSON object")
         rows = data["matrix"]
@@ -171,7 +171,10 @@ class Seed:
             isinstance(r, list) and all(isinstance(x, int) for x in r) for r in rows
         ):
             raise ClusterError("seed matrix must be a list of integer rows")
-        matrix = ExchangeMatrix(tuple(tuple(r) for r in rows), int(data["n"]))
+        n = data["n"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ClusterError(f"seed n must be an integer, got {n!r}")
+        matrix = ExchangeMatrix(tuple(tuple(r) for r in rows), n)
         cluster = tuple(LaurentPoly.from_json(p) for p in data["cluster"])
         labels = tuple(data.get("labels") or [f"y{i + 1}" for i in range(matrix.d)])
         if not all(isinstance(label, str) for label in labels):

@@ -312,10 +312,15 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "LaurentPoly":
+        names = data["vars"]
+        if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+            raise LaurentError(f"vars must be a list of strings, got {names!r}")
+        if len(set(names)) != len(names):
+            raise LaurentError(f"vars must be distinct, got {names}")
         terms = {tuple(t["exponents"]): int(t["coeff"]) for t in data["terms"]}
         if not all(isinstance(e, int) for exps in terms for e in exps):
             raise LaurentError("exponents must be integers")
-        return cls(tuple(data["vars"]), terms)
+        return cls(tuple(names), terms)
 
     def _term_str(self, exps: Monomial, coeff: int) -> str:
         factors = []

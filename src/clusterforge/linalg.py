@@ -1,8 +1,10 @@
 """Field-generic exact linear algebra on tuple-of-tuples matrices.
 
-Matrices are immutable tuples of row tuples, shape (rows, cols); the empty
-matrix of either dimension is legal and handled uniformly.  Every routine
-takes the field as its first argument.
+Matrices are immutable tuples of row tuples.  A subspace of F^n is a
+sequence of row vectors that span it.  A matrix with no rows is (), which
+does not record its column count, so a routine that needs the ambient
+dimension n takes it from its caller.  Every routine takes the field as its
+first argument.
 """
 
 from __future__ import annotations
@@ -16,11 +18,6 @@ Vector = tuple
 def zero_matrix(field, nrows: int, ncols: int) -> Matrix:
     z = field.zero()
     return tuple((z,) * ncols for _ in range(nrows))
-
-
-def identity_matrix(field, n: int) -> Matrix:
-    z, o = field.zero(), field.one()
-    return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
 
 
 def shape(a: Matrix) -> tuple[int, int]:
@@ -60,26 +57,6 @@ def _dot(field, u, v):
     return acc
 
 
-def hstack(field, blocks: Sequence[Matrix], nrows: int) -> Matrix:
-    blocks = [b for b in blocks if shape(b)[1] > 0]
-    if not blocks:
-        return zero_matrix(field, nrows, 0)
-    return tuple(tuple(x for b in blocks for x in b[i]) for i in range(nrows))
-
-
-def vstack(field, blocks: Sequence[Matrix], ncols: int) -> Matrix:
-    rows = []
-    for b in blocks:
-        rows.extend(b)
-    if not rows:
-        return zero_matrix(field, 0, ncols)
-    return tuple(rows)
-
-
-def submatrix_columns(a: Matrix, cols: Sequence[int]) -> Matrix:
-    return tuple(tuple(row[j] for j in cols) for row in a)
-
-
 def rref(field, a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot column indices."""
     nrows, ncols = shape(a)
@@ -112,14 +89,10 @@ def rank(field, a: Matrix) -> int:
     return len(rref(field, a)[1])
 
 
-def nullspace(field, a: Matrix) -> list[Vector]:
-    """Basis of the right kernel {v : a v = 0}, one vector per free column."""
-    nrows, ncols = shape(a)
-    if ncols == 0:
-        return []
-    if nrows == 0:
-        return [tuple(field.one() if i == j else field.zero() for j in range(ncols)) for i in range(ncols)]
-    red, pivots = rref(field, a)
+def nullspace(field, rows: Matrix, ncols: int) -> list[Vector]:
+    """Basis of {v in F^ncols : r . v = 0 for every row r}, one vector per
+    free column of the rref; with no rows it is the standard basis."""
+    red, pivots = rref(field, rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -132,38 +105,24 @@ def nullspace(field, a: Matrix) -> list[Vector]:
     return basis
 
 
-def column_space_basis(field, a: Matrix) -> Matrix:
-    """Matrix whose columns are the pivot columns of a (a basis of im a)."""
-    red, pivots = rref(field, a)
-    return submatrix_columns(a, pivots)
-
-
-def solve_matrix(field, a: Matrix, b: Matrix) -> Matrix | None:
-    """Solve a X = b column by column; None if any column is inconsistent."""
-    nrows, ncols = shape(a)
-    brows, bcols = shape(b)
-    if bcols == 0:
-        return zero_matrix(field, ncols, 0)
-    aug = tuple(tuple(list(ra) + list(rb)) for ra, rb in zip(a, b))
+def coordinates(field, basis: Sequence[Vector], vectors: Sequence[Vector]) -> Matrix | None:
+    """The k x m matrix c with vectors[j] = sum_r c[r][j] basis[r], for k
+    linearly independent basis vectors and m vectors in F^n; None if some
+    vector lies outside the span of the basis.  n is read from the vectors:
+    when there are none, the answer is () for every n."""
+    k = len(basis)
+    aug = tuple(zip(*basis, *vectors))
     red, pivots = rref(field, aug)
-    if any(p >= ncols for p in pivots):
+    if any(p >= k for p in pivots):
         return None
-    x = [[field.zero()] * bcols for _ in range(ncols)]
+    c = [(field.zero(),) * len(vectors)] * k
     for r, pc in enumerate(pivots):
-        for j in range(bcols):
-            x[pc][j] = red[r][ncols + j]
-    return tuple(tuple(row) for row in x)
-
-
-def in_span(field, basis: Matrix, v: Vector) -> bool:
-    col = tuple((x,) for x in v)
-    return solve_matrix(field, basis, col) is not None
+        c[pc] = red[r][k:]
+    return tuple(c)
 
 
 def is_invertible(field, a: Matrix) -> bool:
     n, m = shape(a)
     if n != m:
         return False
-    if n == 0:
-        return True
     return rank(field, a) == n

@@ -51,6 +51,8 @@ class Word:
     def __post_init__(self):
         if len(self.letters) != len(self.params):
             raise NMatrixError("letters and params must have equal length")
+        if len(set(self.params)) != len(self.params):
+            raise NMatrixError(f"parameter names must be distinct, got {list(self.params)}")
 
     @classmethod
     def with_default_params(cls, letters: Sequence[int]) -> "Word":

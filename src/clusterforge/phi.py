@@ -375,6 +375,8 @@ def phi_eval(
     params = tuple(params)
     if len(params) != len(letters):
         raise PhiError("letters and parameters must have equal length")
+    if len(set(params)) != len(params):
+        raise PhiError(f"parameter names must be distinct, got {list(params)}")
     if not isinstance(rep.field, RationalField):
         raise PhiError("phi_eval expects a module over the rationals")
     bad = sorted(set(letters) - set(rep.quiver.vertices))

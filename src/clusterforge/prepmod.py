@@ -20,20 +20,17 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
-from . import linalg
 from .cluster import ExchangeMatrix
 from .fields import QQ
 from .linalg import (
     Matrix,
-    column_space_basis,
-    hstack,
-    identity_matrix,
+    coordinates,
+    is_invertible,
     mat_mul,
+    mat_vec,
     nullspace,
     rank,
     rref,
-    solve_matrix,
-    vstack,
     zero_matrix,
 )
 
@@ -255,7 +252,9 @@ class QuiverRep:
                 raise PrepmodError(
                     f"module {field} has unknown keys {unknown}; {quiver.kind} allows {names}"
                 )
-        dims = tuple(int(dims_blob.get(str(v), 0)) for v in quiver.vertices)
+        dims = tuple(dims_blob.get(str(v), 0) for v in quiver.vertices)
+        if not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
+            raise PrepmodError(f"module dims must be integers, got {list(dims)}")
         if any(d < 0 for d in dims):
             raise PrepmodError(f"negative dimension in {dims}")
         maps = []
@@ -304,6 +303,8 @@ def direct_sum(*reps: QuiverRep) -> QuiverRep:
     for r in reps:
         if r.quiver is not quiver and r.quiver != quiver:
             raise PrepmodError("direct sum over different quivers")
+        if r.field != field:
+            raise PrepmodError(f"direct sum over different fields {field!r} and {r.field!r}")
     dims = tuple(sum(r.dims[i] for r in reps) for i in range(len(quiver.vertices)))
     maps = []
     for ai, a in enumerate(quiver.arrows):
@@ -370,33 +371,20 @@ def is_nilpotent(rep: QuiverRep) -> bool:
 # socle, top, filtrations
 
 
-def _incoming_stack(rep: QuiverRep, v: int) -> Matrix:
-    F = rep.field
-    blocks = [rep.map_of(a) for a in rep.quiver.arrows_into(v)]
-    return hstack(F, blocks, rep.dim(v))
-
-
-def _outgoing_stack(rep: QuiverRep, v: int) -> Matrix:
-    F = rep.field
-    blocks = [rep.map_of(a) for a in rep.quiver.arrows_from(v)]
-    total_rows = sum(len(b) for b in blocks)
-    if total_rows == 0:
-        return zero_matrix(F, 0, rep.dim(v))
-    return vstack(F, blocks, rep.dim(v))
-
-
 def socle_basis_at(rep: QuiverRep, v: int) -> list:
     """Basis vectors of the S_v-isotypic socle part: the joint kernel of the
     outgoing arrow maps at v."""
-    out = _outgoing_stack(rep, v)
-    if len(out) == 0:
-        return [tuple(rep.field.one() if i == j else rep.field.zero() for j in range(rep.dim(v))) for i in range(rep.dim(v))]
-    return nullspace(rep.field, out)
+    rows = tuple(row for a in rep.quiver.arrows_from(v) for row in rep.map_of(a))
+    return nullspace(rep.field, rows, rep.dim(v))
 
 
-def radical_basis_at(rep: QuiverRep, v: int) -> Matrix:
-    """Basis (as columns) of the image of the incoming arrow maps at v."""
-    return column_space_basis(rep.field, _incoming_stack(rep, v))
+def radical_basis_at(rep: QuiverRep, v: int) -> list:
+    """Basis vectors of the image of the incoming arrow maps at v: the first
+    linearly independent columns of those maps, in arrow order."""
+    maps = (rep.map_of(a) for a in rep.quiver.arrows_into(v))
+    stacked = tuple(sum(rows, ()) for rows in zip(*maps))
+    columns = tuple(zip(*stacked))
+    return [columns[c] for c in rref(rep.field, stacked)[1]]
 
 
 def socle_top(rep: QuiverRep) -> dict:
@@ -404,26 +392,23 @@ def socle_top(rep: QuiverRep) -> dict:
     top = []
     soc = []
     for v in rep.quiver.vertices:
-        dv = rep.dim(v)
-        top.append(dv - rank(rep.field, _incoming_stack(rep, v)))
+        top.append(rep.dim(v) - len(radical_basis_at(rep, v)))
         soc.append(len(socle_basis_at(rep, v)))
     return {"top": tuple(top), "socle": tuple(soc)}
 
 
-def sub_rep(rep: QuiverRep, bases: Mapping[int, Matrix]) -> QuiverRep:
-    """Subrepresentation on per-vertex column-span bases (must be arrow-stable)."""
+def sub_rep(rep: QuiverRep, spans: Mapping[int, Sequence[Sequence]]) -> QuiverRep:
+    """Submodule spanned at each vertex v by the linearly independent row
+    vectors spans[v], with its maps written in the coordinates of those
+    vectors; a vertex missing from spans keeps its whole space (the kernel
+    of no equations).  Raises PrepmodError if the spans are not arrow-stable."""
     q, F = rep.quiver, rep.field
-    basis = {}
-    for v in q.vertices:
-        b = bases.get(v)
-        if b is None:
-            b = identity_matrix(F, rep.dim(v))
-        basis[v] = b
-    dims = tuple(len(basis[v][0]) if basis[v] else 0 for v in q.vertices)
+    basis = {v: spans[v] if v in spans else nullspace(F, (), rep.dim(v)) for v in q.vertices}
+    dims = tuple(len(basis[v]) for v in q.vertices)
     maps = []
-    for a in q.arrows:
-        image = mat_mul(F, rep.map_of(a), basis[a.source])
-        coords = solve_matrix(F, basis[a.target], image)
+    for a, m in zip(q.arrows, rep.maps):
+        images = [mat_vec(F, m, u) for u in basis[a.source]]
+        coords = coordinates(F, basis[a.target], images)
         if coords is None:
             raise PrepmodError(f"subspaces not stable under arrow {a.name}")
         maps.append(coords)
@@ -546,8 +531,6 @@ def hom_basis(m: QuiverRep, n: QuiverRep) -> list[tuple[Matrix, ...]]:
     for v in q.vertices:
         offsets[v] = total
         total += n.dim(v) * m.dim(v)
-    if total == 0:
-        return []
     rows = []
     for a in q.arrows:
         s, t = a.source, a.target
@@ -566,12 +549,8 @@ def hom_basis(m: QuiverRep, n: QuiverRep) -> list[tuple[Matrix, ...]]:
                     )
                 if any(not F.is_zero(x0) for x0 in row):
                     rows.append(tuple(row))
-    if rows:
-        kernel = nullspace(F, tuple(rows))
-    else:
-        kernel = [tuple(F.one() if i == j else F.zero() for j in range(total)) for i in range(total)]
     out = []
-    for vec in kernel:
+    for vec in nullspace(F, tuple(rows), total):
         per_vertex = []
         for v in q.vertices:
             block = []
@@ -650,7 +629,7 @@ def is_isomorphic(m: QuiverRep, n: QuiverRep) -> bool:
     for _ in range(8):
         coeffs = tuple(F.coerce(rng.randint(-99, 99)) for _ in basis)
         if any(not F.is_zero(c) for c in coeffs) and all(
-            linalg.is_invertible(F, combination(coeffs, vi, dv))
+            is_invertible(F, combination(coeffs, vi, dv))
             for vi, dv in enumerate(m.dims) if dv
         ):
             return True
@@ -1023,16 +1002,9 @@ def span_sub_rep(rep: QuiverRep, vectors: Mapping[int, Sequence[Sequence]]) -> Q
     spans: dict[int, list] = {v: [] for v in q.vertices}
 
     def add_vector(v, vec):
-        current = spans[v]
-        if not current:
-            if any(not F.is_zero(x) for x in vec):
-                current.append(tuple(vec))
-                return True
+        if rank(F, tuple(spans[v]) + (vec,)) == len(spans[v]):
             return False
-        basis = tuple(zip(*current))
-        if linalg.in_span(F, basis, tuple(vec)):
-            return False
-        current.append(tuple(vec))
+        spans[v].append(vec)
         return True
 
     frontier = []
@@ -1044,14 +1016,10 @@ def span_sub_rep(rep: QuiverRep, vectors: Mapping[int, Sequence[Sequence]]) -> Q
     while frontier:
         v, vec = frontier.pop()
         for a in q.arrows_from(v):
-            image = linalg.mat_vec(F, rep.map_of(a), vec)
+            image = mat_vec(F, rep.map_of(a), vec)
             if add_vector(a.target, image):
                 frontier.append((a.target, image))
-    bases = {
-        v: (tuple(zip(*spans[v])) if spans[v] else zero_matrix(F, rep.dim(v), 0))
-        for v in q.vertices
-    }
-    return sub_rep(rep, bases)
+    return sub_rep(rep, spans)
 
 
 def random_module(kind: str, rng: random.Random, max_total_dim: int = 8) -> QuiverRep:

@@ -146,14 +146,18 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize("kind, vertex, word, golden", [
     ("D4", "4", "4,3,1", "efunctor_dagger_D4_Q4_4-3-1.json"),
     ("D5", "3", "3,2,4,3", "efunctor_dagger_D5_Q3_3-2-4-3.json"),
+    ("D4", "4", "4,3", "efunctor_D4_Q4_4-3.json"),
+    ("D5", "3", "3,2", "efunctor_D5_Q3_3-2.json"),
 ])
 def test_efunctor_dagger_presentation_is_pinned(runner, tmp_path, kind, vertex, word, golden):
-    """The quotient's maps, not only its dimensions, match a recorded run."""
+    """The maps of a quotient (efunctor_dagger_* goldens) or a submodule
+    (efunctor_* goldens), not only their dimensions, match a recorded run."""
     module_file = tmp_path / "q.json"
     invoke(runner, "prepmod", "injective", "--type", kind, "--vertex", vertex,
            "--out", str(module_file))
+    dagger = ["--dagger"] if golden.startswith("efunctor_dagger_") else []
     result = invoke(runner, "prepmod", "efunctor", "--module", str(module_file),
-                    "--word", word, "--dagger", "--json")
+                    "--word", word, *dagger, "--json")
     assert result.exit_code == 0
     assert result.stdout == (GOLDEN / golden).read_text()
 
@@ -241,15 +245,31 @@ def test_exchange_matrix_bad_json_exits_2(runner, tmp_path):
     ["prepmod", "injective", "--type", "", "--vertex", "1"],
     ["phi", "chi", "--module", "{dir}/a2.json", "--type", "1,9"],
     ["phi", "eval", "--module", "{dir}/zero_vertex.json", "--word", "1,2,3,1,2,1"],
+    ["phi", "eval", "--module", "{dir}/a2.json", "--word", "1,2,1", "--params", "a,a,b"],
+    ["nmatrix", "product", "--type", "A2", "--word", "1,2,1", "--params", "a,a,b"],
+    ["cluster", "mutate", "--seed", "{dir}/repeated_vars.json", "--direction", "1"],
+    ["cluster", "mutate", "--seed", "{dir}/string_vars.json", "--direction", "1"],
+    ["phi", "eval", "--module", "{dir}/fractional_dim.json", "--word", "1,2,1"],
+    ["phi", "eval", "--module", "{dir}/bool_dim.json", "--word", "1,2,1"],
+    ["phi", "eval", "--module", "{dir}/string_dim.json", "--word", "1,2,1"],
+    ["cluster", "finite-type", "--seed", "{dir}/fractional_n.json"],
 ], ids=["finite-type-max-seeds", "monomials-degree", "hom-types", "verify-quadric-n",
         "quadric-check-rank", "explore-dot-path", "efunctor-letter", "eval-dims-list",
         "rigid-relation", "injective-type", "injective-empty-type", "chi-letter",
-        "eval-relation-beside-zero-vertex"])
+        "eval-relation-beside-zero-vertex", "eval-repeated-params", "product-repeated-params",
+        "mutate-repeated-vars", "mutate-string-vars", "eval-fractional-dim", "eval-bool-dim",
+        "eval-string-dim", "finite-type-fractional-n"])
 def test_library_error_exits_2_with_one_line(runner, tmp_path, argv):
     files = {"a2.json": A2_MODULE, "d4.json": D4_MODULE,
              "dims_list.json": {"type": "A2", "dims": [1, 0]},
              "no_relation.json": relation_violating_module("A2", 1),
-             "zero_vertex.json": ZERO_VERTEX_MODULE}
+             "zero_vertex.json": ZERO_VERTEX_MODULE,
+             "repeated_vars.json": seed_with_vars(["x", "x"]),
+             "string_vars.json": seed_with_vars("xy"),
+             "fractional_dim.json": {"type": "A2", "dims": {"1": 1.7, "2": 0}},
+             "bool_dim.json": {"type": "A2", "dims": {"1": True, "2": 0}},
+             "string_dim.json": {"type": "A2", "dims": {"1": "1", "2": 0}},
+             "fractional_n.json": {**A2_SEED, "n": 0.9}}
     for name, blob in files.items():
         (tmp_path / name).write_text(json.dumps(blob))
     result = runner.invoke(main, [a.format(dir=tmp_path) for a in argv])
@@ -331,6 +351,14 @@ A2_SEED = {
 ARROWS = {"A2": ["1->2", "2->1"], "A3": ["1->2", "2->1", "2->3", "3->2"],
           "D4": ["1->3", "3->1", "2->3", "3->2", "3->4", "4->3"]}
 NOT_A_LIST = [None, "x", 3, {}]
+
+
+def seed_with_vars(names):
+    """A2_SEED with every cluster variable written over the given names."""
+    blob = copy.deepcopy(A2_SEED)
+    for poly in blob["cluster"]:
+        poly["vars"] = names
+    return blob
 
 
 def relation_violating_module(kind, scalar):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from clusterforge.cases import d4_nonrigid_module
-from clusterforge.fields import QQ
+from clusterforge.fields import QQ, PrimeField
 from clusterforge.prepmod import (
     D4_RIGID_WORD,
     PrepmodError,
@@ -19,6 +19,7 @@ from clusterforge.prepmod import (
     dynkin_quiver,
     exchange_matrix_from_sequences,
     ext1_dim,
+    fingerprint,
     functor_E,
     functor_E_dagger,
     functor_E_word,
@@ -32,6 +33,7 @@ from clusterforge.prepmod import (
     socle_series,
     socle_top,
     span_sub_rep,
+    sub_rep,
     zero_rep,
 )
 
@@ -445,6 +447,27 @@ def test_span_sub_rep_is_submodule(d4_algebra):
     assert 0 < sub.total_dim <= q3.total_dim
 
 
+def test_sub_rep_rejects_a_span_that_is_not_arrow_stable(a2_algebra):
+    q1 = a2_algebra.injective(1)
+    assert sub_rep(q1, {2: []}).dims == (1, 0)
+    # 2->1 maps the space at vertex 2 onto vertex 1, outside the zero span
+    with pytest.raises(PrepmodError, match="not stable under arrow 2->1"):
+        sub_rep(q1, {1: []})
+
+
+def test_module_through_a_zero_dimensional_vertex():
+    """S1 + S3 over A3 is empty at vertex 2, between its two summands."""
+    m = direct_sum(simple_rep(A3, 1), simple_rep(A3, 3))
+    assert m.dims == (1, 0, 1)
+    assert socle_top(m) == {"top": (1, 0, 1), "socle": (1, 0, 1)}
+    assert socle_series(m) == ((1, 0, 1),)
+    assert fingerprint(m) == ((1, 0, 1), ((1, 0, 1),), ((1, 0, 1),))
+    assert hom_dim(m, m) == 2
+    assert hom_dim(m, simple_rep(A3, 2)) == 0
+    assert hom_dim(zero_rep(A3), m) == 0
+    assert [functor_E(m, i).dims for i in (1, 2, 3)] == [(0, 0, 1), (1, 0, 1), (1, 0, 0)]
+
+
 def test_module_json_round_trip(d4_rigid):
     m5 = d4_rigid["by_label"]["M5"]
     blob = json.dumps(m5.to_json())
@@ -478,9 +501,13 @@ A2_INJECTIVE_1 = {"type": "A2", "dims": {"1": 1, "2": 1}, "maps": {"1->2": [["0"
         ({**A2_INJECTIVE_1, "type": 2}, "type must be a string"),
         # (2->1)(1->2) = 1 at vertex 1: e_1 (a* a) e_1 must vanish
         ({**A2_INJECTIVE_1, "maps": {"1->2": [["1"]], "2->1": [["1"]]}}, "relation at vertex 1"),
+        ({**A2_INJECTIVE_1, "dims": {"1": 1.7, "2": 1}}, "dims must be integers"),
+        ({**A2_INJECTIVE_1, "dims": {"1": True, "2": 1}}, "dims must be integers"),
+        ({**A2_INJECTIVE_1, "dims": {"1": "1", "2": 1}}, "dims must be integers"),
     ],
     ids=["blob-list", "dims-list", "maps-list", "dims-vertex", "maps-arrow", "row-not-list",
-         "rows-not-list", "type-not-string", "relation"],
+         "rows-not-list", "type-not-string", "relation", "dim-fraction", "dim-bool",
+         "dim-string"],
 )
 def test_module_json_rejects_malformed_module(blob, message):
     with pytest.raises(PrepmodError, match=re.escape(message)):
@@ -499,6 +526,11 @@ def test_functor_word_rejects_non_vertex_letters(d4_algebra):
         functor_E_word(q4, (4, 9))
     with pytest.raises(PrepmodError, match=r"letters \[0\]"):
         functor_E_word(q4, (0,), dagger=True)
+
+
+def test_direct_sum_rejects_different_fields():
+    with pytest.raises(PrepmodError, match="different fields"):
+        direct_sum(simple_rep(A2, 1), simple_rep(A2, 1, PrimeField(3)))
 
 
 def test_zero_rep_and_direct_sum():
