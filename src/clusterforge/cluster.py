@@ -84,17 +84,20 @@ def mutate_matrix(b: ExchangeMatrix, k: int) -> ExchangeMatrix:
     if not 1 <= k <= b.n_mutable:
         raise ClusterError(f"direction {k} out of range [1, {b.n_mutable}]")
     kk = k - 1
+    row_k = b.rows[kk]
     new_rows = []
     for i, row in enumerate(b.rows):
-        new_row = []
-        for j, bij in enumerate(row):
-            if i == kk or j == kk:
-                new_row.append(-bij)
-            else:
-                bik = row[kk]
-                bkj = b.rows[kk][j]
-                new_row.append(bij + (abs(bik) * bkj + bik * abs(bkj)) // 2)
-        new_rows.append(tuple(new_row))
+        bik = row[kk]
+        if i == kk:
+            row = tuple(-x for x in row)
+        elif bik:
+            # b_kk = 0, so entry k comes out as b_ik and is negated after
+            a = abs(bik)
+            new_row = [bij + (a * bkj + bik * abs(bkj)) // 2 for bij, bkj in zip(row, row_k)]
+            new_row[kk] = -bik
+            row = tuple(new_row)
+        # a row with b_ik = 0 is unchanged
+        new_rows.append(row)
     return ExchangeMatrix(tuple(new_rows), b.n_frozen)
 
 
@@ -143,10 +146,10 @@ class Seed:
         """The two-term numerator prod_{b_ik>0} y_i^{b_ik} + prod_{b_ik<0} y_i^{-b_ik}."""
         col = self.matrix.column(k)
         pos = product_of(
-            (self.cluster[i] ** b for i, b in enumerate(col) if b > 0), self.varnames
+            (y if b == 1 else y ** b for y, b in zip(self.cluster, col) if b > 0), self.varnames
         )
         neg = product_of(
-            (self.cluster[i] ** (-b) for i, b in enumerate(col) if b < 0), self.varnames
+            (y if b == -1 else y ** -b for y, b in zip(self.cluster, col) if b < 0), self.varnames
         )
         return pos + neg
 
@@ -236,10 +239,8 @@ def _assert_matrix_consistency(stored: Seed, candidate: Seed) -> None:
     unique cluster permutation (only when all mutable entries are distinct)."""
     if len(set(candidate.mutable)) != len(candidate.mutable):
         return
-    perm = []
-    stored_mut = list(stored.mutable)
-    for p in candidate.mutable:
-        perm.append(stored_mut.index(p))
+    index = {p: i for i, p in enumerate(stored.mutable)}
+    perm = [index[p] for p in candidate.mutable]
     m = candidate.matrix.n_mutable
     for i in range(candidate.matrix.d):
         si = perm[i] if i < m else i
@@ -265,7 +266,11 @@ def explore(
     seeds = {key0: s}
     graph: dict = {key0: {}}
     order = [key0]
-    frontier = [(s, key0)]
+    # Each frontier entry carries the direction it was reached by and its
+    # parent's key.  Mutation is an involution on matrix and cluster, so
+    # mutating back along that direction gives exactly the parent: the edge
+    # is recorded without computing it.
+    frontier = [(s, key0, 0, None)]
     exhausted = True
     depth = 0
     while frontier:
@@ -273,8 +278,11 @@ def explore(
             exhausted = False
             break
         next_frontier = []
-        for seed, skey in frontier:
+        for seed, skey, back, parent_key in frontier:
             for k in range(1, seed.matrix.n_mutable + 1):
+                if k == back:
+                    graph[skey][k] = parent_key
+                    continue
                 neighbor = mutate_seed(seed, k)
                 nkey = neighbor.key()
                 if nkey in seeds:
@@ -286,7 +294,7 @@ def explore(
                     seeds[nkey] = neighbor
                     graph[nkey] = {}
                     order.append(nkey)
-                    next_frontier.append((neighbor, nkey))
+                    next_frontier.append((neighbor, nkey, k, skey))
                 graph[skey][k] = nkey
         frontier = next_frontier
         depth += 1

@@ -47,7 +47,7 @@ class LaurentPoly:
     'x'
     """
 
-    __slots__ = ("varnames", "terms", "_hash")
+    __slots__ = ("varnames", "terms", "_hash", "_key")
 
     def __init__(self, varnames: Sequence[str], terms: Mapping[Monomial, int]):
         names = tuple(varnames)
@@ -62,6 +62,7 @@ class LaurentPoly:
         object.__setattr__(self, "varnames", names)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -124,8 +125,13 @@ class LaurentPoly:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
     def sort_key(self) -> tuple:
-        """A total-order key on polynomials (used to canonicalize clusters)."""
-        return tuple(self.sorted_terms())
+        """A total-order key on polynomials (used to canonicalize clusters),
+        computed once and shared by every seed key and hash that uses it."""
+        key = self._key
+        if key is None:
+            key = tuple(self.sorted_terms())
+            object.__setattr__(self, "_key", key)
+        return key
 
     def _check_compatible(self, other: "LaurentPoly") -> None:
         if self.varnames != other.varnames:
@@ -222,7 +228,7 @@ class LaurentPoly:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.varnames, tuple(self.sorted_terms())))
+            h = hash((self.varnames, self.sort_key()))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -232,19 +238,30 @@ class LaurentPoly:
     def div_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Return r with r * divisor == self, or raise InexactDivisionError.
 
-        Monomial content is cleared from both operands first; the remaining
-        honest polynomials are divided by multivariate long division in
-        graded-lex order.  A nonzero remainder is an error, never a
-        truncation.
+        A monomial divisor shifts the exponents and divides each
+        coefficient.  Otherwise monomial content is cleared from both
+        operands first; the remaining honest polynomials are divided by
+        multivariate long division in graded-lex order.  A nonzero remainder
+        is an error, never a truncation.
         """
         self._check_compatible(divisor)
         if divisor.is_zero:
             raise InexactDivisionError("division by the zero polynomial")
         if self.is_zero:
             return self
-        nvars = len(self.varnames)
-        shift_p = tuple(min(e[i] for e in self.terms) for i in range(nvars))
-        shift_q = tuple(min(e[i] for e in divisor.terms) for i in range(nvars))
+        if divisor.is_monomial:
+            (exps_q, c_q), = divisor.terms.items()
+            out = {}
+            for e, c in self.terms.items():
+                q, r = divmod(c, c_q)
+                if r:
+                    raise InexactDivisionError(
+                        f"inexact division: coefficient {c} is not a multiple of {c_q}"
+                    )
+                out[tuple(a - b for a, b in zip(e, exps_q))] = q
+            return LaurentPoly(self.varnames, out)
+        shift_p = tuple(map(min, zip(*self.terms)))
+        shift_q = tuple(map(min, zip(*divisor.terms)))
         current = {tuple(a - b for a, b in zip(e, shift_p)): c for e, c in self.terms.items()}
         divis = {tuple(a - b for a, b in zip(e, shift_q)): c for e, c in divisor.terms.items()}
         lead_q = max(divis, key=_grlex_key)
@@ -317,8 +334,8 @@ class LaurentPoly:
             raise LaurentError(f"vars must be a list of strings, got {names!r}")
         if len(set(names)) != len(names):
             raise LaurentError(f"vars must be distinct, got {names}")
-        terms = {tuple(t["exponents"]): int(t["coeff"]) for t in data["terms"]}
-        if not all(isinstance(e, int) for exps in terms for e in exps):
+        terms = {tuple(t["exponents"]): _json_coeff(t["coeff"]) for t in data["terms"]}
+        if not all(_is_int(e) for exps in terms for e in exps):
             raise LaurentError("exponents must be integers")
         return cls(tuple(names), terms)
 
@@ -355,9 +372,26 @@ class LaurentPoly:
         return f"LaurentPoly({str(self)!r})"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _json_coeff(x) -> int:
+    """A coefficient as to_json writes it, a string of an int, or an int;
+    anything else (a float, a bool) raises LaurentError, never truncates."""
+    if isinstance(x, str):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    elif _is_int(x):
+        return x
+    raise LaurentError(f"coefficient must be an integer, got {x!r}")
+
+
 def product_of(polys: Iterable[LaurentPoly], varnames: Sequence[str]) -> LaurentPoly:
     """Product of an iterable of polynomials (1 for the empty product)."""
-    result = LaurentPoly.one(varnames)
+    result = None
     for p in polys:
-        result = result * p
-    return result
+        result = p if result is None else result * p
+    return LaurentPoly.one(varnames) if result is None else result

@@ -401,16 +401,27 @@ def sub_rep(rep: QuiverRep, spans: Mapping[int, Sequence[Sequence]]) -> QuiverRe
     """Submodule spanned at each vertex v by the linearly independent row
     vectors spans[v], with its maps written in the coordinates of those
     vectors; a vertex missing from spans keeps its whole space (the kernel
-    of no equations).  Raises PrepmodError if the spans are not arrow-stable."""
+    of no equations).  Raises PrepmodError if the spans are not arrow-stable.
+
+    Only an arrow into a cut vertex is solved for its coordinates: at a
+    whole vertex the coordinates of the images are their entries, and an
+    arrow between whole vertices keeps its map."""
     q, F = rep.quiver, rep.field
     basis = {v: spans[v] if v in spans else nullspace(F, (), rep.dim(v)) for v in q.vertices}
     dims = tuple(len(basis[v]) for v in q.vertices)
     maps = []
     for a, m in zip(q.arrows, rep.maps):
+        if a.source not in spans and a.target not in spans:
+            maps.append(m)
+            continue
         images = [mat_vec(F, m, u) for u in basis[a.source]]
-        coords = coordinates(F, basis[a.target], images)
-        if coords is None:
-            raise PrepmodError(f"subspaces not stable under arrow {a.name}")
+        if a.target in spans:
+            coords = coordinates(F, basis[a.target], images)
+            if coords is None:
+                raise PrepmodError(f"subspaces not stable under arrow {a.name}")
+        else:
+            # images as columns; with no images still one empty row per coordinate
+            coords = tuple(tuple(u[r] for u in images) for r in range(rep.dim(a.target)))
         maps.append(coords)
     return QuiverRep(q, F, dims, tuple(maps))
 

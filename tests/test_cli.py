@@ -253,12 +253,15 @@ def test_exchange_matrix_bad_json_exits_2(runner, tmp_path):
     ["phi", "eval", "--module", "{dir}/bool_dim.json", "--word", "1,2,1"],
     ["phi", "eval", "--module", "{dir}/string_dim.json", "--word", "1,2,1"],
     ["cluster", "finite-type", "--seed", "{dir}/fractional_n.json"],
+    ["cluster", "mutate", "--seed", "{dir}/fractional_coeff.json", "--direction", "1"],
+    ["cluster", "mutate", "--seed", "{dir}/bool_exponent.json", "--direction", "1"],
 ], ids=["finite-type-max-seeds", "monomials-degree", "hom-types", "verify-quadric-n",
         "quadric-check-rank", "explore-dot-path", "efunctor-letter", "eval-dims-list",
         "rigid-relation", "injective-type", "injective-empty-type", "chi-letter",
         "eval-relation-beside-zero-vertex", "eval-repeated-params", "product-repeated-params",
         "mutate-repeated-vars", "mutate-string-vars", "eval-fractional-dim", "eval-bool-dim",
-        "eval-string-dim", "finite-type-fractional-n"])
+        "eval-string-dim", "finite-type-fractional-n", "mutate-fractional-coeff",
+        "mutate-bool-exponent"])
 def test_library_error_exits_2_with_one_line(runner, tmp_path, argv):
     files = {"a2.json": A2_MODULE, "d4.json": D4_MODULE,
              "dims_list.json": {"type": "A2", "dims": [1, 0]},
@@ -269,7 +272,9 @@ def test_library_error_exits_2_with_one_line(runner, tmp_path, argv):
              "fractional_dim.json": {"type": "A2", "dims": {"1": 1.7, "2": 0}},
              "bool_dim.json": {"type": "A2", "dims": {"1": True, "2": 0}},
              "string_dim.json": {"type": "A2", "dims": {"1": "1", "2": 0}},
-             "fractional_n.json": {**A2_SEED, "n": 0.9}}
+             "fractional_n.json": {**A2_SEED, "n": 0.9},
+             "fractional_coeff.json": seed_with_first_term({"exponents": [1, 0], "coeff": 1.7}),
+             "bool_exponent.json": seed_with_first_term({"exponents": [True, 0], "coeff": "1"})}
     for name, blob in files.items():
         (tmp_path / name).write_text(json.dumps(blob))
     result = runner.invoke(main, [a.format(dir=tmp_path) for a in argv])
@@ -358,6 +363,13 @@ def seed_with_vars(names):
     blob = copy.deepcopy(A2_SEED)
     for poly in blob["cluster"]:
         poly["vars"] = names
+    return blob
+
+
+def seed_with_first_term(term):
+    """A2_SEED with the first cluster variable's only term replaced."""
+    blob = copy.deepcopy(A2_SEED)
+    blob["cluster"][0]["terms"] = [term]
     return blob
 
 

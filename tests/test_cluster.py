@@ -232,9 +232,11 @@ def test_dot_export_escapes_labels():
         assert re.fullmatch(r' *s\d+( -- s\d+)? \[label="(?:[^"\\]|\\.)*"\];', line), line
 
 
-def test_random_matrix_mutation_properties():
+def random_exchange_matrices(count=100):
+    """Random matrices with skew-symmetric principal part and up to three
+    frozen rows, with a random mutable direction for each."""
     rng = random.Random(0)
-    for _ in range(100):
+    for _ in range(count):
         m = rng.randint(1, 4)
         extra = rng.randint(0, 3)
         principal = [[0] * m for _ in range(m)]
@@ -245,7 +247,104 @@ def test_random_matrix_mutation_properties():
                 principal[j][i] = -v
         rows = [tuple(r) for r in principal]
         rows += [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(extra)]
-        b = ExchangeMatrix(tuple(rows), extra)
-        k = rng.randint(1, m)
+        yield ExchangeMatrix(tuple(rows), extra), rng.randint(1, m)
+
+
+def test_random_matrix_mutation_properties():
+    for b, k in random_exchange_matrices():
         mutated = mutate_matrix(b, k)  # constructor re-checks skew-symmetry
         assert mutate_matrix(mutated, k).rows == b.rows
+
+
+def dense_mutation(rows, k):
+    """The textbook formula entry by entry: b'_ij = -b_ij when i = k or
+    j = k, else b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2."""
+    kk = k - 1
+    return tuple(
+        tuple(
+            -bij if kk in (i, j)
+            else bij + (abs(row[kk]) * rows[kk][j] + row[kk] * abs(rows[kk][j])) // 2
+            for j, bij in enumerate(row)
+        )
+        for i, row in enumerate(rows)
+    )
+
+
+def test_matrix_mutation_matches_dense_formula():
+    frozen_rows = 0
+    for b, k in random_exchange_matrices():
+        frozen_rows += b.n_frozen
+        assert mutate_matrix(b, k).rows == dense_mutation(b.rows, k)
+    assert frozen_rows > 0
+
+
+# ----------------------------------------------------------------------
+# explore against a reference search that mutates every direction
+
+
+def reference_explore(s, max_seeds=100000, max_depth=64):
+    """Breadth-first search that computes every edge, the one back to the
+    parent included; returns (seeds, graph, order, exhausted) as explore
+    would."""
+    key0 = s.key()
+    seeds, graph, order = {key0: s}, {key0: {}}, [key0]
+    frontier = [(s, key0)]
+    exhausted = True
+    depth = 0
+    while frontier:
+        if depth >= max_depth:
+            exhausted = False
+            break
+        next_frontier = []
+        for seed, skey in frontier:
+            for k in range(1, seed.matrix.n_mutable + 1):
+                neighbor = mutate_seed(seed, k)
+                nkey = neighbor.key()
+                if nkey not in seeds:
+                    if len(seeds) >= max_seeds:
+                        exhausted = False
+                        continue
+                    seeds[nkey] = neighbor
+                    graph[nkey] = {}
+                    order.append(nkey)
+                    next_frontier.append((neighbor, nkey))
+                graph[skey][k] = nkey
+        frontier = next_frontier
+        depth += 1
+        if not exhausted:
+            break
+    return seeds, graph, order, exhausted
+
+
+def plain_seed(rows):
+    names = tuple(f"x{i}" for i in range(1, len(rows) + 1))
+    return Seed(ExchangeMatrix(tuple(map(tuple, rows)), 0),
+                tuple(LaurentPoly.variables(names)), names)
+
+
+A4_ROWS = ((0, 1, 0, 0), (-1, 0, 1, 0), (0, -1, 0, 1), (0, 0, -1, 0))
+D4_ROWS = ((0, 0, 1, 0), (0, 0, 1, 0), (-1, -1, 0, 1), (0, 0, -1, 0))
+KRONECKER_ROWS = ((0, 2), (-2, 0))
+MARKOV_ROWS = ((0, 2, -2), (-2, 0, 2), (2, -2, 0))
+
+
+@pytest.mark.parametrize("make, limits", [
+    (lambda: plain_seed(A4_ROWS), {}),
+    (lambda: plain_seed(D4_ROWS), {}),
+    (lambda: builtin_seed("quadric", n=6), {}),
+    (lambda: builtin_seed("grassmannian_2_5"), {}),
+    (lambda: builtin_seed("d4_flag_extended"), {}),
+    (lambda: plain_seed(KRONECKER_ROWS), {"max_depth": 6}),
+    (lambda: plain_seed(MARKOV_ROWS), {"max_depth": 3}),
+    (lambda: plain_seed(A4_ROWS), {"max_seeds": 10}),
+], ids=["A4", "D4", "quadric6", "gr25", "d4_flag_extended", "kronecker-depth6",
+        "markov-depth3", "A4-max-seeds10"])
+def test_explore_matches_reference_search(make, limits):
+    seeds, graph, order, exhausted = reference_explore(make(), **limits)
+    mc = explore(make(), **limits)
+    assert mc.order == order
+    assert mc.exhausted == exhausted
+    for key in order:
+        assert mc.seeds[key].cluster == seeds[key].cluster
+        assert mc.seeds[key].matrix.rows == seeds[key].matrix.rows
+        assert list(mc.graph[key].items()) == list(graph[key].items())

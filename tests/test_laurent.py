@@ -91,6 +91,23 @@ def test_monomial_division():
     assert (x * x).div_exact(x) == x
 
 
+def test_monomial_divisor_shifts_and_divides():
+    x, y = LaurentPoly.variables(XY)
+    assert (6 * x ** 2 * y ** -1).div_exact(2 * x) == 3 * x * y ** -1
+    assert (x * y + 3).div_exact(-(x ** -1)) == -(x ** 2 * y) - 3 * x
+    with pytest.raises(InexactDivisionError):
+        (3 * x).div_exact(2 * y)
+
+
+def test_sort_key_and_hash_ignore_term_order():
+    terms = [((2, -1), 3), ((0, 0), -7), ((1, 1), 1), ((-1, 0), 2)]
+    p = poly(dict(terms))
+    q = poly(dict(reversed(terms)))
+    assert list(p.terms) != list(q.terms)
+    assert p == q and hash(p) == hash(q) and p.sort_key() == q.sort_key()
+    assert p.sort_key() is p.sort_key()
+
+
 def test_exact_binomial_division():
     x, y = LaurentPoly.variables(XY)
     assert (x * x - y * y).div_exact(x + y) == x - y
@@ -140,6 +157,26 @@ def test_serialization_round_trip():
     assert p.to_json()["terms"][0]["coeff"] == "3"
 
 
+@pytest.mark.parametrize("term", [
+    {"exponents": [1, 0], "coeff": 1.7},
+    {"exponents": [1, 0], "coeff": True},
+    {"exponents": [1, 0], "coeff": "1.5"},
+    {"exponents": [1, 0], "coeff": None},
+    {"exponents": [True, 0], "coeff": "1"},
+    {"exponents": [1.0, 0], "coeff": "1"},
+], ids=["float-coeff", "bool-coeff", "fraction-string-coeff", "null-coeff",
+        "bool-exponent", "float-exponent"])
+def test_from_json_rejects_non_integer_entries(term):
+    with pytest.raises(LaurentError):
+        LaurentPoly.from_json({"vars": ["x", "y"], "terms": [term]})
+
+
+def test_from_json_accepts_int_and_string_coefficients():
+    blob = {"vars": ["x", "y"], "terms": [{"exponents": [1, 0], "coeff": 2},
+                                          {"exponents": [0, -1], "coeff": "-3"}]}
+    assert LaurentPoly.from_json(blob) == poly({(1, 0): 2, (0, -1): -3})
+
+
 def test_str_is_deterministic():
     p = poly({(1, 0): 1, (0, 1): -2, (0, 0): 5})
     assert str(p) == "x - 2*y + 5"
@@ -153,6 +190,10 @@ polys = st.dictionaries(exponents, st.integers(-9, 9), max_size=5).map(
     lambda terms: LaurentPoly(XY, terms)
 )
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
+monomial_divisors = st.builds(
+    lambda exps, coeff: LaurentPoly(XY, {exps: coeff}), exponents, st.sampled_from([1, -1, 2, -2])
+)
+divisors = st.one_of(nonzero_polys, monomial_divisors)
 points = st.tuples(
     st.fractions(min_value=-5, max_value=5).filter(lambda f: f != 0),
     st.fractions(min_value=-5, max_value=5).filter(lambda f: f != 0),
@@ -175,12 +216,12 @@ def test_normalization_idempotent(p):
     assert all(c != 0 for c in p.terms.values())
 
 
-@given(polys, nonzero_polys)
+@given(polys, divisors)
 def test_div_exact_round_trip(p, q):
     assert (p * q).div_exact(q) == p
 
 
-@given(polys, nonzero_polys)
+@given(polys, divisors)
 def test_div_exact_is_total(p, q):
     # division either returns an exact quotient or raises, never truncates
     try:
