@@ -166,7 +166,8 @@ class Seed:
     def from_json(cls, data: Mapping) -> "Seed":
         """Read the form written by to_json; raises ClusterError on a blob
         that is not an object, a matrix that is not integer rows, an n that
-        is not an integer, or labels that are not strings."""
+        is not an integer, a cluster with a zero or a repeated entry, or
+        labels that are not strings."""
         if not isinstance(data, Mapping):
             raise ClusterError("a seed must be a JSON object")
         rows = data["matrix"]
@@ -179,6 +180,10 @@ class Seed:
             raise ClusterError(f"seed n must be an integer, got {n!r}")
         matrix = ExchangeMatrix(tuple(tuple(r) for r in rows), n)
         cluster = tuple(LaurentPoly.from_json(p) for p in data["cluster"])
+        if any(p.is_zero for p in cluster):
+            raise ClusterError("seed cluster has a zero entry")
+        if len(set(cluster)) != len(cluster):
+            raise ClusterError("seed cluster has a repeated entry")
         labels = tuple(data.get("labels") or [f"y{i + 1}" for i in range(matrix.d)])
         if not all(isinstance(label, str) for label in labels):
             raise ClusterError("seed labels must be strings")
@@ -234,11 +239,14 @@ class MutationClass:
         return out
 
 
-def _assert_matrix_consistency(stored: Seed, candidate: Seed) -> None:
+def _assert_matrix_consistency(stored: Seed, candidate: Seed) -> Optional[list[int]]:
     """Check the candidate's matrix agrees with the stored seed's up to the
-    unique cluster permutation (only when all mutable entries are distinct)."""
+    unique cluster permutation, and return that permutation: entry i is the
+    stored position of the candidate's i-th mutable entry.  Returns None, and
+    checks nothing, when the mutable entries repeat, as no unique
+    permutation exists then."""
     if len(set(candidate.mutable)) != len(candidate.mutable):
-        return
+        return None
     index = {p: i for i, p in enumerate(stored.mutable)}
     perm = [index[p] for p in candidate.mutable]
     m = candidate.matrix.n_mutable
@@ -250,6 +258,7 @@ def _assert_matrix_consistency(stored: Seed, candidate: Seed) -> None:
                     "mutation produced a seed whose matrix disagrees with the stored "
                     "representative under the cluster permutation"
                 )
+    return perm
 
 
 def explore(
@@ -259,18 +268,28 @@ def explore(
 ) -> MutationClass:
     """Breadth-first closure of a seed under mutation, with canonical
     de-duplication.  Returns a partial class flagged exhausted=False when a
-    limit is hit."""
+    limit is hit.
+
+    Each undirected edge of the exchange graph is mutated once.  When
+    mutating s in direction k gives a seed whose stored representative t is
+    P·mu_k(s), for the permutation P that `_assert_matrix_consistency` finds
+    (the identity for a new seed), the edge is recorded as pending: direction
+    j = P(k) of t leads back to s.  Mutation is an involution that commutes
+    with permuting the cluster, so mu_j(t) = P·mu_k(mu_k(s)) = P·s exactly:
+    its division is exact, its matrix is valid and it agrees with s under P,
+    which are the checks a second mutation would run.  When t is expanded it
+    writes each pending direction into the graph at its own loop position,
+    so the graph's insertion order is that of a search that mutates every
+    direction.  When t's mutable entries repeat there is no unique P, nothing
+    is recorded, and that edge is mutated from both ends."""
     if max_seeds <= 0 or max_depth <= 0:
         raise ClusterError("limits must be positive")
     key0 = s.key()
     seeds = {key0: s}
     graph: dict = {key0: {}}
     order = [key0]
-    # Each frontier entry carries the direction it was reached by and its
-    # parent's key.  Mutation is an involution on matrix and cluster, so
-    # mutating back along that direction gives exactly the parent: the edge
-    # is recorded without computing it.
-    frontier = [(s, key0, 0, None)]
+    pending: dict = {}  # key -> {direction: key}, edges known from the other end
+    frontier = [(s, key0)]
     exhausted = True
     depth = 0
     while frontier:
@@ -278,15 +297,19 @@ def explore(
             exhausted = False
             break
         next_frontier = []
-        for seed, skey, back, parent_key in frontier:
+        for seed, skey in frontier:
+            known = pending.pop(skey, {})
             for k in range(1, seed.matrix.n_mutable + 1):
-                if k == back:
-                    graph[skey][k] = parent_key
+                if k in known:
+                    graph[skey][k] = known[k]
                     continue
                 neighbor = mutate_seed(seed, k)
                 nkey = neighbor.key()
-                if nkey in seeds:
-                    _assert_matrix_consistency(seeds[nkey], neighbor)
+                stored = seeds.get(nkey)
+                if stored is not None:
+                    perm = _assert_matrix_consistency(stored, neighbor)
+                    if perm is not None:
+                        pending.setdefault(nkey, {})[perm[k - 1] + 1] = skey
                 else:
                     if len(seeds) >= max_seeds:
                         exhausted = False
@@ -294,7 +317,8 @@ def explore(
                     seeds[nkey] = neighbor
                     graph[nkey] = {}
                     order.append(nkey)
-                    next_frontier.append((neighbor, nkey, k, skey))
+                    next_frontier.append((neighbor, nkey))
+                    pending[nkey] = {k: skey}
                 graph[skey][k] = nkey
         frontier = next_frontier
         depth += 1

@@ -337,6 +337,8 @@ class LaurentPoly:
         terms = {tuple(t["exponents"]): _json_coeff(t["coeff"]) for t in data["terms"]}
         if not all(_is_int(e) for exps in terms for e in exps):
             raise LaurentError("exponents must be integers")
+        if len(terms) != len(data["terms"]):
+            raise LaurentError("two terms have the same exponent vector")
         return cls(tuple(names), terms)
 
     def _term_str(self, exps: Monomial, coeff: int) -> str:

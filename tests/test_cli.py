@@ -255,13 +255,17 @@ def test_exchange_matrix_bad_json_exits_2(runner, tmp_path):
     ["cluster", "finite-type", "--seed", "{dir}/fractional_n.json"],
     ["cluster", "mutate", "--seed", "{dir}/fractional_coeff.json", "--direction", "1"],
     ["cluster", "mutate", "--seed", "{dir}/bool_exponent.json", "--direction", "1"],
+    ["cluster", "mutate", "--seed", "{dir}/repeated_term.json", "--direction", "1"],
+    ["cluster", "mutate", "--seed", "{dir}/zero_entry.json", "--direction", "1"],
+    ["cluster", "mutate", "--seed", "{dir}/repeated_entry.json", "--direction", "1"],
 ], ids=["finite-type-max-seeds", "monomials-degree", "hom-types", "verify-quadric-n",
         "quadric-check-rank", "explore-dot-path", "efunctor-letter", "eval-dims-list",
         "rigid-relation", "injective-type", "injective-empty-type", "chi-letter",
         "eval-relation-beside-zero-vertex", "eval-repeated-params", "product-repeated-params",
         "mutate-repeated-vars", "mutate-string-vars", "eval-fractional-dim", "eval-bool-dim",
         "eval-string-dim", "finite-type-fractional-n", "mutate-fractional-coeff",
-        "mutate-bool-exponent"])
+        "mutate-bool-exponent", "mutate-repeated-term", "mutate-zero-entry",
+        "mutate-repeated-entry"])
 def test_library_error_exits_2_with_one_line(runner, tmp_path, argv):
     files = {"a2.json": A2_MODULE, "d4.json": D4_MODULE,
              "dims_list.json": {"type": "A2", "dims": [1, 0]},
@@ -274,7 +278,11 @@ def test_library_error_exits_2_with_one_line(runner, tmp_path, argv):
              "string_dim.json": {"type": "A2", "dims": {"1": "1", "2": 0}},
              "fractional_n.json": {**A2_SEED, "n": 0.9},
              "fractional_coeff.json": seed_with_first_term({"exponents": [1, 0], "coeff": 1.7}),
-             "bool_exponent.json": seed_with_first_term({"exponents": [True, 0], "coeff": "1"})}
+             "bool_exponent.json": seed_with_first_term({"exponents": [True, 0], "coeff": "1"}),
+             "repeated_term.json": seed_with_first_term({"exponents": [1, 0], "coeff": "1"},
+                                                        {"exponents": [1, 0], "coeff": "1"}),
+             "zero_entry.json": seed_with_first_term(),
+             "repeated_entry.json": seed_with_first_term({"exponents": [0, 1], "coeff": "1"})}
     for name, blob in files.items():
         (tmp_path / name).write_text(json.dumps(blob))
     result = runner.invoke(main, [a.format(dir=tmp_path) for a in argv])
@@ -366,10 +374,10 @@ def seed_with_vars(names):
     return blob
 
 
-def seed_with_first_term(term):
-    """A2_SEED with the first cluster variable's only term replaced."""
+def seed_with_first_term(*terms):
+    """A2_SEED with the first cluster variable's terms replaced."""
     blob = copy.deepcopy(A2_SEED)
-    blob["cluster"][0]["terms"] = [term]
+    blob["cluster"][0]["terms"] = list(terms)
     return blob
 
 

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from math import comb
 
 import pytest
 
@@ -215,8 +216,11 @@ def test_seed_json_round_trip():
 
 def test_seed_json_rejects_malformed_seed():
     blob = builtin_seed("d4_flag").to_json()
+    zero = {"vars": blob["cluster"][0]["vars"], "terms": []}
     for bad in ([blob], "seed", {**blob, "matrix": [[0, "1"], [-1, 0]]},
-                {**blob, "labels": [1] * len(blob["labels"])}):
+                {**blob, "labels": [1] * len(blob["labels"])},
+                {**blob, "cluster": [zero] + blob["cluster"][1:]},
+                {**blob, "cluster": blob["cluster"][1:2] + blob["cluster"][1:]}):
         with pytest.raises(ClusterError):
             Seed.from_json(bad)
 
@@ -328,6 +332,14 @@ KRONECKER_ROWS = ((0, 2), (-2, 0))
 MARKOV_ROWS = ((0, 2, -2), (-2, 0, 2), (2, -2, 0))
 
 
+def repeated_entry_seed():
+    """The D4 matrix over the cluster (x1, x1, x2, x3): revisits whose
+    mutable entries repeat have no unique permutation to the stored seed."""
+    names = ("x1", "x2", "x3")
+    x1, x2, x3 = LaurentPoly.variables(names)
+    return Seed(ExchangeMatrix(D4_ROWS, 0), (x1, x1, x2, x3), ("x1", "x1*", "x2", "x3"))
+
+
 @pytest.mark.parametrize("make, limits", [
     (lambda: plain_seed(A4_ROWS), {}),
     (lambda: plain_seed(D4_ROWS), {}),
@@ -337,8 +349,13 @@ MARKOV_ROWS = ((0, 2, -2), (-2, 0, 2), (2, -2, 0))
     (lambda: plain_seed(KRONECKER_ROWS), {"max_depth": 6}),
     (lambda: plain_seed(MARKOV_ROWS), {"max_depth": 3}),
     (lambda: plain_seed(A4_ROWS), {"max_seeds": 10}),
+    (lambda: plain_seed(D4_ROWS), {"max_depth": 2}),
+    (lambda: plain_seed(D4_ROWS), {"max_seeds": 20}),
+    (lambda: builtin_seed("quadric", n=6), {"max_depth": 2}),
+    (repeated_entry_seed, {}),
 ], ids=["A4", "D4", "quadric6", "gr25", "d4_flag_extended", "kronecker-depth6",
-        "markov-depth3", "A4-max-seeds10"])
+        "markov-depth3", "A4-max-seeds10", "D4-depth2", "D4-max-seeds20", "quadric6-depth2",
+        "repeated-entries"])
 def test_explore_matches_reference_search(make, limits):
     seeds, graph, order, exhausted = reference_explore(make(), **limits)
     mc = explore(make(), **limits)
@@ -348,3 +365,24 @@ def test_explore_matches_reference_search(make, limits):
         assert mc.seeds[key].cluster == seeds[key].cluster
         assert mc.seeds[key].matrix.rows == seeds[key].matrix.rows
         assert list(mc.graph[key].items()) == list(graph[key].items())
+
+
+@pytest.mark.parametrize("make, clusters", [
+    (lambda: plain_seed(A4_ROWS), comb(10, 5) // 6),  # Catalan number C_5
+    (lambda: plain_seed(D4_ROWS), (3 * 4 - 2) * comb(6, 3) // 4),  # FZ count for D_4
+    (lambda: builtin_seed("quadric", n=6), 2 ** (6 - 2)),
+    (lambda: builtin_seed("grassmannian_2_5"), comb(6, 3) // 4),  # A_2: C_3
+    (lambda: builtin_seed("d4_flag_extended"), 2 * 2),  # A_1 x A_1
+], ids=["A4", "D4", "quadric6", "gr25", "d4_flag_extended"])
+def test_explore_mutates_each_edge_once(monkeypatch, make, clusters):
+    calls = []
+
+    def counting_mutate_seed(s, k):
+        calls.append(k)
+        return mutate_seed(s, k)
+
+    s = make()
+    monkeypatch.setattr("clusterforge.cluster.mutate_seed", counting_mutate_seed)
+    mc = explore(s)
+    assert mc.exhausted and mc.cluster_count == clusters
+    assert len(calls) == clusters * s.matrix.n_mutable // 2

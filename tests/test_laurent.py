@@ -171,6 +171,13 @@ def test_from_json_rejects_non_integer_entries(term):
         LaurentPoly.from_json({"vars": ["x", "y"], "terms": [term]})
 
 
+def test_from_json_rejects_repeated_exponent_vectors():
+    blob = {"vars": ["x", "y"], "terms": [{"exponents": [1, 0], "coeff": "1"},
+                                          {"exponents": [1, 0], "coeff": "1"}]}
+    with pytest.raises(LaurentError, match="same exponent vector"):
+        LaurentPoly.from_json(blob)
+
+
 def test_from_json_accepts_int_and_string_coefficients():
     blob = {"vars": ["x", "y"], "terms": [{"exponents": [1, 0], "coeff": 2},
                                           {"exponents": [0, -1], "coeff": "-3"}]}
