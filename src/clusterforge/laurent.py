@@ -9,7 +9,10 @@ and evaluation is done in exact rationals.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+from itertools import islice
+from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 # An exponent vector; one slot per variable of the ambient ring, negative
@@ -35,6 +38,22 @@ class EvaluationError(LaurentError):
 
 def _grlex_key(exponents: Monomial) -> tuple:
     return (sum(exponents), exponents)
+
+
+def _graded(exponents: Monomial, shift: Monomial) -> Monomial:
+    """exponents - shift in graded coordinates (-degree, -e1, ..., -e(n-1)).
+
+    These determine e_n, add like exponent vectors, and compare as tuples
+    in reverse graded-lex order.  Both conversions build tuples of length n
+    only: temporaries of other lengths fill further per-length tuple free
+    lists in CPython and measurably raise peak memory."""
+    neg_e = tuple(map(sub, shift, exponents))
+    return (sum(neg_e), *islice(neg_e, len(neg_e) - 1))
+
+
+def _ungraded(key: Monomial) -> Monomial:
+    """The exponent vector with graded coordinates key."""
+    return (*map(neg, islice(key, 1, None)), sum(islice(key, 1, None)) - key[0])
 
 
 class LaurentPoly:
@@ -181,11 +200,20 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Monomial, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                c = out.get(exps, 0) + c1 * c2
+        if other is self:
+            # a square: c^2 on each monomial 2e (no two coincide), then
+            # 2*c1*c2 once for each pair of distinct terms
+            items = list(self.terms.items())
+            out = {tuple(map(add, e, e)): c * c for e, c in items}
+            rows = ((e1, 2 * c1, islice(items, i)) for i, (e1, c1) in enumerate(items))
+        else:
+            out = {}
+            rows = ((e1, c1, other.terms.items()) for e1, c1 in self.terms.items())
+        get = out.get
+        for e1, c1, row in rows:
+            for e2, c2 in row:
+                exps = tuple(map(add, e1, e2))
+                c = get(exps, 0) + c1 * c2
                 if c:
                     out[exps] = c
                 else:
@@ -226,9 +254,14 @@ class LaurentPoly:
         return self.varnames == other.varnames and self.terms == other.terms
 
     def __hash__(self) -> int:
+        # a constant equals its int (see __eq__), so it hashes like it too
         h = self._hash
         if h is None:
-            h = hash((self.varnames, self.sort_key()))
+            const = (0,) * len(self.varnames)
+            if self.terms.keys() <= {const}:
+                h = hash(self.terms.get(const, 0))
+            else:
+                h = hash((self.varnames, self.sort_key()))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -242,7 +275,21 @@ class LaurentPoly:
         coefficient.  Otherwise monomial content is cleared from both
         operands first; the remaining honest polynomials are divided by
         multivariate long division in graded-lex order.  A nonzero remainder
-        is an error, never a truncation.
+        is an error, never a truncation, and the error names the
+        remainder's leading term in the dividend's own exponents.
+
+        Each step cancels the remainder's graded-lex largest term, and the
+        divisor's leading term is left out of the update because it cancels
+        by construction.  The remainder is kept in graded coordinates (see
+        `_graded`), in which the graded-lex largest monomial is the smallest
+        tuple, and its monomials sit in a heap: pushed when they enter the
+        remainder, skipped when popped after they have cancelled.  Graded lex
+        is a monomial order, so every term a step adds lies below the one it
+        cancels, and the heap's smallest live entry is the remainder's
+        largest term.  The steps therefore run in the order that rescanning
+        the whole remainder for its maximum gives, with the same quotient
+        and the same error; the leading terms strictly decrease, so each
+        quotient monomial is written once.
         """
         self._check_compatible(divisor)
         if divisor.is_zero:
@@ -258,37 +305,46 @@ class LaurentPoly:
                     raise InexactDivisionError(
                         f"inexact division: coefficient {c} is not a multiple of {c_q}"
                     )
-                out[tuple(a - b for a, b in zip(e, exps_q))] = q
+                out[tuple(map(sub, e, exps_q))] = q
             return LaurentPoly(self.varnames, out)
         shift_p = tuple(map(min, zip(*self.terms)))
         shift_q = tuple(map(min, zip(*divisor.terms)))
-        current = {tuple(a - b for a, b in zip(e, shift_p)): c for e, c in self.terms.items()}
-        divis = {tuple(a - b for a, b in zip(e, shift_q)): c for e, c in divisor.terms.items()}
-        lead_q = max(divis, key=_grlex_key)
-        lc_q = divis[lead_q]
+        current = {_graded(e, shift_p): c for e, c in self.terms.items()}
+        divis = {_graded(e, shift_q): c for e, c in divisor.terms.items()}
+        lead_q = min(divis)
+        lc_q = divis.pop(lead_q)
+        shift = tuple(map(sub, shift_p, shift_q))
+        heap = list(current)
+        heapq.heapify(heap)
+        pop, push, get = heapq.heappop, heapq.heappush, current.get
         quotient: dict[Monomial, int] = {}
-        while current:
-            lead_c = max(current, key=_grlex_key)
-            lc_c = current[lead_c]
-            diff = tuple(a - b for a, b in zip(lead_c, lead_q))
-            if any(d < 0 for d in diff) or lc_c % lc_q != 0:
+        while heap:
+            lead_c = pop(heap)
+            lc_c = current.pop(lead_c, 0)
+            if not lc_c:
+                continue
+            diff = tuple(map(sub, lead_c, lead_q))
+            q_exps = _ungraded(diff)
+            if min(q_exps) < 0 or lc_c % lc_q:
+                lead = tuple(map(add, _ungraded(lead_c), shift_p))
                 raise InexactDivisionError(
-                    f"inexact division: remainder has leading term {lead_c} -> {lc_c}"
+                    f"inexact division: remainder has leading term {lead} -> {lc_c}"
                 )
             coeff = lc_c // lc_q
-            quotient[diff] = quotient.get(diff, 0) + coeff
+            quotient[tuple(map(add, q_exps, shift))] = coeff
             for e, c in divis.items():
-                exps = tuple(a + b for a, b in zip(diff, e))
-                nc = current.get(exps, 0) - coeff * c
-                if nc:
-                    current[exps] = nc
+                exps = tuple(map(add, diff, e))
+                old = get(exps)
+                if old is None:
+                    current[exps] = -coeff * c
+                    push(heap, exps)
                 else:
-                    current.pop(exps, None)
-        shift = tuple(a - b for a, b in zip(shift_p, shift_q))
-        return LaurentPoly(
-            self.varnames,
-            {tuple(a + b for a, b in zip(e, shift)): c for e, c in quotient.items()},
-        )
+                    nc = old - coeff * c
+                    if nc:
+                        current[exps] = nc
+                    else:
+                        del current[exps]
+        return LaurentPoly(self.varnames, quotient)
 
     def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:
         """Exact rational value of the polynomial at the given point.

@@ -1,8 +1,9 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterforge.laurent import (
@@ -119,6 +120,25 @@ def test_inexact_division_raises():
         (x * x + y).div_exact(x + y)
     with pytest.raises(InexactDivisionError):
         (2 * x).div_exact(poly({(0, 0): 3}))
+
+
+def test_inexact_division_names_the_dividends_term():
+    # x^3 + x*y has monomial content x; the error names x^3 as (3, 0), not
+    # as the (2, 0) it becomes once that content is cleared
+    x, y = LaurentPoly.variables(XY)
+    with pytest.raises(InexactDivisionError,
+                       match=re.escape("remainder has leading term (3, 0) -> 1")):
+        (x ** 3 + x * y).div_exact(x * y + 1)
+
+
+@pytest.mark.parametrize("c", [0, 1, -1, 7, -(2 ** 70)])
+def test_constant_hashes_like_its_int(c):
+    for names in (XY, ()):
+        p = LaurentPoly.constant(names, c)
+        assert p == c and hash(p) == hash(c)
+        assert len({p, c}) == 1 and {c: "c"}[p] == "c"
+    x = var("x")
+    assert hash(x) == hash((XY, x.sort_key()))
 
 
 def test_division_by_zero_raises():
@@ -244,3 +264,122 @@ def test_evaluate_is_ring_homomorphism(p, q, point):
     assignment = {"x": point[0], "y": point[1]}
     assert (p * q).evaluate(assignment) == p.evaluate(assignment) * q.evaluate(assignment)
     assert (p + q).evaluate(assignment) == p.evaluate(assignment) + q.evaluate(assignment)
+
+
+# ----------------------------------------------------------------------
+# oracles for the Laurent kernel: schoolbook products and max-scan long
+# division, both over plain terms dicts
+
+
+def schoolbook(t1, t2):
+    """The product of two terms dicts, every ordered pair of terms formed."""
+    out = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def grlex(e):
+    return (sum(e), e)
+
+
+def long_division(p, q):
+    """div_exact by a divisor of several terms, as multivariate long
+    division that rescans the remainder for its graded-lex largest term at
+    every step; the error names that term in the dividend's exponents."""
+    assert len(q.terms) > 1
+    shift_p = tuple(map(min, zip(*p.terms)))
+    shift_q = tuple(map(min, zip(*q.terms)))
+    current = {tuple(a - b for a, b in zip(e, shift_p)): c for e, c in p.terms.items()}
+    divis = {tuple(a - b for a, b in zip(e, shift_q)): c for e, c in q.terms.items()}
+    lead_q = max(divis, key=grlex)
+    lc_q = divis[lead_q]
+    quotient = {}
+    while current:
+        lead_c = max(current, key=grlex)
+        lc_c = current[lead_c]
+        diff = tuple(a - b for a, b in zip(lead_c, lead_q))
+        if any(d < 0 for d in diff) or lc_c % lc_q != 0:
+            lead = tuple(a + b for a, b in zip(lead_c, shift_p))
+            raise InexactDivisionError(
+                f"inexact division: remainder has leading term {lead} -> {lc_c}"
+            )
+        coeff = lc_c // lc_q
+        quotient[diff] = quotient.get(diff, 0) + coeff
+        for e, c in divis.items():
+            exps = tuple(a + b for a, b in zip(diff, e))
+            nc = current.get(exps, 0) - coeff * c
+            if nc:
+                current[exps] = nc
+            else:
+                current.pop(exps, None)
+    shift = tuple(a - b for a, b in zip(shift_p, shift_q))
+    return LaurentPoly(
+        p.varnames, {tuple(a + b for a, b in zip(e, shift)): c for e, c in quotient.items()}
+    )
+
+
+exponents3 = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
+coeffs = st.integers(1, 9) | st.integers(-9, -1)
+polys3 = st.dictionaries(exponents3, coeffs, max_size=10).map(
+    lambda terms: LaurentPoly(XYZ, terms)
+)
+
+
+@st.composite
+def non_unit_lead_divisors(draw):
+    """Divisors of two to six terms whose graded-lex leading coefficient is
+    +-2..+-9, so that a step can fail on divisibility of coefficients."""
+    terms = draw(st.dictionaries(exponents3, coeffs, min_size=2, max_size=6))
+    terms[max(terms, key=grlex)] = draw(st.integers(2, 9)) * draw(st.sampled_from([1, -1]))
+    return LaurentPoly(XYZ, terms)
+
+
+@st.composite
+def division_cases(draw):
+    q = draw(non_unit_lead_divisors())
+    near_multiples = st.builds(
+        lambda p, r: p * q + r, polys3,
+        st.dictionaries(exponents3, coeffs, max_size=2).map(lambda t: LaurentPoly(XYZ, t)),
+    )
+    return draw(st.one_of(polys3, near_multiples)), q
+
+
+@given(division_cases())
+@settings(max_examples=300)
+def test_div_exact_matches_long_division(case):
+    p, q = case
+    try:
+        expected = long_division(p, q)
+    except InexactDivisionError as exc:
+        with pytest.raises(InexactDivisionError) as raised:
+            p.div_exact(q)
+        assert str(raised.value) == str(exc)
+        return
+    got = p.div_exact(q)
+    assert got == expected and list(got.terms) == list(expected.terms)
+
+
+@given(polys3, non_unit_lead_divisors())
+def test_div_exact_round_trip_three_variables(p, q):
+    assert (p * q).div_exact(q) == p
+
+
+@given(polys)
+@example(LaurentPoly.zero(XY))
+@example(poly({(2, -1): -3}))
+@example(poly({(1, 0): 1, (0, 1): -1}))
+# the cross term 2*1*(-2) cancels the diagonal 2^2 at x^2
+@example(poly({(0, 0): 1, (1, 0): 2, (2, 0): -2}))
+# the cross terms x*x^-1 and y*(-y^-1) cancel at the constant
+@example(poly({(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): -1}))
+def test_square_matches_schoolbook(p):
+    copy = LaurentPoly(p.varnames, dict(p.terms))
+    assert (p * p).terms == schoolbook(p.terms, p.terms)
+    assert (p * copy).terms == schoolbook(p.terms, copy.terms)
+    power = {(0, 0): 1}
+    for n in range(7):
+        assert (p ** n).terms == power
+        power = schoolbook(power, p.terms)
