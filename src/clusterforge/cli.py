@@ -102,6 +102,14 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise CliError(f"expected a comma-separated integer list, got {text!r}", EXIT_INVALID) from exc
 
 
+def _json_int(value, field: str) -> int:
+    """A JSON integer as given; a float, a bool or a string raises ValueError
+    rather than being truncated or read as 0/1."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 def _parse_names(text: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in text.split(",") if x.strip())
 
@@ -442,10 +450,12 @@ def prepmod_exchange_matrix(input_path, builtin_name, as_json):
         try:
             blob = json.loads(Path(input_path).read_text())
             summands = [QuiverRep.from_json(m) for m in blob["summands"]]
-            n_frozen = int(blob["n_frozen"])
-            sequences = [{"X": tuple(map(int, s["X"])), "Y": tuple(map(int, s["Y"]))}
+            n_frozen = _json_int(blob["n_frozen"], "n_frozen")
+            sequences = [{k: tuple(_json_int(x, f"{k} entry") for x in s[k]) for k in "XY"}
                          for s in blob["sequences"]]
-            coeff_vertices = tuple(int(v) for v in blob.get("coeff_vertices", ()))
+            coeff_vertices = tuple(
+                _json_int(v, "coefficient vertex") for v in blob.get("coeff_vertices", ())
+            )
         except (OSError, ValueError, KeyError, TypeError, ArithmeticError, PrepmodError) as exc:
             raise CliError(f"cannot parse exchange data {input_path}: {exc}", EXIT_INVALID) from exc
     out = exchange_matrix_from_sequences(summands, n_frozen, sequences, coeff_vertices)

@@ -133,12 +133,6 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def total_degree(self) -> int:
-        """Maximum over terms of the exponent sum; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in canonical graded-lex descending order."""
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)

@@ -90,46 +90,12 @@ class NMatrix:
                     return False
         return True
 
-    def __mul__(self, other: "NMatrix") -> "NMatrix":
-        if self.size != other.size:
-            raise NMatrixError("size mismatch in matrix product")
-        n = self.size
-        zero = LaurentPoly.zero(self.varnames)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero or b.is_zero:
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            rows.append(tuple(row))
-        return NMatrix(tuple(rows))
-
     def to_json(self) -> dict:
         return {
             "size": self.size,
             "vars": list(self.varnames),
             "entries": [[p.to_json() for p in row] for row in self.entries],
         }
-
-    @classmethod
-    def from_json(cls, data) -> "NMatrix":
-        return cls(
-            tuple(tuple(LaurentPoly.from_json(p) for p in row) for row in data["entries"])
-        )
-
-
-def identity(size: int, varnames: Sequence[str]) -> NMatrix:
-    one = LaurentPoly.one(varnames)
-    zero = LaurentPoly.zero(varnames)
-    return NMatrix(
-        tuple(tuple(one if i == j else zero for j in range(size)) for i in range(size))
-    )
 
 
 def _positions(letter: str, rank: int, i: int) -> list[tuple[int, int]]:
@@ -143,34 +109,50 @@ def _positions(letter: str, rank: int, i: int) -> list[tuple[int, int]]:
     return [(rank - i + 1, rank - i + 2), (rank + i - 1, rank + i)]
 
 
+def _column_product(
+    gtype: str, letters: Sequence[int], params: Sequence[str], varnames: Sequence[str]
+) -> NMatrix:
+    """x_{i_1}(t_1) ... x_{i_r}(t_r) by column operations, left to right.
+
+    Right-multiplying by I + t E_{rc} adds t times column r to column c; the
+    slots of one generator share no index, so its operations commute.
+    """
+    letter, rank = parse_type(gtype)
+    size = matrix_size(gtype)
+    one = LaurentPoly.one(varnames)
+    zero = LaurentPoly.zero(varnames)
+    cols = [[one if i == j else zero for i in range(size)] for j in range(size)]
+    for i, t in zip(letters, params):
+        tpoly = LaurentPoly.variable(t, varnames)
+        for r, c in _positions(letter, rank, i):
+            source, target = cols[r - 1], cols[c - 1]
+            for k, a in enumerate(source):
+                if not a.is_zero:
+                    target[k] = target[k] + a * tpoly
+    return NMatrix(tuple(zip(*cols)))
+
+
 def generator(gtype: str, i: int, t: str, varnames: Sequence[str]) -> NMatrix:
     """The one-parameter generator x_i(t) as an exact symbolic matrix."""
-    letter, rank = parse_type(gtype)
-    size = rank + 1 if letter == "A" else 2 * rank
-    base = identity(size, varnames)
-    tpoly = LaurentPoly.variable(t, varnames)
-    rows = [list(r) for r in base.entries]
-    for r, c in _positions(letter, rank, i):
-        rows[r - 1][c - 1] = rows[r - 1][c - 1] + tpoly
-    return NMatrix(tuple(tuple(r) for r in rows))
+    return _column_product(gtype, (i,), (t,), varnames)
 
 
 def product(gtype: str, word: Word) -> NMatrix:
-    """x_{i_1}(t_1) ... x_{i_r}(t_r), multiplied left to right in word order."""
-    size = matrix_size(gtype)
-    varnames = word.params
-    result = identity(size, varnames)
-    for letter_idx, param in zip(word.letters, word.params):
-        result = result * generator(gtype, letter_idx, param, varnames)
-    return result
+    """x_{i_1}(t_1) ... x_{i_r}(t_r), multiplied left to right in word order.
+
+    >>> x = product("A2", Word.with_default_params((1, 2, 1)))
+    >>> str(x.entry(1, 2)), str(x.entry(1, 3))
+    ('t1 + t3', 't1*t2')
+    """
+    return _column_product(gtype, word.letters, word.params, word.params)
 
 
-def generic_unitriangular(size: int, prefix: str = "n") -> NMatrix:
+def generic_unitriangular(size: int) -> NMatrix:
     """Unitriangular matrix with a free variable in every strictly-upper slot."""
     if size > 9:
         raise NMatrixError("generic matrices use single-digit index names; size <= 9")
     varnames = tuple(
-        f"{prefix}{i}{j}" for i in range(1, size + 1) for j in range(i + 1, size + 1)
+        f"n{i}{j}" for i in range(1, size + 1) for j in range(i + 1, size + 1)
     )
     one = LaurentPoly.one(varnames)
     zero = LaurentPoly.zero(varnames)
@@ -181,7 +163,7 @@ def generic_unitriangular(size: int, prefix: str = "n") -> NMatrix:
             if i == j:
                 row.append(one)
             elif i < j:
-                row.append(LaurentPoly.variable(f"{prefix}{i}{j}", varnames))
+                row.append(LaurentPoly.variable(f"n{i}{j}", varnames))
             else:
                 row.append(zero)
         rows.append(tuple(row))
@@ -293,6 +275,3 @@ D4_W0_LETTERS = (1, 2, 4, 3, 1, 2, 4, 3, 1, 2, 4, 3)
 A2_W0_LETTERS = (1, 2, 1)
 A3_W0_LETTERS = (1, 2, 3, 1, 2, 1)
 
-
-def d4_w0_word() -> Word:
-    return Word.with_default_params(D4_W0_LETTERS)

@@ -267,6 +267,13 @@ class QuiverRep:
                 continue
             if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
                 raise PrepmodError(f"map {a.name} must be a list of rows")
+            # Fraction() would read a float as its binary expansion and a bool as 0 or 1
+            bad = [x for row in rows for x in row
+                   if isinstance(x, bool) or not isinstance(x, (int, str))]
+            if bad:
+                raise PrepmodError(
+                    f"map {a.name} entries must be integers or strings, got {bad[0]!r}"
+                )
             matrix = tuple(tuple(Fraction(x) for x in row) for row in rows)
             if len(matrix) != tdim or any(len(row) != sdim for row in matrix):
                 raise PrepmodError(

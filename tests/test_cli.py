@@ -162,6 +162,17 @@ def test_efunctor_dagger_presentation_is_pinned(runner, tmp_path, kind, vertex, 
     assert result.stdout == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (["--type", "D4", "--word", "1,2,4,3,1,2,4,3,1,2,4,3"], "nmatrix_product_D4_w0.txt"),
+    (["--type", "A3", "--word", "1,2,3,1,2,1", "--json"], "nmatrix_product_A3_w0.json"),
+])
+def test_nmatrix_product_is_pinned(runner, argv, golden):
+    """Every entry of the w0 products, as printed and as JSON, matches a recorded run."""
+    result = invoke(runner, "nmatrix", "product", *argv)
+    assert result.exit_code == 0
+    assert result.stdout == (GOLDEN / golden).read_text()
+
+
 def test_phi_verify_case(runner):
     result = invoke(runner, "phi", "verify", "--case", "a2-thm61")
     assert result.exit_code == 0
@@ -258,6 +269,8 @@ def test_exchange_matrix_bad_json_exits_2(runner, tmp_path):
     ["cluster", "mutate", "--seed", "{dir}/repeated_term.json", "--direction", "1"],
     ["cluster", "mutate", "--seed", "{dir}/zero_entry.json", "--direction", "1"],
     ["cluster", "mutate", "--seed", "{dir}/repeated_entry.json", "--direction", "1"],
+    ["prepmod", "rigid", "--module", "{dir}/float_entry.json"],
+    ["phi", "eval", "--module", "{dir}/bool_entry.json", "--word", "1,2,1"],
 ], ids=["finite-type-max-seeds", "monomials-degree", "hom-types", "verify-quadric-n",
         "quadric-check-rank", "explore-dot-path", "efunctor-letter", "eval-dims-list",
         "rigid-relation", "injective-type", "injective-empty-type", "chi-letter",
@@ -265,7 +278,7 @@ def test_exchange_matrix_bad_json_exits_2(runner, tmp_path):
         "mutate-repeated-vars", "mutate-string-vars", "eval-fractional-dim", "eval-bool-dim",
         "eval-string-dim", "finite-type-fractional-n", "mutate-fractional-coeff",
         "mutate-bool-exponent", "mutate-repeated-term", "mutate-zero-entry",
-        "mutate-repeated-entry"])
+        "mutate-repeated-entry", "rigid-float-entry", "eval-bool-entry"])
 def test_library_error_exits_2_with_one_line(runner, tmp_path, argv):
     files = {"a2.json": A2_MODULE, "d4.json": D4_MODULE,
              "dims_list.json": {"type": "A2", "dims": [1, 0]},
@@ -282,7 +295,9 @@ def test_library_error_exits_2_with_one_line(runner, tmp_path, argv):
              "repeated_term.json": seed_with_first_term({"exponents": [1, 0], "coeff": "1"},
                                                         {"exponents": [1, 0], "coeff": "1"}),
              "zero_entry.json": seed_with_first_term(),
-             "repeated_entry.json": seed_with_first_term({"exponents": [0, 1], "coeff": "1"})}
+             "repeated_entry.json": seed_with_first_term({"exponents": [0, 1], "coeff": "1"}),
+             "float_entry.json": {**A2_MODULE, "maps": {"1->2": [[0.1]]}},
+             "bool_entry.json": {**A2_MODULE, "maps": {"1->2": [["0"]], "2->1": [[True]]}}}
     for name, blob in files.items():
         (tmp_path / name).write_text(json.dumps(blob))
     result = runner.invoke(main, [a.format(dir=tmp_path) for a in argv])
@@ -306,6 +321,31 @@ def test_exchange_matrix_rejects_bad_coefficient_vertices(runner, tmp_path, data
     result = runner.invoke(main, ["prepmod", "exchange-matrix", "--input", str(path)])
     _assert_one_line_error(result, 2)
     assert "coefficient vertex" in result.stderr
+
+
+def _with_sequence_entry(field, value):
+    data = d4_example152_data([4])
+    data["sequences"][0][field][0] = value
+    return data
+
+
+@pytest.mark.parametrize("data, field", [
+    (lambda: {**d4_example152_data([4]), "n_frozen": 4.9}, "n_frozen"),
+    (lambda: {**d4_example152_data([4]), "n_frozen": "4"}, "n_frozen"),
+    (lambda: _with_sequence_entry("X", 1.7), "X entry"),
+    (lambda: _with_sequence_entry("Y", True), "Y entry"),
+    (lambda: d4_example152_data([4.2]), "coefficient vertex"),
+    (lambda: d4_example152_data([False]), "coefficient vertex"),
+], ids=["n-frozen-float", "n-frozen-string", "x-float", "y-bool", "vertex-float",
+        "vertex-bool"])
+def test_exchange_matrix_rejects_non_integer_fields(runner, tmp_path, data, field):
+    """Each integer field of the exchange data must be a JSON integer: int()
+    would truncate 4.9 to 4 and read true as 1."""
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(data()))
+    result = runner.invoke(main, ["prepmod", "exchange-matrix", "--input", str(path)])
+    _assert_one_line_error(result, 2)
+    assert f"{field} must be an integer" in result.stderr
 
 
 def test_exchange_matrix_input_keeps_the_builtin_rows(runner, tmp_path):

@@ -11,13 +11,14 @@ from clusterforge.nmatrix import (
     Word,
     generator,
     generic_unitriangular,
-    identity,
     isotropy_defect,
     minor,
     product,
     verify_quadric_relation,
 )
 from clusterforge.nmatrix import _det_cofactor, determinant
+
+from wordtools import dense_mul, dense_product
 
 T12 = tuple(f"t{i}" for i in range(1, 13))
 
@@ -113,19 +114,16 @@ def test_d4_row_monomial_counts(d4_product):
 
 def test_product_is_multiplicative_on_splits():
     rng = random.Random(1)
-    for _ in range(10):
-        letters = tuple(rng.randint(1, 4) for _ in range(6))
-        params = tuple(f"t{i}" for i in range(1, 7))
-        full = product("D4", Word(letters, params))
-        cut = rng.randint(0, 6)
-        left = identity(8, params)
-        for letter, param in zip(letters[:cut], params[:cut]):
-            left = left * generator("D4", letter, param, params)
-        right = identity(8, params)
-        for letter, param in zip(letters[cut:], params[cut:]):
-            right = right * generator("D4", letter, param, params)
-        assert (left * right).entries == full.entries
-        assert full.is_unitriangular()
+    for kind, rank, length in (("D4", 4, 6), ("A4", 4, 8), ("D5", 5, 8)):
+        params = tuple(f"t{i}" for i in range(1, length + 1))
+        for _ in range(10):
+            letters = tuple(rng.randint(1, rank) for _ in range(length))
+            full = product(kind, Word(letters, params))
+            cut = rng.randint(0, length)
+            left = dense_product(kind, letters[:cut], params[:cut], params)
+            right = dense_product(kind, letters[cut:], params[cut:], params)
+            assert dense_mul(left, right) == full.entries
+            assert full.is_unitriangular()
 
 
 def test_all_parameters_zero_gives_identity():

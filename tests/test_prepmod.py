@@ -504,10 +504,13 @@ A2_INJECTIVE_1 = {"type": "A2", "dims": {"1": 1, "2": 1}, "maps": {"1->2": [["0"
         ({**A2_INJECTIVE_1, "dims": {"1": 1.7, "2": 1}}, "dims must be integers"),
         ({**A2_INJECTIVE_1, "dims": {"1": True, "2": 1}}, "dims must be integers"),
         ({**A2_INJECTIVE_1, "dims": {"1": "1", "2": 1}}, "dims must be integers"),
+        ({**A2_INJECTIVE_1, "maps": {"1->2": [[0.1]]}}, "map 1->2 entries must be integers"),
+        ({**A2_INJECTIVE_1, "maps": {"2->1": [[True]]}}, "map 2->1 entries must be integers"),
+        ({**A2_INJECTIVE_1, "maps": {"2->1": [[None]]}}, "map 2->1 entries must be integers"),
     ],
     ids=["blob-list", "dims-list", "maps-list", "dims-vertex", "maps-arrow", "row-not-list",
          "rows-not-list", "type-not-string", "relation", "dim-fraction", "dim-bool",
-         "dim-string"],
+         "dim-string", "entry-float", "entry-bool", "entry-null"],
 )
 def test_module_json_rejects_malformed_module(blob, message):
     with pytest.raises(PrepmodError, match=re.escape(message)):

@@ -1,13 +1,19 @@
-"""Weyl-group word lengths for types A and D, used only as a test oracle.
+"""Test oracles for words: Weyl-group lengths and dense generator products.
 
 The package treats reduced words as trusted inputs; these helpers let the
 tests validate the frozen word constants independently (length = number of
 positive roots sent negative) and regenerate completions if needed.  Vertex
 labelling matches the package: type D has forks 1, 2 on the central node 3
 and the chain 3-4-...-n.
+
+`dense_product` multiplies generator matrices by the schoolbook rule,
+independently of the column operations inside `nmatrix.product`.
 """
 
 from __future__ import annotations
+
+from clusterforge.laurent import LaurentPoly
+from clusterforge.nmatrix import generator, matrix_size
 
 
 def a_length(word: tuple[int, ...], rank: int) -> int:
@@ -82,3 +88,28 @@ def weyl_length(kind: str, word: tuple[int, ...]) -> int:
 
 def is_reduced(kind: str, word: tuple[int, ...]) -> bool:
     return weyl_length(kind, word) == len(word)
+
+
+def dense_mul(a, b):
+    """Schoolbook product of two square matrices given as rows of LaurentPoly."""
+    n = len(a)
+    zero = LaurentPoly.zero(a[0][0].varnames)
+    return tuple(
+        tuple(
+            sum((a[i][k] * b[k][j] for k in range(n)
+                 if not (a[i][k].is_zero or b[k][j].is_zero)), zero)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def dense_product(kind, letters, params, varnames):
+    """Rows of x_{i_1}(t_1) ... x_{i_r}(t_r): the identity multiplied on the
+    right by each generator matrix in word order."""
+    size = matrix_size(kind)
+    one, zero = LaurentPoly.one(varnames), LaurentPoly.zero(varnames)
+    rows = tuple(tuple(one if i == j else zero for j in range(size)) for i in range(size))
+    for letter, param in zip(letters, params):
+        rows = dense_mul(rows, generator(kind, letter, param, varnames).entries)
+    return rows
