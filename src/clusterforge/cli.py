@@ -541,7 +541,8 @@ def phi_verify_cmd(case_name, n, as_json):
 @phi_group.command("positivity")
 @click.option("--rigid", "rigid_name", type=click.Choice(["d4-example"]), required=True)
 @click.option("--point", default=None, help="comma-separated positive rationals, one per parameter")
-@click.option("--random-points", type=int, default=0, help="additionally test this many random positive points")
+@click.option("--random-points", type=click.IntRange(min=0), default=0,
+              help="additionally test this many random positive points")
 @click.option("--json", "as_json", is_flag=True)
 @click.pass_context
 def phi_positivity_cmd(ctx, rigid_name, point, random_points, as_json):

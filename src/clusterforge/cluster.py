@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .laurent import InexactDivisionError, LaurentPoly, product_of
+from .laurent import InexactDivisionError, LaurentPoly, _is_int, product_of
 
 
 class ClusterError(Exception):
@@ -166,28 +166,32 @@ class Seed:
     def from_json(cls, data: Mapping) -> "Seed":
         """Read the form written by to_json; raises ClusterError on a blob
         that is not an object, a matrix that is not integer rows, an n that
-        is not an integer, a cluster with a zero or a repeated entry, or
-        labels that are not strings."""
+        is not an integer, a d that is not the matrix's row count, a cluster
+        with a zero or a repeated entry, or labels that are not a list of
+        strings.  JSON true and false are not integers here."""
         if not isinstance(data, Mapping):
             raise ClusterError("a seed must be a JSON object")
         rows = data["matrix"]
         if not isinstance(rows, list) or not all(
-            isinstance(r, list) and all(isinstance(x, int) for x in r) for r in rows
+            isinstance(r, list) and all(_is_int(x) for x in r) for r in rows
         ):
             raise ClusterError("seed matrix must be a list of integer rows")
         n = data["n"]
-        if not isinstance(n, int) or isinstance(n, bool):
+        if not _is_int(n):
             raise ClusterError(f"seed n must be an integer, got {n!r}")
         matrix = ExchangeMatrix(tuple(tuple(r) for r in rows), n)
+        d = data.get("d", matrix.d)
+        if not _is_int(d) or d != matrix.d:
+            raise ClusterError(f"seed d is {d!r} but the matrix has {matrix.d} rows")
         cluster = tuple(LaurentPoly.from_json(p) for p in data["cluster"])
         if any(p.is_zero for p in cluster):
             raise ClusterError("seed cluster has a zero entry")
         if len(set(cluster)) != len(cluster):
             raise ClusterError("seed cluster has a repeated entry")
-        labels = tuple(data.get("labels") or [f"y{i + 1}" for i in range(matrix.d)])
-        if not all(isinstance(label, str) for label in labels):
-            raise ClusterError("seed labels must be strings")
-        return cls(matrix, cluster, labels)
+        labels = data.get("labels") or [f"y{i + 1}" for i in range(matrix.d)]
+        if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+            raise ClusterError("seed labels must be a list of strings")
+        return cls(matrix, cluster, tuple(labels))
 
 
 def _toggle_star(label: str) -> str:

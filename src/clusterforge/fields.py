@@ -1,8 +1,12 @@
 """Exact working fields: the rationals and prime fields.
 
 Structural computations run over the rationals; flag counting runs over
-prime fields.  Elements are plain Python objects (Fraction, int mod p) so
-matrices are just tuples of tuples.
+prime fields.  Elements are plain numbers written with Python operators: a
+QQ element is a Fraction or an int, a GF(p) element an int in [0, p).  A
+field holds only what the operators cannot do: `coerce` a value into it,
+`inv` exactly, and `reduce` a computed row to canonical elements, which
+over GF(p) takes every entry mod p and over QQ does nothing.  Matrices are
+tuples of row tuples.
 """
 
 from __future__ import annotations
@@ -11,36 +15,18 @@ from fractions import Fraction
 
 
 class RationalField:
-    """Field of exact rationals; elements are fractions.Fraction."""
+    """Field of exact rationals; elements are Fractions or ints."""
 
     name = "QQ"
 
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return 1 / a
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     def coerce(self, x):
         return Fraction(x)
+
+    def inv(self, a):
+        return 1 / Fraction(a)
+
+    def reduce(self, row):
+        return row
 
     def __repr__(self):
         return "QQ"
@@ -55,32 +41,6 @@ class PrimeField:
         self.p = p
         self.name = f"GF({p})"
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of 0 in a prime field")
-        return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
-
     def coerce(self, x):
         """Map an int or Fraction into GF(p); the denominator must be a unit."""
         if isinstance(x, Fraction):
@@ -88,6 +48,15 @@ class PrimeField:
                 raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
             return (x.numerator * pow(x.denominator, self.p - 2, self.p)) % self.p
         return int(x) % self.p
+
+    def inv(self, a):
+        if a % self.p == 0:
+            raise ZeroDivisionError("inverse of 0 in a prime field")
+        return pow(a, self.p - 2, self.p)
+
+    def reduce(self, row):
+        p = self.p
+        return [x % p for x in row]
 
     def __repr__(self):
         return self.name

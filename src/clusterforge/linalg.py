@@ -3,21 +3,24 @@
 Matrices are immutable tuples of row tuples.  A subspace of F^n is a
 sequence of row vectors that span it.  A matrix with no rows is (), which
 does not record its column count, so a routine that needs the ambient
-dimension n takes it from its caller.  Every routine takes the field as its
-first argument.
+dimension n takes it from its caller.  Entries are plain numbers (see
+`fields`) combined with Python operators; a routine that computes takes
+the field as its first argument and passes each row it computes through
+`field.reduce` once, so over GF(p) it returns canonical residues when
+given them.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 Matrix = tuple[tuple, ...]
 Vector = tuple
 
 
-def zero_matrix(field, nrows: int, ncols: int) -> Matrix:
-    z = field.zero()
-    return tuple((z,) * ncols for _ in range(nrows))
+def zero_matrix(nrows: int, ncols: int) -> Matrix:
+    return tuple((0,) * ncols for _ in range(nrows))
 
 
 def shape(a: Matrix) -> tuple[int, int]:
@@ -30,54 +33,38 @@ def mat_mul(field, a: Matrix, b: Matrix) -> Matrix:
     if k != k2 and n and m:
         raise ValueError(f"shape mismatch: {shape(a)} x {shape(b)}")
     if n == 0 or m == 0:
-        return zero_matrix(field, n, m)
-    bt = tuple(zip(*b)) if b else ()
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = field.zero()
-            for x, y in zip(row, col):
-                acc = field.add(acc, field.mul(x, y))
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
+        return zero_matrix(n, m)
+    bt = tuple(zip(*b))
+    reduce = field.reduce
+    return tuple(tuple(reduce([sum(map(mul, row, col)) for col in bt])) for row in a)
 
 
 def mat_vec(field, a: Matrix, v: Vector) -> Vector:
-    return tuple(
-        _dot(field, row, v) for row in a
-    )
-
-
-def _dot(field, u, v):
-    acc = field.zero()
-    for x, y in zip(u, v):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
+    return tuple(field.reduce([sum(map(mul, row, v)) for row in a]))
 
 
 def rref(field, a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot column indices."""
     nrows, ncols = shape(a)
     rows = [list(r) for r in a]
+    reduce = field.reduce
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not field.is_zero(rows[i][c]):
-                pivot_row = i
+        for pivot_row in range(r, nrows):
+            if rows[pivot_row][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        prow = rows[r]
+        if prow[c] != 1:
+            inv = field.inv(prow[c])
+            rows[r] = prow = reduce([inv * x for x in prow])
         for i in range(nrows):
-            if i != r and not field.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = reduce([x - f * y for x, y in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -97,11 +84,11 @@ def nullspace(field, rows: Matrix, ncols: int) -> list[Vector]:
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
-        v = [field.zero()] * ncols
-        v[fc] = field.one()
+        v = [0] * ncols
+        v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = field.neg(red[r][fc])
-        basis.append(tuple(v))
+            v[pc] = -red[r][fc]
+        basis.append(tuple(field.reduce(v)))
     return basis
 
 
@@ -115,7 +102,7 @@ def coordinates(field, basis: Sequence[Vector], vectors: Sequence[Vector]) -> Ma
     red, pivots = rref(field, aug)
     if any(p >= k for p in pivots):
         return None
-    c = [(field.zero(),) * len(vectors)] * k
+    c = [(0,) * len(vectors)] * k
     for r, pc in enumerate(pivots):
         c[pc] = red[r][k:]
     return tuple(c)

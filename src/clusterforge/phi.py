@@ -95,8 +95,8 @@ def _default_memo_cap() -> int:
 def _module_key(rep: QuiverRep) -> tuple:
     """Quiver kind, field, dimension vector and the map entries in one flat
     sequence (the dimension vector fixes every shape).  GF(p) residues pack
-    into bytes when they fit; rationals become numerator/denominator ints,
-    which hash much faster than Fractions."""
+    into bytes when they fit; rationals (ints or Fractions) become
+    numerator/denominator ints, which hash much faster than Fractions."""
     entries = [x for m in rep.maps for row in m for x in row]
     field = rep.field
     if isinstance(field, PrimeField):

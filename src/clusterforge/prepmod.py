@@ -263,7 +263,7 @@ class QuiverRep:
             tdim = dims[quiver.vertex_index(a.target)]
             sdim = dims[quiver.vertex_index(a.source)]
             if rows is None:
-                maps.append(zero_matrix(QQ, tdim, sdim))
+                maps.append(zero_matrix(tdim, sdim))
                 continue
             if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
                 raise PrepmodError(f"map {a.name} must be a list of rows")
@@ -289,18 +289,17 @@ class QuiverRep:
 
 def zero_rep(quiver: DoubleQuiver, field=QQ) -> QuiverRep:
     dims = (0,) * len(quiver.vertices)
-    maps = tuple(zero_matrix(field, 0, 0) for _ in quiver.arrows)
+    maps = ((),) * len(quiver.arrows)
     return QuiverRep(quiver, field, dims, maps)
 
 
 def simple_rep(quiver: DoubleQuiver, i: int, field=QQ) -> QuiverRep:
     dims = tuple(1 if v == i else 0 for v in quiver.vertices)
-    maps = []
-    for a in quiver.arrows:
-        maps.append(
-            zero_matrix(field, dims[quiver.vertex_index(a.target)], dims[quiver.vertex_index(a.source)])
-        )
-    return QuiverRep(quiver, field, dims, tuple(maps))
+    maps = tuple(
+        zero_matrix(dims[quiver.vertex_index(a.target)], dims[quiver.vertex_index(a.source)])
+        for a in quiver.arrows
+    )
+    return QuiverRep(quiver, field, dims, maps)
 
 
 def direct_sum(*reps: QuiverRep) -> QuiverRep:
@@ -317,7 +316,7 @@ def direct_sum(*reps: QuiverRep) -> QuiverRep:
     for ai, a in enumerate(quiver.arrows):
         ti = quiver.vertex_index(a.target)
         si = quiver.vertex_index(a.source)
-        block = [[field.zero()] * dims[si] for _ in range(dims[ti])]
+        block = [[0] * dims[si] for _ in range(dims[ti])]
         roff = coff = 0
         for r in reps:
             m = r.maps[ai]
@@ -336,18 +335,12 @@ def check_relation(rep: QuiverRep) -> tuple[bool, Optional[int]]:
     q, F = rep.quiver, rep.field
     for v in q.vertices:
         dv = rep.dim(v)
-        acc = [[F.zero()] * dv for _ in range(dv)]
-        for sign, outer, inner in q.relation(v):
-            # a term through a zero-dimensional vertex is zero, and () hides its column count
-            if rep.dim(q.arrows[inner].target) == 0:
-                continue
-            term = mat_mul(F, rep.maps[outer], rep.maps[inner])
-            combine = F.add if sign > 0 else F.sub
-            for x in range(dv):
-                for y in range(dv):
-                    acc[x][y] = combine(acc[x][y], term[x][y])
-        if any(not F.is_zero(x) for row in acc for x in row):
-            return False, v
+        # a term through a zero-dimensional vertex is zero, and () hides its column count
+        terms = [(sign, mat_mul(F, rep.maps[outer], rep.maps[inner]))
+                 for sign, outer, inner in q.relation(v) if rep.dim(q.arrows[inner].target)]
+        for x in range(dv):
+            if any(F.reduce([sum(sign * t[x][y] for sign, t in terms) for y in range(dv)])):
+                return False, v
     return True, None
 
 
@@ -362,16 +355,17 @@ def is_nilpotent(rep: QuiverRep) -> bool:
     for v in q.vertices:
         offs[v] = off
         off += rep.dim(v)
-    big = [[F.zero()] * n for _ in range(n)]
+    big = [[0] * n for _ in range(n)]
     for a, m in zip(q.arrows, rep.maps):
         ro, co = offs[a.target], offs[a.source]
         for x in range(rep.dim(a.target)):
             for y in range(rep.dim(a.source)):
                 big[ro + x][co + y] = m[x][y]
-    power = tuple(tuple(row) for row in big)
+    big = tuple(tuple(row) for row in big)
+    power = big
     for _ in range(n):
-        power = mat_mul(F, power, tuple(tuple(row) for row in big))
-    return all(F.is_zero(x) for row in power for x in row)
+        power = mat_mul(F, power, big)
+    return not any(x for row in power for x in row)
 
 
 # ----------------------------------------------------------------------
@@ -464,9 +458,9 @@ def quotient_rep(rep: QuiverRep, spans: Mapping[int, Sequence[Sequence]]) -> Qui
                 row = m[c]
                 for r, pc in enumerate(pivots):
                     coeff = red[r][c]
-                    if not F.is_zero(coeff):
-                        row = tuple(F.sub(x, F.mul(coeff, y)) for x, y in zip(row, m[pc]))
-                rows.append(row)
+                    if coeff:
+                        row = [x - coeff * y for x, y in zip(row, m[pc])]
+                rows.append(row if row is m[c] else tuple(F.reduce(row)))
             m = tuple(rows)
         maps.append(m)
     return QuiverRep(q, F, dims, tuple(maps))
@@ -556,16 +550,13 @@ def hom_basis(m: QuiverRep, n: QuiverRep) -> list[tuple[Matrix, ...]]:
         # equation f_t m_a - n_a f_s = 0, entries indexed by (x, y)
         for x in range(n.dim(t)):
             for y in range(m.dim(s)):
-                row = [F.zero()] * total
+                row = [0] * total
                 for k in range(m.dim(t)):
-                    row[offsets[t] + x * m.dim(t) + k] = F.add(
-                        row[offsets[t] + x * m.dim(t) + k], ma[k][y]
-                    )
+                    row[offsets[t] + x * m.dim(t) + k] += ma[k][y]
                 for k in range(n.dim(s)):
-                    row[offsets[s] + k * m.dim(s) + y] = F.sub(
-                        row[offsets[s] + k * m.dim(s) + y], na[x][k]
-                    )
-                if any(not F.is_zero(x0) for x0 in row):
+                    row[offsets[s] + k * m.dim(s) + y] -= na[x][k]
+                row = F.reduce(row)
+                if any(row):
                     rows.append(tuple(row))
     out = []
     for vec in nullspace(F, tuple(rows), total):
@@ -635,18 +626,18 @@ def is_isomorphic(m: QuiverRep, n: QuiverRep) -> bool:
     F = m.field
 
     def combination(coeffs, vi, dv):
-        block = [[F.zero()] * dv for _ in range(dv)]
+        block = [[0] * dv for _ in range(dv)]
         for c, h in zip(coeffs, basis):
-            if not F.is_zero(c):
+            if c:
                 for x, row in enumerate(h[vi]):
                     for y, e in enumerate(row):
-                        block[x][y] = F.add(block[x][y], F.mul(c, e))
-        return tuple(tuple(r) for r in block)
+                        block[x][y] += c * e
+        return tuple(tuple(F.reduce(r)) for r in block)
 
     rng = random.Random(0)
     for _ in range(8):
         coeffs = tuple(F.coerce(rng.randint(-99, 99)) for _ in basis)
-        if any(not F.is_zero(c) for c in coeffs) and all(
+        if any(coeffs) and all(
             is_invertible(F, combination(coeffs, vi, dv))
             for vi, dv in enumerate(m.dims) if dv
         ):
@@ -714,7 +705,7 @@ class PreprojectiveAlgebra:
                             col = pos.get((arrows[outer].name, bi))
                             if col is None:
                                 continue
-                            val = row.get(col, Fraction(0)) + sign * coeff
+                            val = row.get(col, 0) + sign * coeff
                             if val:
                                 row[col] = val
                             else:
@@ -728,12 +719,9 @@ class PreprojectiveAlgebra:
                 ncand = len(cand)
                 rows = relation_rows.get(key, [])
                 dense = tuple(
-                    tuple(row.get(c, Fraction(0)) for c in range(ncand)) for row in rows
+                    tuple(row.get(c, 0) for c in range(ncand)) for row in rows
                 )
-                if dense:
-                    red, pivots = rref(QQ, dense)
-                else:
-                    red, pivots = (), []
+                red, pivots = rref(QQ, dense)
                 pivot_set = set(pivots)
                 free_cols = [c for c in range(ncand) if c not in pivot_set]
                 col_to_new: dict[int, int] = {}
@@ -757,7 +745,7 @@ class PreprojectiveAlgebra:
                     if c in pivot_set:
                         vec = pivot_expr[c]
                     else:
-                        vec = {col_to_new[c]: Fraction(1)}
+                        vec = {col_to_new[c]: 1}
                     if vec:
                         lmul_level.setdefault(aname, {}).setdefault(bi, {}).update(vec)
                     else:
@@ -802,7 +790,7 @@ class PreprojectiveAlgebra:
             raise PrepmodError(f"unknown arrow {first!r}")
         start = self.basis_by_degree[0]
         vec: dict[int, Fraction] = {
-            i: Fraction(1) for i, b in enumerate(start) if b.source == arrow.source
+            i: 1 for i, b in enumerate(start) if b.source == arrow.source
         }
         deg = 0
         for aname in arrow_names:
@@ -812,7 +800,7 @@ class PreprojectiveAlgebra:
             nxt: dict[int, Fraction] = {}
             for bi, coeff in vec.items():
                 for ni, c in table.get(bi, {}).items():
-                    val = nxt.get(ni, Fraction(0)) + coeff * c
+                    val = nxt.get(ni, 0) + coeff * c
                     if val:
                         nxt[ni] = val
                     else:
@@ -844,7 +832,7 @@ class PreprojectiveAlgebra:
             src, tgt = a.source, a.target
             nrows = len(vertex_basis[tgt])
             ncols = len(vertex_basis[src])
-            m = [[Fraction(0)] * ncols for _ in range(nrows)]
+            m = [[0] * ncols for _ in range(nrows)]
             for ri, (deg, bi) in enumerate(vertex_basis[tgt]):
                 path = self.basis_by_degree[deg][bi]
                 composed = self.reduce_path((a.name,) + path.arrows)
@@ -873,14 +861,32 @@ def build_algebra_basis(kind: str) -> PreprojectiveAlgebra:
 D4_RIGID_WORD = (1, 3, 1, 2, 3, 1, 4, 3, 1, 2, 3, 4)
 
 
+def first_unreduced_position(quiver: DoubleQuiver, letters: Sequence[int]) -> Optional[int]:
+    """The least p such that letters[:p] is not a reduced word of the Weyl
+    group, or None when the whole word is reduced.  A reduced prefix
+    s_1 ... s_{p-1} extends to a reduced one by s_p iff it maps the simple
+    root of s_p to a positive root, so each letter's simple root is
+    reflected back through the letters before it."""
+    for p in range(len(letters)):
+        root = [0] * len(quiver.vertices)
+        root[quiver.vertex_index(letters[p])] = 1
+        for v in reversed(letters[:p]):
+            i = quiver.vertex_index(v)
+            neighbours = sum(root[quiver.vertex_index(a.target)] for a in quiver.arrows_from(v))
+            root[i] = neighbours - root[i]
+        if any(c < 0 for c in root):
+            return p + 1
+    return None
+
+
 def build_complete_rigid(kind: str, K: Sequence[int], letters: Sequence[int]) -> dict:
     """Summands of the complete rigid module attached to a reduced word.
 
     letters must be a reduced word for the longest element whose first
-    l(w_0^K) letters are a reduced word for the parabolic longest element;
-    reducedness is trusted, not checked.  M_p is the socle-side functor
-    image of the injective at letter p along the length-p prefix; zero
-    summands are dropped and the surviving count must equal dim N_K.
+    l(w_0^K) letters lie in K, and so form a reduced word for the
+    parabolic longest element; both are checked.  M_p is the socle-side
+    functor image of the injective at letter p along the length-p prefix;
+    zero summands are dropped and the surviving count must equal dim N_K.
     """
     algebra = build_algebra_basis(kind)
     quiver = algebra.quiver
@@ -896,17 +902,25 @@ def build_complete_rigid(kind: str, K: Sequence[int], letters: Sequence[int]) ->
         raise PrepmodError(
             f"word length {r} differs from the number of positive roots {r_total}"
         )
+    bad = sorted(set(letters) - set(quiver.vertices))
+    if bad:
+        raise PrepmodError(f"letters {bad} are not vertices of {quiver.kind}")
+    p = first_unreduced_position(quiver, letters)
+    if p is not None:
+        raise PrepmodError(f"the word is not reduced: letter {letters[p - 1]} at position {p}")
     r_K = positive_root_count(quiver, K)
+    outside = next((p for p in range(1, r_K + 1) if letters[p - 1] not in K), None)
+    if outside is not None:
+        raise PrepmodError(
+            f"letter {letters[outside - 1]} at position {outside} is not in K; "
+            f"the first {r_K} letters must lie in K"
+        )
     dim_NK = r - r_K
     modules = {}
     for p in range(1, r + 1):
         modules[p] = functor_E_word(algebra.injective(letters[p - 1]), letters[:p], dagger=True)
-    q_k = {}
-    for k in K:
-        positions = [p for p in range(1, r_K + 1) if letters[p - 1] == k]
-        if not positions:
-            raise PrepmodError(f"letter {k} missing from the w_0^K prefix")
-        q_k[k] = max(positions)
+    # a reduced word for w_0^K uses every letter of K
+    q_k = {k: max(p for p in range(1, r_K + 1) if letters[p - 1] == k) for k in K}
     summands = []
     labels = []
     zero_indices = []

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -162,6 +163,19 @@ def test_efunctor_dagger_presentation_is_pinned(runner, tmp_path, kind, vertex, 
     assert result.stdout == (GOLDEN / golden).read_text()
 
 
+def test_injectives_are_pinned(runner):
+    """Every injective of A1-A5, D4-D6 and E6 prints as a recorded run
+    (sha256 of stdout in injective_digests.json): the algebra basis and its
+    relation reduction over QQ are pinned entry by entry."""
+    digests = json.loads((GOLDEN / "injective_digests.json").read_text())
+    assert sum(len(by_vertex) for by_vertex in digests.values()) == 36
+    for kind, by_vertex in digests.items():
+        for vertex, digest in by_vertex.items():
+            result = invoke(runner, "prepmod", "injective", "--type", kind, "--vertex", vertex)
+            assert result.exit_code == 0
+            assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest, (kind, vertex)
+
+
 @pytest.mark.parametrize("argv, golden", [
     (["--type", "D4", "--word", "1,2,4,3,1,2,4,3,1,2,4,3"], "nmatrix_product_D4_w0.txt"),
     (["--type", "A3", "--word", "1,2,3,1,2,1", "--json"], "nmatrix_product_A3_w0.json"),
@@ -233,6 +247,22 @@ def test_positivity_bad_point_exits_2(runner):
                                   "--point", "1,2,x"])
     _assert_one_line_error(result, 2)
     assert "--point" in result.stderr
+    result = runner.invoke(main, ["phi", "positivity", "--rigid", "d4-example",
+                                  "--random-points", "-2"])
+    _assert_one_line_error(result, 2)
+    assert "--random-points" in result.stderr
+
+
+@pytest.mark.parametrize("kind, k_set, word, message", [
+    # reduced, but its first six letters include 4, which is not in K
+    ("D4", "1,2,3", "1,2,3,4,1,2,3,4,1,2,3,4", "letter 4 at position 4 is not in K"),
+    ("E6", "1", ",".join(["1,2,3,4,5,6"] * 6), "not reduced: letter 6 at position 30"),
+])
+def test_build_rigid_rejects_bad_word_up_front(runner, kind, k_set, word, message):
+    result = runner.invoke(main, ["prepmod", "build-rigid", "--type", kind, "--K", k_set,
+                                  "--word", word])
+    _assert_one_line_error(result, 2)
+    assert message in result.stderr
 
 
 def test_exchange_matrix_bad_json_exits_2(runner, tmp_path):
@@ -465,7 +495,8 @@ def malformed_modules(draw):
 @st.composite
 def malformed_seeds(draw):
     blob = copy.deepcopy(A2_SEED)
-    fault = draw(st.sampled_from(["drop", "swap", "shape", "skew", "labels", "vars", "exponents"]))
+    fault = draw(st.sampled_from(["drop", "swap", "shape", "skew", "bool", "d", "labels", "vars",
+                                  "exponents"]))
     if fault == "drop":
         del blob[draw(st.sampled_from(["matrix", "n", "cluster"]))]
     elif fault == "swap":
@@ -482,8 +513,12 @@ def malformed_seeds(draw):
         del blob[draw(st.sampled_from(["matrix", "cluster"]))][-1]
     elif fault == "skew":
         blob["matrix"][0][1] += draw(st.integers(1, 3))
+    elif fault == "bool":
+        blob["matrix"][0][1] = True
+    elif fault == "d":
+        blob["d"] = draw(st.sampled_from([7, 1, 3, True, "2", None]))
     elif fault == "labels":
-        blob["labels"] = draw(st.sampled_from([[1, 2], ["y1"], ["y1", None]]))
+        blob["labels"] = draw(st.sampled_from([[1, 2], ["y1"], ["y1", None], "ab"]))
     elif fault == "vars":
         blob["cluster"][0]["vars"] = ["z1", "z2"]
     else:

@@ -217,8 +217,12 @@ def test_seed_json_round_trip():
 def test_seed_json_rejects_malformed_seed():
     blob = builtin_seed("d4_flag").to_json()
     zero = {"vars": blob["cluster"][0]["vars"], "terms": []}
+    with_true = [[True if x == 1 else x for x in row] for row in blob["matrix"]]
     for bad in ([blob], "seed", {**blob, "matrix": [[0, "1"], [-1, 0]]},
+                {**blob, "matrix": with_true},
+                {**blob, "d": blob["d"] + 5}, {**blob, "d": str(blob["d"])},
                 {**blob, "labels": [1] * len(blob["labels"])},
+                {**blob, "labels": "abcdefghij"[:len(blob["labels"])]},
                 {**blob, "cluster": [zero] + blob["cluster"][1:]},
                 {**blob, "cluster": blob["cluster"][1:2] + blob["cluster"][1:]}):
         with pytest.raises(ClusterError):

@@ -1,0 +1,122 @@
+"""Field elements stay exact and canonical through linalg and prepmod.
+
+Over QQ an entry is an int or a Fraction, never a float; over GF(p) it is
+an int in range(p), which every routine guarantees by passing each row it
+computes through `field.reduce`.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from clusterforge.fields import QQ, PrimeField
+from clusterforge.linalg import coordinates, mat_mul, mat_vec, nullspace, rref
+from clusterforge.phi import _reduce_mod_p, count_flags_mod_p
+from clusterforge.prepmod import (
+    QuiverRep,
+    direct_sum,
+    dynkin_quiver,
+    hom_basis,
+    quotient_rep,
+    radical_basis_at,
+    random_module,
+    simple_rep,
+    socle_basis_at,
+    sub_rep,
+)
+
+A2 = dynkin_quiver("A2")
+
+
+def entries(obj):
+    """Every scalar inside nested tuples and lists."""
+    if isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from entries(item)
+    else:
+        yield obj
+
+
+def test_fields_keep_only_coerce_inv_and_reduce():
+    gf = PrimeField(7)
+    assert QQ.inv(2) == Fraction(1, 2) and isinstance(QQ.inv(2), Fraction)
+    assert gf.inv(3) == 5
+    with pytest.raises(ZeroDivisionError):
+        gf.inv(7)
+    assert gf.reduce([-1, 7, 15]) == [6, 0, 1]
+    row = [Fraction(-1, 2), 3]
+    assert QQ.reduce(row) is row
+    assert gf.coerce(Fraction(1, 2)) == 4 and QQ.coerce(3) == Fraction(3)
+    for name in ("zero", "one", "add", "sub", "mul", "neg", "is_zero"):
+        assert not hasattr(QQ, name) and not hasattr(gf, name)
+
+
+def test_qq_arithmetic_stays_exact_on_int_input():
+    red, pivots = rref(QQ, ((2, 4), (1, 3)))
+    assert red == ((1, 0), (0, 1)) and pivots == [0, 1]
+    assert all(isinstance(x, (int, Fraction)) for x in entries(red))
+
+    rep = QuiverRep(A2, QQ, (2, 1), (((1, 2),), ((0,), (0,))))
+    socle = socle_basis_at(rep, 1)
+    assert socle == [(-2, 1)]
+    assert all(isinstance(x, (int, Fraction)) for x in entries(socle))
+
+    top = quotient_rep(rep, {v: socle_basis_at(rep, v) for v in A2.vertices})
+    assert all(isinstance(x, (int, Fraction)) for x in entries(top.maps))
+    blob = top.to_json()
+    assert all(str(Fraction(x)) == x for m in blob["maps"].values() for x in entries(m))
+
+
+def canonical(obj, p) -> bool:
+    return all(type(x) is int and 0 <= x < p for x in entries(obj))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 257])
+def test_gfp_results_are_canonical_residues(p):
+    gf = PrimeField(p)
+    rng = random.Random(p)
+    # three of each type; a module for which p is a bad prime is skipped
+    reps = []
+    for kind in ("A3", "D4"):
+        kept = []
+        while len(kept) < 3:
+            rep_p = _reduce_mod_p(random_module(kind, rng, 6), p)
+            if rep_p is not None:
+                kept.append(rep_p)
+        reps += kept
+    for rep in reps:
+        q = rep.quiver
+        assert rep.field == gf and canonical(rep.maps, p)
+        for a, m in zip(q.arrows, rep.maps):
+            red, pivots = rref(gf, m)
+            assert canonical(red, p)
+            assert canonical(nullspace(gf, m, rep.dim(a.source)), p)
+            rows = [row for row in red if any(row)]
+            coords = coordinates(gf, rows, m)
+            assert coords is not None and canonical(coords, p)
+            for b in q.arrows_from(a.target):
+                assert canonical(mat_mul(gf, rep.map_of(b), m), p)
+            for u in nullspace(gf, (), rep.dim(a.source)):
+                # -u has entries p - 1: mat_vec must reduce what it sums
+                assert canonical(mat_vec(gf, m, gf.reduce([-x for x in u])), p)
+        for v in q.vertices:
+            socle = socle_basis_at(rep, v)
+            assert canonical(socle, p)
+            if socle:
+                assert canonical(quotient_rep(rep, {v: socle}).maps, p)
+                # a line of the socle part is a submodule; a random one is
+                # not spanned by coordinate vectors, so its quotient subtracts
+                coeffs = [rng.randrange(1, p) for _ in socle]
+                line = gf.reduce([sum(c * u[i] for c, u in zip(coeffs, socle))
+                                  for i in range(rep.dim(v))])
+                if any(line):
+                    assert canonical(quotient_rep(rep, {v: [line]}).maps, p)
+            assert canonical(sub_rep(rep, {v: radical_basis_at(rep, v)}).maps, p)
+        assert canonical(hom_basis(rep, rep), p)
+
+
+def test_count_flags_mod_large_prime_keys_by_tuple():
+    # p = 257 residues do not fit in a byte, so the memo key is a tuple
+    rep = direct_sum(simple_rep(A2, 1), simple_rep(A2, 1))
+    assert count_flags_mod_p(rep, (1, 1), p=257) == 258

@@ -20,6 +20,7 @@ from clusterforge.prepmod import (
     exchange_matrix_from_sequences,
     ext1_dim,
     fingerprint,
+    first_unreduced_position,
     functor_E,
     functor_E_dagger,
     functor_E_word,
@@ -36,6 +37,7 @@ from clusterforge.prepmod import (
     sub_rep,
     zero_rep,
 )
+from wordtools import weyl_length
 
 D4 = dynkin_quiver("D4")
 A2 = dynkin_quiver("A2")
@@ -414,6 +416,26 @@ def test_build_complete_rigid_rejects_bad_word():
     with pytest.raises(PrepmodError):
         # the prefix never mentions the K-letter 2
         build_complete_rigid("D4", (1, 2, 3), (1, 3, 1, 3, 1, 3, 4, 3, 1, 2, 3, 4))
+    with pytest.raises(PrepmodError, match="letter 4 at position 4 is not in K"):
+        build_complete_rigid("D4", (1, 2, 3), (1, 2, 3, 4) * 3)
+    with pytest.raises(PrepmodError, match="not reduced: letter 6 at position 30"):
+        build_complete_rigid("E6", (1,), (1, 2, 3, 4, 5, 6) * 6)
+    with pytest.raises(PrepmodError, match="not vertices"):
+        build_complete_rigid("A2", (), (1, 2, 3))
+    assert len(build_complete_rigid("D4", (1, 2, 3), D4_RIGID_WORD)["summands"]) == 6
+
+
+@pytest.mark.parametrize("kind", ["A3", "A4", "D4", "D5"])
+def test_first_unreduced_position_matches_weyl_lengths(kind):
+    """Against the independent length functions of tests/wordtools.py: the
+    first prefix whose Weyl length falls short of its letter count."""
+    quiver = dynkin_quiver(kind)
+    rng = random.Random(kind)
+    for _ in range(40):
+        word = tuple(rng.choice(quiver.vertices) for _ in range(rng.randint(1, 14)))
+        expected = next((p for p in range(1, len(word) + 1)
+                         if weyl_length(kind, word[:p]) < p), None)
+        assert first_unreduced_position(quiver, word) == expected, word
 
 
 def test_exchange_matrix_rejects_overlap(d4_rigid):

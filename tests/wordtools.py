@@ -1,7 +1,8 @@
 """Test oracles for words: Weyl-group lengths and dense generator products.
 
-The package treats reduced words as trusted inputs; these helpers let the
-tests validate the frozen word constants independently (length = number of
+The package checks reducedness by reflecting simple roots
+(`prepmod.first_unreduced_position`); these helpers let the tests validate
+it and the frozen word constants independently (length = number of
 positive roots sent negative) and regenerate completions if needed.  Vertex
 labelling matches the package: type D has forks 1, 2 on the central node 3
 and the chain 3-4-...-n.
