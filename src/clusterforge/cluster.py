@@ -188,7 +188,9 @@ class Seed:
             raise ClusterError("seed cluster has a zero entry")
         if len(set(cluster)) != len(cluster):
             raise ClusterError("seed cluster has a repeated entry")
-        labels = data.get("labels") or [f"y{i + 1}" for i in range(matrix.d)]
+        labels = data.get("labels")
+        if labels is None:
+            labels = [f"y{i + 1}" for i in range(matrix.d)]
         if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
             raise ClusterError("seed labels must be a list of strings")
         return cls(matrix, cluster, tuple(labels))
@@ -496,7 +498,10 @@ def builtin_seed(name: str, n: Optional[int] = None) -> Seed:
 
 def mutation_class_to_dot(mc: MutationClass) -> str:
     """DOT export; nodes are canonical seed keys in discovery order, edges
-    are labelled by the mutation direction (each unordered edge emitted once)."""
+    are labelled by the mutation direction.  Each unordered pair of seeds is
+    emitted once, with the direction first recorded at either end: the
+    cluster permutation can number the same edge differently at its two
+    ends."""
     index = {key: i for i, key in enumerate(mc.order)}
     lines = ["graph mutation_class {"]
     for key in mc.order:
@@ -507,7 +512,7 @@ def mutation_class_to_dot(mc: MutationClass) -> str:
     seen = set()
     for src, k, dst in mc.edges():
         a, b = index[src], index[dst]
-        edge_id = (min(a, b), max(a, b), k)
+        edge_id = (min(a, b), max(a, b))
         if edge_id in seen:
             continue
         seen.add(edge_id)

@@ -23,9 +23,11 @@ counts every coefficient at once, and each coefficient's count polynomial
 is evaluated at q = 1, its fit accepted once it is stable across two
 additional primes.
 
-The recursion is memoised in a `FlagCounter` keyed by the exact
-presentation of each quotient module.  Every top-level call owns its
-counter unless the caller passes one in, so no memo outlives the call.
+The recursion is memoised in a `FlagCounter` keyed by each quotient
+module itself: a `QuiverRep` compares and hashes by its presentation, so
+two paths to an equal presentation share one entry.  Every top-level call
+owns its counter unless the caller passes one in, so no memo outlives the
+call.
 """
 
 from __future__ import annotations
@@ -92,44 +94,31 @@ def _default_memo_cap() -> int:
         return 1 << 20
 
 
-def _module_key(rep: QuiverRep) -> tuple:
-    """Quiver kind, field, dimension vector and the map entries in one flat
-    sequence (the dimension vector fixes every shape).  GF(p) residues pack
-    into bytes when they fit; rationals (ints or Fractions) become
-    numerator/denominator ints, which hash much faster than Fractions."""
-    entries = [x for m in rep.maps for row in m for x in row]
-    field = rep.field
-    if isinstance(field, PrimeField):
-        flat = bytes(entries) if field.p < 256 else tuple(entries)
-    else:
-        flat = tuple([n for x in entries for n in (x.numerator, x.denominator)])
-    return (rep.quiver.kind, field.name, rep.dims, flat)
-
-
 class FlagCounter:
     """Memo table for the counting recursion.  A call without `counter=`
     makes its own; pass one in to share entries across calls.
 
-    One exact tier: a module key (see `_module_key`) maps to a dict from
-    state keys to results, so only identical presentations share entries.
+    One exact tier: a `QuiverRep` maps to a dict from state keys to
+    results.  A module is keyed by itself, so only equal presentations
+    (same quiver, field, dims and map entries) share entries.
     The cap (from CLUSTERFORGE_MAX_MEM, 512 bytes per entry assumed) counts
     one entry per stored coefficient, and at least one per stored result;
     reaching it only disables insertion, never correctness.
     """
 
     def __init__(self, max_entries: Optional[int] = None):
-        self.tables: dict[tuple, dict] = {}
+        self.tables: dict[QuiverRep, dict] = {}
         self.max_entries = _default_memo_cap() if max_entries is None else max_entries
         self.entry_count = 0
 
     def lookup(self, rep: QuiverRep, key: tuple):
-        table = self.tables.get(_module_key(rep))
+        table = self.tables.get(rep)
         return None if table is None else table.get(key)
 
     def store(self, rep: QuiverRep, key: tuple, result) -> None:
         if self.entry_count >= self.max_entries:
             return
-        self.tables.setdefault(_module_key(rep), {})[key] = result
+        self.tables.setdefault(rep, {})[key] = result
         self.entry_count += max(1, len(result)) if isinstance(result, dict) else 1
 
 

@@ -196,8 +196,11 @@ class QuiverRep:
     """A finite-dimensional representation of the double quiver.
 
     dims is indexed by quiver.vertices order; maps is a tuple parallel to
-    quiver.arrows, each matrix of shape (target_dim, source_dim).  Values
-    are immutable; never mutate the tuples.
+    quiver.arrows, each matrix a tuple of row tuples of shape (target_dim,
+    source_dim).  Values are immutable; never mutate the tuples.  Because
+    the maps are tuples, a module is hashable and compares by its quiver,
+    field, dims and map entries; the phi memo (`phi.FlagCounter`) keys on
+    it.
     """
 
     quiver: DoubleQuiver
@@ -595,8 +598,10 @@ def is_rigid(m: QuiverRep) -> bool:
 
 
 def fingerprint(rep: QuiverRep) -> tuple:
-    """Cheap iso-invariants used as a memo key: dimension vector plus socle
-    and radical filtration layers.  Cached on the instance."""
+    """Cheap iso-invariants: dimension vector plus socle and radical
+    filtration layers.  A reduction mod p whose fingerprint differs marks p
+    as a bad prime, and differing fingerprints certify non-isomorphism.
+    Cached on the instance."""
     cached = rep.__dict__.get("_fingerprint")
     if cached is None:
         cached = (rep.dims, socle_series(rep), radical_series(rep))

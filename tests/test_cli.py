@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 from clusterforge.cases import D4_SEQUENCES, d4_rigid_summands
 from clusterforge.cli import main
 from clusterforge.cluster import LaurentPhenomenonError, builtin_seed
+from clusterforge.nmatrix import D4_W0_LETTERS
 from clusterforge.phi import ChiUndeterminedError, PhiError
-from clusterforge.prepmod import ResourceCapError
+from clusterforge.prepmod import ResourceCapError, build_algebra_basis, direct_sum, random_module
 
 
 @pytest.fixture
@@ -183,6 +185,29 @@ def test_injectives_are_pinned(runner):
 def test_nmatrix_product_is_pinned(runner, argv, golden):
     """Every entry of the w0 products, as printed and as JSON, matches a recorded run."""
     result = invoke(runner, "nmatrix", "product", *argv)
+    assert result.exit_code == 0
+    assert result.stdout == (GOLDEN / golden).read_text()
+
+
+def d4_pair0():
+    """M + N for the first pair random_module("D4", Random(0), 3) draws."""
+    rng = random.Random(0)
+    return direct_sum(random_module("D4", rng, 3), random_module("D4", rng, 3))
+
+
+@pytest.mark.parametrize("module, word, flags, golden", [
+    (lambda: build_algebra_basis("D5").injective(3), (1, 2, 3, 4, 5) * 4, ["--json"],
+     "phi_eval_D5_Q3.json"),
+    (d4_pair0, D4_W0_LETTERS, [], "phi_eval_D4_pair0.txt"),
+], ids=["D5-Q3", "D4-pair0"])
+def test_phi_eval_is_pinned(runner, tmp_path, module, word, flags, golden):
+    """phi eval prints a recorded run: every coefficient, the interpolated
+    backend and its primes (2, 3, 5 for D5 Q3; 2, 3, 5, 7 for the 93-term
+    D4 pair)."""
+    module_file = tmp_path / "m.json"
+    module_file.write_text(json.dumps(module().to_json()))
+    result = invoke(runner, "phi", "eval", "--module", str(module_file),
+                    "--word", ",".join(map(str, word)), *flags)
     assert result.exit_code == 0
     assert result.stdout == (GOLDEN / golden).read_text()
 
@@ -518,7 +543,7 @@ def malformed_seeds(draw):
     elif fault == "d":
         blob["d"] = draw(st.sampled_from([7, 1, 3, True, "2", None]))
     elif fault == "labels":
-        blob["labels"] = draw(st.sampled_from([[1, 2], ["y1"], ["y1", None], "ab"]))
+        blob["labels"] = draw(st.sampled_from([[1, 2], ["y1"], ["y1", None], "ab", []]))
     elif fault == "vars":
         blob["cluster"][0]["vars"] = ["z1", "z2"]
     else:

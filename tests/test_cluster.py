@@ -221,7 +221,7 @@ def test_seed_json_rejects_malformed_seed():
     for bad in ([blob], "seed", {**blob, "matrix": [[0, "1"], [-1, 0]]},
                 {**blob, "matrix": with_true},
                 {**blob, "d": blob["d"] + 5}, {**blob, "d": str(blob["d"])},
-                {**blob, "labels": [1] * len(blob["labels"])},
+                {**blob, "labels": [1] * len(blob["labels"])}, {**blob, "labels": []},
                 {**blob, "labels": "abcdefghij"[:len(blob["labels"])]},
                 {**blob, "cluster": [zero] + blob["cluster"][1:]},
                 {**blob, "cluster": blob["cluster"][1:2] + blob["cluster"][1:]}):
@@ -390,3 +390,4 @@ def test_explore_mutates_each_edge_once(monkeypatch, make, clusters):
     mc = explore(s)
     assert mc.exhausted and mc.cluster_count == clusters
     assert len(calls) == clusters * s.matrix.n_mutable // 2
+    assert mutation_class_to_dot(mc).count(" -- ") == clusters * s.matrix.n_mutable // 2

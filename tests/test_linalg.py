@@ -116,7 +116,6 @@ def test_gfp_results_are_canonical_residues(p):
         assert canonical(hom_basis(rep, rep), p)
 
 
-def test_count_flags_mod_large_prime_keys_by_tuple():
-    # p = 257 residues do not fit in a byte, so the memo key is a tuple
+def test_count_flags_mod_large_prime():
     rep = direct_sum(simple_rep(A2, 1), simple_rep(A2, 1))
     assert count_flags_mod_p(rep, (1, 1), p=257) == 258

@@ -255,13 +255,21 @@ def test_full_flags_are_a_factorial_times_partial_flags():
 
 
 D5_W0_LETTERS = (1, 2, 3, 4, 5) * 4
+D6_W0_LETTERS = (1, 2, 3, 4, 5, 6) * 5
 
 
-@pytest.mark.parametrize("vertex, rows, cols", [(4, (1, 2), (9, 10)), (3, (1, 2, 3), (8, 9, 10))])
-def test_d5_injectives_are_minors(vertex, rows, cols):
-    x = product("D5", Word.with_default_params(D5_W0_LETTERS))
-    q = build_algebra_basis("D5").injective(vertex)
-    assert phi_eval(q, D5_W0_LETTERS).poly == minor(x, rows, cols)
+@pytest.mark.parametrize("kind, letters, vertex, rows, cols", [
+    ("D5", D5_W0_LETTERS, 4, (1, 2), (9, 10)),
+    ("D5", D5_W0_LETTERS, 3, (1, 2, 3), (8, 9, 10)),
+    ("D6", D6_W0_LETTERS, 5, (1, 2), (11, 12)),
+    ("D6", D6_W0_LETTERS, 4, (1, 2, 3), (10, 11, 12)),
+], ids=["D5-Q4", "D5-Q3", "D6-Q5", "D6-Q4"])
+def test_injectives_are_minors(kind, letters, vertex, rows, cols):
+    x = product(kind, Word.with_default_params(letters))
+    q = build_algebra_basis(kind).injective(vertex)
+    report = phi_eval(q, letters)
+    assert report.backend == INTERPOLATED
+    assert report.poly == minor(x, rows, cols)
 
 
 # ----------------------------------------------------------------------
@@ -485,8 +493,8 @@ def test_a_shared_counter_keeps_full_and_partial_flags_apart():
 
 
 def test_memo_keys_tell_reciprocals_apart():
-    def rep(x):
-        return QuiverRep(A2, QQ, (1, 1), (((Fraction(x),),), ((Fraction(0),),)))
+    def rep(x, field=QQ):
+        return QuiverRep(A2, field, (1, 1), (((x,),), ((0,),)))
 
     half, two = rep(Fraction(1, 2)), rep(2)
     counter = FlagCounter()
@@ -494,6 +502,14 @@ def test_memo_keys_tell_reciprocals_apart():
     assert counter.lookup(half, (1, 2)) == 5
     assert counter.lookup(two, (1, 2)) is None
     assert counter.lookup(rep(Fraction(2, 4)), (1, 2)) == 5
+    # A module is its own key: an int entry and the equal Fraction share,
+    # equal entries over different fields do not, and PrimeField compares by p.
+    counter.store(rep(1), (1, 2), 7)
+    assert counter.lookup(rep(Fraction(1)), (1, 2)) == 7
+    assert counter.lookup(rep(1, PrimeField(3)), (1, 2)) is None
+    counter.store(rep(1, PrimeField(3)), (1, 2), 8)
+    assert counter.lookup(rep(1, PrimeField(3)), (1, 2)) == 8
+    assert counter.lookup(rep(1), (1, 2)) == 7
 
 
 def test_phi_report_json(a2_algebra):
