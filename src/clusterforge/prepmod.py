@@ -7,9 +7,13 @@ neighbours; `DoubleQuiver.relation` holds its terms and fixes the signs.
 Every quantity this package reports (dimensions, Hom, Ext, filtration
 layers) is invariant under that choice of signs.
 
-The algebra basis is computed degree by degree: spanning paths are reduced
-modulo the relation ideal until the graded piece vanishes.  Injectives are
-realized as duals of the right projectives e_i Lambda, never hard-coded.
+The algebra basis is built one degree at a time, and each degree keeps one
+append table: basis path k followed by arrow a, written in the basis of the
+next degree.  Each (source, target) block of these composites is row-reduced
+against its relation rows; the non-pivot ones become the next degree's
+basis, until a degree vanishes.  Injectives are realized as duals of the
+right projectives e_i Lambda and read their maps from the table; none is
+hard-coded.
 """
 
 from __future__ import annotations
@@ -654,116 +658,69 @@ def is_isomorphic(m: QuiverRep, n: QuiverRep) -> bool:
 # the algebra basis and injectives
 
 
+# desk-scale caps on the algebra basis; past them ResourceCapError
+MAX_DEGREE = 40
+MAX_DIM = 20000
+
+
 @dataclass(frozen=True)
 class BasisPath:
-    degree: int
     source: int
     target: int
     arrows: tuple[str, ...]  # in application order; empty for trivial paths
 
 
 class PreprojectiveAlgebra:
-    """Linear basis of the preprojective algebra, with left-multiplication data.
+    """Linear basis of the preprojective algebra, one append table per degree.
 
-    basis_by_degree[l] is the list of BasisPath of degree l; lmul[l] maps an
-    arrow name to {basis_index: {basis_index_at_l+1: coeff}}.
+    basis_by_degree[d] lists the basis paths of degree d; table[d] maps
+    (k, a), basis path k of degree d followed by arrow name a, to its class
+    in degree d + 1 as {basis index: coefficient}.  The relation rows of a
+    (source, target) block of these candidates are the relation at v applied
+    to each degree d - 1 path ending at v.  Blocks go in sorted order and
+    candidates arrow-major, then by path index; that fixes the basis order.
     """
 
-    def __init__(self, quiver: DoubleQuiver, max_degree: int = 40, max_dim: int = 20000):
+    def __init__(self, quiver: DoubleQuiver):
         self.quiver = quiver
-        self.basis_by_degree: list[list[BasisPath]] = []
-        self.lmul: list[dict[str, dict[int, dict[int, Fraction]]]] = []
-        self._build(max_degree, max_dim)
-
-    # -- construction ---------------------------------------------------
-
-    def _build(self, max_degree: int, max_dim: int) -> None:
-        q = self.quiver
-        degree0 = [BasisPath(0, v, v, ()) for v in q.vertices]
-        self.basis_by_degree.append(degree0)
-        total = len(degree0)
-        arrows = q.arrows
+        self.basis_by_degree = [[BasisPath(v, v, ()) for v in quiver.vertices]]
+        self.table: list[dict[tuple[int, str], dict[int, Fraction]]] = []
+        arrows = quiver.arrows
         while True:
-            degree = len(self.basis_by_degree) - 1
-            if degree >= max_degree:
-                raise ResourceCapError(f"no vanishing by degree {max_degree}")
-            current = self.basis_by_degree[degree]
-            blocks: dict[tuple[int, int], list[tuple[str, int]]] = {}
+            degree = len(self.table)
+            if degree >= MAX_DEGREE:
+                raise ResourceCapError(f"no vanishing by degree {MAX_DEGREE}")
+            paths = self.basis_by_degree[degree]
+            blocks: dict[tuple[int, int], list[tuple[int, str]]] = {}
             for a in arrows:
-                for bi, b in enumerate(current):
-                    if b.target == a.source:
-                        blocks.setdefault((b.source, a.target), []).append((a.name, bi))
-            relation_rows: dict[tuple[int, int], list[dict[int, Fraction]]] = {}
-            if degree >= 1:
-                prev = self.basis_by_degree[degree - 1]
-                for qi, qp in enumerate(prev):
-                    v = qp.target
-                    key = (qp.source, v)
-                    cand = blocks.get(key)
-                    if cand is None:
-                        continue
-                    pos = {c: idx for idx, c in enumerate(cand)}
-                    row: dict[int, Fraction] = {}
-                    for sign, outer, inner in q.relation(v):
-                        mid = self.lmul[degree - 1].get(arrows[inner].name, {}).get(qi, {})
-                        for bi, coeff in mid.items():
-                            col = pos.get((arrows[outer].name, bi))
-                            if col is None:
-                                continue
-                            val = row.get(col, 0) + sign * coeff
-                            if val:
-                                row[col] = val
-                            else:
-                                row.pop(col, None)
-                    if row:
-                        relation_rows.setdefault(key, []).append(row)
-            new_basis: list[BasisPath] = []
-            lmul_level: dict[str, dict[int, dict[int, Fraction]]] = {}
+                for k, p in enumerate(paths):
+                    if p.target == a.source:
+                        blocks.setdefault((p.source, a.target), []).append((k, a.name))
+            rows = {key: [] for key in blocks}
+            for k, p in enumerate(self.basis_by_degree[degree - 1] if degree else ()):
+                row = {}
+                for sign, outer, inner in quiver.relation(p.target):
+                    for j, c in self.table[degree - 1][k, arrows[inner].name].items():
+                        cand = (j, arrows[outer].name)
+                        row[cand] = row.get(cand, 0) + sign * c
+                if any(row.values()):
+                    rows[p.source, p.target].append(row)
+            level, new = {}, []
             for key in sorted(blocks):
-                cand = blocks[key]
-                ncand = len(cand)
-                rows = relation_rows.get(key, [])
-                dense = tuple(
-                    tuple(row.get(c, 0) for c in range(ncand)) for row in rows
-                )
-                red, pivots = rref(QQ, dense)
-                pivot_set = set(pivots)
-                free_cols = [c for c in range(ncand) if c not in pivot_set]
-                col_to_new: dict[int, int] = {}
-                for c in free_cols:
-                    aname, bi = cand[c]
-                    base = self.basis_by_degree[degree][bi]
-                    col_to_new[c] = len(new_basis)
-                    # the candidate is "aname after base": it extends the
-                    # path at its target end
-                    new_basis.append(
-                        BasisPath(degree + 1, base.source, key[1], base.arrows + (aname,))
-                    )
-                pivot_expr: dict[int, dict[int, Fraction]] = {}
-                for r, pc in enumerate(pivots):
-                    expr = {}
-                    for c in free_cols:
-                        if red[r][c]:
-                            expr[col_to_new[c]] = -red[r][c]
-                    pivot_expr[pc] = expr
-                for c, (aname, bi) in enumerate(cand):
-                    if c in pivot_set:
-                        vec = pivot_expr[c]
-                    else:
-                        vec = {col_to_new[c]: 1}
-                    if vec:
-                        lmul_level.setdefault(aname, {}).setdefault(bi, {}).update(vec)
-                    else:
-                        lmul_level.setdefault(aname, {}).setdefault(bi, {})
-            self.lmul.append(lmul_level)
-            if not new_basis:
+                cands = blocks[key]
+                red, pivots = rref(QQ, tuple(tuple(row.get(c, 0) for c in cands) for row in rows[key]))
+                free = sorted(set(range(len(cands))) - set(pivots))
+                for n, f in enumerate(free, start=len(new)):
+                    level[cands[f]] = {n: 1}
+                for row, c in zip(red, pivots):
+                    level[cands[c]] = {n: -row[f] for n, f in enumerate(free, start=len(new)) if row[f]}
+                new += [BasisPath(*key, paths[k].arrows + (name,)) for k, name in (cands[f] for f in free)]
+            self.table.append(level)
+            if not new:
                 break
-            self.basis_by_degree.append(new_basis)
-            total += len(new_basis)
-            if total > max_dim:
-                raise ResourceCapError(f"algebra dimension exceeded {max_dim}")
-
-    # -- queries ----------------------------------------------------------
+            self.basis_by_degree.append(new)
+            if self.dimension > MAX_DIM:
+                raise ResourceCapError(f"algebra dimension exceeded {MAX_DIM}")
 
     @property
     def dimension(self) -> int:
@@ -773,84 +730,38 @@ class PreprojectiveAlgebra:
     def loewy_length(self) -> int:
         return len(self.basis_by_degree)
 
-    def basis_paths(self, source: Optional[int] = None, target: Optional[int] = None) -> list[tuple[int, int]]:
-        """(degree, index) handles of basis paths, filtered by endpoints."""
-        out = []
-        for deg, layer in enumerate(self.basis_by_degree):
-            for i, b in enumerate(layer):
-                if source is not None and b.source != source:
-                    continue
-                if target is not None and b.target != target:
-                    continue
-                out.append((deg, i))
-        return out
-
-    def reduce_path(self, arrow_names: Sequence[str]) -> dict[tuple[int, int], Fraction]:
-        """Class of an explicit path (arrows in application order) over the basis."""
-        if not arrow_names:
-            raise PrepmodError("reduce_path needs at least one arrow")
-        first = arrow_names[0]
-        arrow = next((a for a in self.quiver.arrows if a.name == first), None)
-        if arrow is None:
-            raise PrepmodError(f"unknown arrow {first!r}")
-        start = self.basis_by_degree[0]
-        vec: dict[int, Fraction] = {
-            i: 1 for i, b in enumerate(start) if b.source == arrow.source
-        }
-        deg = 0
-        for aname in arrow_names:
-            if deg >= len(self.lmul):
-                return {}
-            table = self.lmul[deg].get(aname, {})
-            nxt: dict[int, Fraction] = {}
-            for bi, coeff in vec.items():
-                for ni, c in table.get(bi, {}).items():
-                    val = nxt.get(ni, 0) + coeff * c
-                    if val:
-                        nxt[ni] = val
-                    else:
-                        nxt.pop(ni, None)
-            vec = nxt
-            deg += 1
-            if not vec:
-                return {}
-        return {(deg, i): c for i, c in vec.items()}
-
     def injective(self, i: int) -> QuiverRep:
         """Q_i as the dual of the right projective e_i Lambda.
 
-        The space at vertex j is dual to the span of path classes j -> i;
-        an arrow acts by dualized right multiplication.
+        The space at vertex j is dual to the span of the basis paths j -> i.
+        Arrow a acts by dualized right multiplication: the entry at row p,
+        column b is the coefficient of b in the class of a followed by p,
+        which the table gives one arrow at a time.
         """
         q = self.quiver
         if i not in q.vertices:
             raise PrepmodError(f"vertex {i} not in quiver")
-        vertex_basis: dict[int, list[tuple[int, int]]] = {
-            v: self.basis_paths(source=v, target=i) for v in q.vertices
+        handles = {
+            v: [(d, k) for d, paths in enumerate(self.basis_by_degree)
+                for k, p in enumerate(paths) if p.source == v and p.target == i]
+            for v in q.vertices
         }
-        index: dict[int, dict[tuple[int, int], int]] = {
-            v: {h: k for k, h in enumerate(vertex_basis[v])} for v in q.vertices
-        }
-        dims = tuple(len(vertex_basis[v]) for v in q.vertices)
         maps = []
         for a in q.arrows:
-            src, tgt = a.source, a.target
-            nrows = len(vertex_basis[tgt])
-            ncols = len(vertex_basis[src])
-            m = [[0] * ncols for _ in range(nrows)]
-            for ri, (deg, bi) in enumerate(vertex_basis[tgt]):
-                path = self.basis_by_degree[deg][bi]
-                composed = self.reduce_path((a.name,) + path.arrows)
-                for handle, coeff in composed.items():
-                    ci = index[src].get(handle)
-                    if ci is not None:
-                        m[ri][ci] = coeff
-            # rows indexed by target-side paths p, columns by source-side b:
-            # entry = coeff of b in class(p composed after a), the dualized
-            # right-multiplication action
-            maps.append(tuple(tuple(row) for row in m))
-        rep = QuiverRep(q, QQ, dims, tuple(maps))
-        return rep
+            column = {h: c for c, h in enumerate(handles[a.source])}
+            m = [[0] * len(column) for _ in handles[a.target]]
+            for row, (d, k) in zip(m, handles[a.target]):
+                vec = {q.vertex_index(a.source): 1}
+                for step, name in enumerate((a.name,) + self.basis_by_degree[d][k].arrows):
+                    nxt = {}
+                    for j, c in vec.items():
+                        for n, x in self.table[step][j, name].items():
+                            nxt[n] = nxt.get(n, 0) + c * x
+                    vec = nxt
+                for j, c in vec.items():
+                    row[column[d + 1, j]] = c
+            maps.append(tuple(map(tuple, m)))
+        return QuiverRep(q, QQ, tuple(len(handles[v]) for v in q.vertices), tuple(maps))
 
 
 @lru_cache(maxsize=None)
@@ -921,23 +832,18 @@ def build_complete_rigid(kind: str, K: Sequence[int], letters: Sequence[int]) ->
             f"the first {r_K} letters must lie in K"
         )
     dim_NK = r - r_K
-    modules = {}
-    for p in range(1, r + 1):
-        modules[p] = functor_E_word(algebra.injective(letters[p - 1]), letters[:p], dagger=True)
     # a reduced word for w_0^K uses every letter of K
     q_k = {k: max(p for p in range(1, r_K + 1) if letters[p - 1] == k) for k in K}
     summands = []
     labels = []
     zero_indices = []
-    for p in range(r_K + 1, r + 1):
-        if modules[p].is_zero:
+    for p in [*range(r_K + 1, r + 1), *q_k.values()]:
+        module = functor_E_word(algebra.injective(letters[p - 1]), letters[:p], dagger=True)
+        if module.is_zero:
             zero_indices.append(p)
         else:
-            summands.append(modules[p])
+            summands.append(module)
             labels.append(f"M{p}")
-    for k in K:
-        summands.append(modules[q_k[k]])
-        labels.append(f"M{q_k[k]}")
     for j in J:
         summands.append(algebra.injective(j))
         labels.append(f"Q{j}")
@@ -955,12 +861,9 @@ def build_complete_rigid(kind: str, K: Sequence[int], letters: Sequence[int]) ->
     return {
         "summands": summands,
         "labels": labels,
-        "modules_by_position": modules,
         "q_k": q_k,
-        "zero_positions": zero_indices,
+        "zero_positions": sorted(zero_indices),
         "dim_NK": dim_NK,
-        "J": J,
-        "K": K,
     }
 
 

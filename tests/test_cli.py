@@ -122,6 +122,18 @@ def test_prepmod_build_rigid(runner):
     assert payload["zero_positions"] == [9, 10, 11, 12]
 
 
+def test_build_rigid_with_k_every_vertex_has_no_summands(runner):
+    """With K every vertex, w_0^K = w_0 and dim N_K = 0: the q_k modules are
+    zero, so they are dropped like the zero modules after l(w_0^K)."""
+    result = invoke(runner, "prepmod", "build-rigid", "--type", "A2", "--K", "1,2",
+                    "--word", "1,2,1", "--json")
+    assert result.exit_code == 0
+    payload = json.loads(result.stdout)
+    assert payload["dim_NK"] == 0
+    assert payload["summands"] == []
+    assert payload["zero_positions"] == [2, 3]
+
+
 def test_prepmod_exchange_matrix_builtin(runner):
     result = invoke(runner, "prepmod", "exchange-matrix", "--builtin", "d4-example152",
                     "--json")
@@ -166,11 +178,11 @@ def test_efunctor_dagger_presentation_is_pinned(runner, tmp_path, kind, vertex, 
 
 
 def test_injectives_are_pinned(runner):
-    """Every injective of A1-A5, D4-D6 and E6 prints as a recorded run
+    """Every injective of A1-A5, D4-D6 and E6-E8 prints as a recorded run
     (sha256 of stdout in injective_digests.json): the algebra basis and its
     relation reduction over QQ are pinned entry by entry."""
     digests = json.loads((GOLDEN / "injective_digests.json").read_text())
-    assert sum(len(by_vertex) for by_vertex in digests.values()) == 36
+    assert sum(len(by_vertex) for by_vertex in digests.values()) == 51
     for kind, by_vertex in digests.items():
         for vertex, digest in by_vertex.items():
             result = invoke(runner, "prepmod", "injective", "--type", kind, "--vertex", vertex)

@@ -48,12 +48,21 @@ A3 = dynkin_quiver("A3")
 # algebra basis and injectives
 
 
-def test_algebra_dimensions(a2_algebra, a3_algebra, d4_algebra):
-    assert a2_algebra.dimension == 4
-    assert a3_algebra.dimension == 10
-    assert d4_algebra.dimension == 28
-    assert a2_algebra.loewy_length == 2
-    assert d4_algebra.loewy_length == 5
+COXETER_NUMBERS = {
+    **{f"A{n}": n + 1 for n in range(1, 9)},
+    **{f"D{n}": 2 * n - 2 for n in range(4, 9)},
+    "E6": 12, "E7": 18, "E8": 30,
+}
+
+
+@pytest.mark.parametrize("kind", COXETER_NUMBERS)
+def test_algebra_dimensions(kind):
+    """dim Lambda = r h (h + 1) / 6 and the Loewy length is h - 1, for rank r
+    and Coxeter number h."""
+    algebra = build_algebra_basis(kind)
+    rank, h = len(algebra.quiver.vertices), COXETER_NUMBERS[kind]
+    assert algebra.dimension == rank * h * (h + 1) // 6
+    assert algebra.loewy_length == h - 1
 
 
 def test_a1_algebra_is_trivial():
