@@ -218,7 +218,7 @@ def cluster_explore(seed_source, n, max_seeds, max_depth, dot_path, as_json):
 @click.option("--max-depth", type=int, default=64, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def cluster_finite_type(seed_source, n, max_seeds, max_depth, as_json):
-    """Finite-type detection by exhaustion under limits."""
+    """Finite-type detection from the exchange matrix, under limits."""
     result = is_finite_type(_load_seed(seed_source, n), max_seeds=max_seeds, max_depth=max_depth)
     if as_json:
         _emit_json(result)

@@ -76,17 +76,19 @@ class ExchangeMatrix:
 
 
 def mutate_matrix(b: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Matrix mutation in direction k (1-based).
-
-    b'_ij = -b_ij when i = k or j = k, and otherwise
-    b'_ij = b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2.
-    """
+    """Matrix mutation in direction k (1-based)."""
     if not 1 <= k <= b.n_mutable:
         raise ClusterError(f"direction {k} out of range [1, {b.n_mutable}]")
-    kk = k - 1
-    row_k = b.rows[kk]
+    return ExchangeMatrix(_mutate_rows(b.rows, k - 1), b.n_frozen)
+
+
+def _mutate_rows(rows: tuple[tuple[int, ...], ...], kk: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of a matrix mutated in 0-based direction kk:
+    b'_ij = -b_ij when i = k or j = k, and otherwise
+    b'_ij = b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2."""
+    row_k = rows[kk]
     new_rows = []
-    for i, row in enumerate(b.rows):
+    for i, row in enumerate(rows):
         bik = row[kk]
         if i == kk:
             row = tuple(-x for x in row)
@@ -98,7 +100,7 @@ def mutate_matrix(b: ExchangeMatrix, k: int) -> ExchangeMatrix:
             row = tuple(new_row)
         # a row with b_ik = 0 is unchanged
         new_rows.append(row)
-    return ExchangeMatrix(tuple(new_rows), b.n_frozen)
+    return tuple(new_rows)
 
 
 @dataclass(frozen=True)
@@ -334,14 +336,85 @@ def explore(
 
 
 def is_finite_type(s: Seed, max_seeds: int = 100000, max_depth: int = 64) -> dict:
-    """Exhaustion-based finite-type detection; inconclusive results carry
-    finite=False, exhausted=False."""
-    mc = explore(s, max_seeds=max_seeds, max_depth=max_depth)
+    """Finite-type detection from the exchange matrix alone; inconclusive
+    results carry finite=False, exhausted=False.
+
+    The search runs over the framed matrix [B; I], where B is the principal
+    part of s, so that the coefficients are principal at s.  The bottom
+    block's columns are the c-vectors: a seed is keyed by their sorted
+    tuple, and each one must be sign-coherent (Derksen-Weyman-Zelevinsky),
+    or ClusterError is raised.
+    Cluster variables are counted as distinct g-vectors, which mutation in
+    direction k changes by g'_k = -g_k + sum_i [-e b_ik]_+ g_i, with e the
+    sign of c_k (Nakanishi-Zelevinsky).  The frontier order, the limits,
+    the revisits recorded from the other end and the exhausted rule are
+    those of `explore`, so the counts are its counts whenever the cluster of
+    s is a free generating set: the class, its seeds and its variables then
+    depend on B only.  No cluster entry and no frozen row is read, so a
+    cluster that is not free, such as one with a repeated entry, can count
+    differently from `explore`.
+
+    >>> from clusterforge.laurent import LaurentPoly
+    >>> a2 = Seed(ExchangeMatrix(((0, 1), (-1, 0)), 0),
+    ...           tuple(LaurentPoly.variables(("x1", "x2"))), ("x1", "x2"))
+    >>> is_finite_type(a2)
+    {'finite': True, 'exhausted': True, 'cluster_variable_count': 5, 'cluster_count': 5}
+    """
+    if max_seeds <= 0 or max_depth <= 0:
+        raise ClusterError("limits must be positive")
+    m = s.matrix.n_mutable
+    identity = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+    rows0 = s.matrix.rows[:m] + identity
+    key0 = tuple(sorted(identity))
+    index = {key0: {c: i for i, c in enumerate(identity)}}  # key -> {c-vector: position}
+    variables = set(identity)
+    pending: dict = {}  # key -> directions known from the other end
+    frontier = [(rows0, identity, identity, key0)]
+    exhausted = True
+    depth = 0
+    while frontier:
+        if depth >= max_depth:
+            exhausted = False
+            break
+        next_frontier = []
+        for rows, cvecs, gvecs, key in frontier:
+            known = pending.pop(key, ())
+            for kk in range(m):
+                if kk in known:
+                    continue
+                new_rows = _mutate_rows(rows, kk)
+                new_cvecs = tuple(zip(*new_rows[m:]))
+                nkey = tuple(sorted(new_cvecs))
+                stored = index.get(nkey)
+                if stored is not None:
+                    pending.setdefault(nkey, set()).add(stored[new_cvecs[kk]])
+                    continue
+                if len(index) >= max_seeds:
+                    exhausted = False
+                    continue
+                for c in new_cvecs:
+                    if min(c) < 0 < max(c):
+                        raise ClusterError(f"c-vector {c} is not sign-coherent")
+                sign = 1 if max(cvecs[kk]) > 0 else -1
+                g = [-x for x in gvecs[kk]]
+                for row, gi in zip(rows, gvecs):
+                    b = -sign * row[kk]
+                    if b > 0:
+                        g = [x + b * y for x, y in zip(g, gi)]
+                new_g = tuple(g)
+                variables.add(new_g)
+                index[nkey] = {c: i for i, c in enumerate(new_cvecs)}
+                next_frontier.append((new_rows, new_cvecs, gvecs[:kk] + (new_g,) + gvecs[kk + 1 :], nkey))
+                pending[nkey] = {kk}
+        frontier = next_frontier
+        depth += 1
+        if not exhausted:
+            break
     return {
-        "finite": mc.exhausted,
-        "exhausted": mc.exhausted,
-        "cluster_variable_count": len(mc.variables()),
-        "cluster_count": mc.cluster_count,
+        "finite": exhausted,
+        "exhausted": exhausted,
+        "cluster_variable_count": len(variables),
+        "cluster_count": len(index),
     }
 
 

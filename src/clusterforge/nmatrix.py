@@ -215,9 +215,37 @@ def _det_bareiss(rows: list[list[LaurentPoly]], varnames) -> LaurentPoly:
     return det if sign == 1 else -det
 
 
+# Cofactor expansion runs up to this many nonzero Leibniz terms, 4! so that
+# every minor up to 4x4 takes it.  The sparse 5x5 minors of the D5 w0
+# product have at most 24 terms and expand about ten times faster than
+# Bareiss eliminates them; a dense minor's products swell before they
+# cancel, so it goes to Bareiss.
+COFACTOR_MAX_TERMS = 24
+
+
+def _leibniz_terms(rows: list[list[LaurentPoly]]) -> int:
+    """The number of permutations that meet only nonzero entries, counted
+    up to COFACTOR_MAX_TERMS + 1.  Rows go sparsest first, so that a row
+    with few nonzero entries cuts the search early."""
+    support = sorted(([j for j, a in enumerate(r) if not a.is_zero] for r in rows), key=len)
+    count = 0
+
+    def extend(i: int, used: int) -> bool:
+        nonlocal count
+        if i == len(support):
+            count += 1
+            return count > COFACTOR_MAX_TERMS
+        return any(extend(i + 1, used | 1 << j) for j in support[i] if not used >> j & 1)
+
+    extend(0, 0)
+    return count
+
+
 def determinant(rows: Sequence[Sequence[LaurentPoly]], varnames) -> LaurentPoly:
+    """Cofactor expansion when the matrix has at most COFACTOR_MAX_TERMS
+    nonzero Leibniz terms, Bareiss elimination otherwise."""
     rows = [list(r) for r in rows]
-    if len(rows) <= 4:
+    if len(rows) <= 4 or _leibniz_terms(rows) <= COFACTOR_MAX_TERMS:
         return _det_cofactor(rows, varnames)
     return _det_bareiss(rows, varnames)
 

@@ -668,6 +668,7 @@ class BasisPath:
     source: int
     target: int
     arrows: tuple[str, ...]  # in application order; empty for trivial paths
+    prefix: Optional[int] = None  # index of arrows[:-1] among the paths one degree lower
 
 
 class PreprojectiveAlgebra:
@@ -685,6 +686,7 @@ class PreprojectiveAlgebra:
         self.quiver = quiver
         self.basis_by_degree = [[BasisPath(v, v, ()) for v in quiver.vertices]]
         self.table: list[dict[tuple[int, str], dict[int, Fraction]]] = []
+        self._classes: dict[str, dict] = {}  # arrow name -> {(d, k): class}, see _class_after
         arrows = quiver.arrows
         while True:
             degree = len(self.table)
@@ -714,7 +716,7 @@ class PreprojectiveAlgebra:
                     level[cands[f]] = {n: 1}
                 for row, c in zip(red, pivots):
                     level[cands[c]] = {n: -row[f] for n, f in enumerate(free, start=len(new)) if row[f]}
-                new += [BasisPath(*key, paths[k].arrows + (name,)) for k, name in (cands[f] for f in free)]
+                new += [BasisPath(*key, paths[k].arrows + (name,), k) for k, name in (cands[f] for f in free)]
             self.table.append(level)
             if not new:
                 break
@@ -735,8 +737,7 @@ class PreprojectiveAlgebra:
 
         The space at vertex j is dual to the span of the basis paths j -> i.
         Arrow a acts by dualized right multiplication: the entry at row p,
-        column b is the coefficient of b in the class of a followed by p,
-        which the table gives one arrow at a time.
+        column b is the coefficient of b in the class of a followed by p.
         """
         q = self.quiver
         if i not in q.vertices:
@@ -751,17 +752,27 @@ class PreprojectiveAlgebra:
             column = {h: c for c, h in enumerate(handles[a.source])}
             m = [[0] * len(column) for _ in handles[a.target]]
             for row, (d, k) in zip(m, handles[a.target]):
-                vec = {q.vertex_index(a.source): 1}
-                for step, name in enumerate((a.name,) + self.basis_by_degree[d][k].arrows):
-                    nxt = {}
-                    for j, c in vec.items():
-                        for n, x in self.table[step][j, name].items():
-                            nxt[n] = nxt.get(n, 0) + c * x
-                    vec = nxt
-                for j, c in vec.items():
+                for j, c in self._class_after(a, d, k).items():
                     row[column[d + 1, j]] = c
             maps.append(tuple(map(tuple, m)))
         return QuiverRep(q, QQ, tuple(len(handles[v]) for v in q.vertices), tuple(maps))
+
+    def _class_after(self, a: Arrow, d: int, k: int) -> dict[int, Fraction]:
+        """The class in degree d + 1 of arrow a followed by basis path k of
+        degree d: one table step from the class of a followed by the path's
+        prefix.  Memoised per arrow, so all injectives share the classes."""
+        classes = self._classes.setdefault(a.name, {})
+        if (d, k) not in classes:
+            if d == 0:
+                classes[d, k] = self.table[0][self.quiver.vertex_index(a.source), a.name]
+            else:
+                p = self.basis_by_degree[d][k]
+                vec: dict[int, Fraction] = {}
+                for j, c in self._class_after(a, d - 1, p.prefix).items():
+                    for n, x in self.table[d][j, p.arrows[-1]].items():
+                        vec[n] = vec.get(n, 0) + c * x
+                classes[d, k] = vec
+        return classes[d, k]
 
 
 @lru_cache(maxsize=None)

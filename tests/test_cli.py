@@ -69,6 +69,26 @@ def test_finite_type_inconclusive_exit_code(runner, tmp_path):
     assert result.exit_code == 4
 
 
+def test_finite_type_answers_from_the_matrix_where_explore_cannot_divide(runner, tmp_path):
+    # The cluster (y1 + 1, y2) is a free generating set, but 1/(y1 + 1) is no
+    # Laurent polynomial in y1, y2: explore's first exchange division fails,
+    # while finite-type reads only B and reports A2's 5 clusters and 5
+    # cluster variables.
+    seed_file = tmp_path / "shifted_a2.json"
+    seed_file.write_text(json.dumps(seed_with_first_term(
+        {"exponents": [1, 0], "coeff": "1"}, {"exponents": [0, 0], "coeff": "1"})))
+    result = runner.invoke(main, ["cluster", "finite-type", "--seed", str(seed_file), "--json"])
+    assert result.exit_code == 0
+    payload = json.loads(result.stdout)
+    assert (payload["finite"], payload["cluster_count"], payload["cluster_variable_count"]) == (
+        True, 5, 5)
+    _assert_one_line_error(runner.invoke(main, ["cluster", "explore", "--seed", str(seed_file)]), 3)
+    for limit in ("--max-seeds", "--max-depth"):
+        result = runner.invoke(main, ["cluster", "finite-type", "--seed", str(seed_file), limit, "0"])
+        _assert_one_line_error(result, 2)
+        assert "limits must be positive" in result.stderr
+
+
 def test_cluster_monomials(runner):
     result = invoke(runner, "cluster", "monomials", "--seed", "builtin:grassmannian_2_5",
                     "--degree-bound", "1", "--json")

@@ -4,6 +4,8 @@ import re
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterforge.cluster import (
     ClusterError,
@@ -371,13 +373,16 @@ def test_explore_matches_reference_search(make, limits):
         assert list(mc.graph[key].items()) == list(graph[key].items())
 
 
-@pytest.mark.parametrize("make, clusters", [
+CLASS_SIZES = pytest.mark.parametrize("make, clusters", [
     (lambda: plain_seed(A4_ROWS), comb(10, 5) // 6),  # Catalan number C_5
     (lambda: plain_seed(D4_ROWS), (3 * 4 - 2) * comb(6, 3) // 4),  # FZ count for D_4
     (lambda: builtin_seed("quadric", n=6), 2 ** (6 - 2)),
     (lambda: builtin_seed("grassmannian_2_5"), comb(6, 3) // 4),  # A_2: C_3
     (lambda: builtin_seed("d4_flag_extended"), 2 * 2),  # A_1 x A_1
 ], ids=["A4", "D4", "quadric6", "gr25", "d4_flag_extended"])
+
+
+@CLASS_SIZES
 def test_explore_mutates_each_edge_once(monkeypatch, make, clusters):
     calls = []
 
@@ -391,3 +396,108 @@ def test_explore_mutates_each_edge_once(monkeypatch, make, clusters):
     assert mc.exhausted and mc.cluster_count == clusters
     assert len(calls) == clusters * s.matrix.n_mutable // 2
     assert mutation_class_to_dot(mc).count(" -- ") == clusters * s.matrix.n_mutable // 2
+
+
+# ----------------------------------------------------------------------
+# is_finite_type, a search over integer matrices, against Laurent explore
+
+
+def explore_summary(s, **limits):
+    """What is_finite_type should report: the counts of Laurent explore."""
+    mc = explore(s, **limits)
+    return {"finite": mc.exhausted, "exhausted": mc.exhausted,
+            "cluster_variable_count": len(mc.variables()), "cluster_count": mc.cluster_count}
+
+
+def dynkin_rows(letter, rank):
+    """A linear orientation of A_rank, or D_rank with node 3 joined to 1, 2 and 4."""
+    edges = [(i, i + 1) for i in range(1, rank)] if letter == "A" else (
+        [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, rank)]
+    )
+    b = [[0] * rank for _ in range(rank)]
+    for i, j in edges:
+        b[i - 1][j - 1], b[j - 1][i - 1] = 1, -1
+    return b
+
+
+FINITE_CLASSES = {
+    **{f"A{n}": lambda n=n: plain_seed(dynkin_rows("A", n)) for n in range(1, 6)},
+    **{f"D{n}": lambda n=n: plain_seed(dynkin_rows("D", n)) for n in (4, 5)},
+    **{f"quadric{n}": lambda n=n: builtin_seed("quadric", n=n) for n in range(4, 9)},
+    "gr25": lambda: builtin_seed("grassmannian_2_5"),
+    "d4_flag": lambda: builtin_seed("d4_flag"),
+    "d4_flag_extended": lambda: builtin_seed("d4_flag_extended"),
+}
+LIMIT_GRID = [{"max_seeds": s, "max_depth": d} for s in (1, 2, 7, 50) for d in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name", FINITE_CLASSES)
+def test_is_finite_type_matches_explore(name):
+    rng = random.Random(name)
+    for _ in range(3):
+        s = FINITE_CLASSES[name]()
+        for _ in range(6):
+            s = mutate_seed(s, rng.randint(1, s.matrix.n_mutable))
+        assert is_finite_type(s) == explore_summary(s)
+        assert is_finite_type(s)["finite"]
+        for limits in LIMIT_GRID:
+            assert is_finite_type(s, **limits) == explore_summary(s, **limits), limits
+
+
+@st.composite
+def principal_seeds(draw):
+    """A random skew-symmetric principal part of rank at most 4 with up to
+    two frozen rows, over a free cluster."""
+    m = draw(st.integers(1, 4))
+    b = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            b[i][j] = draw(st.integers(-2, 2))
+            b[j][i] = -b[i][j]
+    frozen = draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m), max_size=2))
+    names = tuple(f"x{i}" for i in range(1, m + len(frozen) + 1))
+    matrix = ExchangeMatrix(tuple(map(tuple, b + frozen)), len(frozen))
+    return Seed(matrix, tuple(LaurentPoly.variables(names)), names)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(principal_seeds(), st.integers(1, 3))
+def test_is_finite_type_matches_explore_on_random_principal_parts(s, depth):
+    assert is_finite_type(s, max_depth=depth) == explore_summary(s, max_depth=depth)
+
+
+@CLASS_SIZES
+def test_is_finite_type_mutates_each_edge_once(monkeypatch, make, clusters):
+    from clusterforge import cluster
+
+    calls = []
+    mutate_rows = cluster._mutate_rows
+
+    def counting_mutate_rows(rows, kk):
+        calls.append(kk)
+        return mutate_rows(rows, kk)
+
+    s = make()
+    monkeypatch.setattr(cluster, "_mutate_rows", counting_mutate_rows)
+    assert is_finite_type(s)["cluster_count"] == clusters
+    assert len(calls) == clusters * s.matrix.n_mutable // 2
+
+
+def test_is_finite_type_rejects_nonpositive_limits():
+    for limits in ({"max_seeds": 0}, {"max_depth": 0}):
+        with pytest.raises(ClusterError, match="limits must be positive"):
+            is_finite_type(plain_seed(A4_ROWS), **limits)
+
+
+def test_is_finite_type_rejects_mixed_sign_c_vectors(monkeypatch):
+    from clusterforge import cluster
+
+    mutate_rows = cluster._mutate_rows
+
+    def broken_mutate_rows(rows, kk):
+        b1, b2, _, _ = mutate_rows(rows, kk)
+        return (b1, b2, (1, 1), (-1, -1))  # both c-vectors mix signs
+
+    monkeypatch.setattr(cluster, "_mutate_rows", broken_mutate_rows)
+    with pytest.raises(ClusterError, match="not sign-coherent"):
+        is_finite_type(plain_seed(((0, 1), (-1, 0))))

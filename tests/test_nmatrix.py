@@ -16,7 +16,7 @@ from clusterforge.nmatrix import (
     product,
     verify_quadric_relation,
 )
-from clusterforge.nmatrix import _det_cofactor, determinant
+from clusterforge.nmatrix import _det_bareiss, _det_cofactor, determinant
 
 from wordtools import dense_mul, dense_product
 
@@ -168,9 +168,52 @@ def test_bareiss_agrees_with_cofactor():
         rows = sorted(rng.sample(range(1, 7), 5))
         cols = sorted(rng.sample(range(1, 7), 5))
         sub = [[g.entry(i, j) for j in cols] for i in rows]
-        assert determinant(sub, g.varnames) == _det_cofactor(
+        assert _det_bareiss([list(r) for r in sub], g.varnames) == _det_cofactor(
             [list(r) for r in sub], g.varnames
         )
+
+
+def test_bareiss_agrees_with_cofactor_on_d5_minors():
+    # Minors with rows[k] <= cols[k] of a unitriangular matrix are mostly
+    # nonzero; the word (1,2,3,4,5)^3 keeps Bareiss on the 5x5 ones fast.
+    x = product("D5", Word.with_default_params((1, 2, 3, 4, 5) * 3))
+    rng = random.Random(0)
+    nonzero = 0
+    for size in (3, 4, 5):
+        drawn = 0
+        while drawn < 4:
+            rows = sorted(rng.sample(range(1, 11), size))
+            cols = sorted(rng.sample(range(1, 11), size))
+            if any(r > c for r, c in zip(rows, cols)):
+                continue
+            drawn += 1
+            sub = [[x.entry(i, j) for j in cols] for i in rows]
+            det = _det_cofactor([list(r) for r in sub], x.varnames)
+            assert _det_bareiss([list(r) for r in sub], x.varnames) == det
+            assert minor(x, rows, cols) == det
+            nonzero += not det.is_zero
+    assert nonzero >= 9
+
+
+def test_determinant_chooses_by_nonzero_leibniz_terms(monkeypatch):
+    from clusterforge import nmatrix
+
+    ran = []
+    for name in ("_det_cofactor", "_det_bareiss"):
+        def record(rows, varnames, run=getattr(nmatrix, name), name=name):
+            ran.append(name)
+            return run(rows, varnames)
+        monkeypatch.setattr(nmatrix, name, record)
+    # a 6x6 unitriangular matrix has one nonzero Leibniz term
+    g = generic_unitriangular(6)
+    assert nmatrix.minor(g, range(1, 7), range(1, 7)).is_one
+    assert ran[0] == "_det_cofactor"
+    # a 5x5 matrix without zeros has 5! = 120 terms
+    ran.clear()
+    names = tuple(f"a{i}" for i in range(25))
+    dense = [[LaurentPoly.variable(names[5 * i + j], names) for j in range(5)] for i in range(5)]
+    determinant(dense, names)
+    assert ran == ["_det_bareiss"]
 
 
 def test_quadric_relation_d4_and_d5():
