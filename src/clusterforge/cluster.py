@@ -10,6 +10,7 @@ Direction indices are 1-based throughout, matching the usual convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Optional
 
 from .laurent import InexactDivisionError, LaurentPoly, _is_int, product_of
@@ -257,16 +258,51 @@ def _assert_matrix_consistency(stored: Seed, candidate: Seed) -> Optional[list[i
         return None
     index = {p: i for i, p in enumerate(stored.mutable)}
     perm = [index[p] for p in candidate.mutable]
-    m = candidate.matrix.n_mutable
-    for i in range(candidate.matrix.d):
-        si = perm[i] if i < m else i
-        for j in range(m):
-            if candidate.matrix.rows[i][j] != stored.matrix.rows[si][perm[j]]:
-                raise ClusterError(
-                    "mutation produced a seed whose matrix disagrees with the stored "
-                    "representative under the cluster permutation"
-                )
+    _check_permuted(stored.matrix.rows, candidate.matrix.rows, perm)
     return perm
+
+
+def _check_permuted(stored_rows, rows, perm: list[int]) -> None:
+    """Raise ClusterError unless rows[i][j] = stored_rows[P(i)][perm[j]] for
+    every row i, frozen rows included, where P(i) is perm[i] for a mutable
+    row and i for a frozen one."""
+    m = len(perm)
+    if any(p != i for i, p in enumerate(perm)):
+        pick = itemgetter(*perm)  # m >= 2 here, so pick returns a tuple
+        stored_rows = tuple(pick(stored_rows[p]) for p in perm) + tuple(
+            pick(row) for row in stored_rows[m:]
+        )
+    if rows != stored_rows:
+        raise ClusterError(
+            "mutation produced a seed whose matrix disagrees with the stored "
+            "representative under the cluster permutation"
+        )
+
+
+def _mutate_cvecs(cvecs, row_k: tuple[int, ...], kk: int) -> tuple[tuple[int, ...], ...]:
+    """The c-vectors, the columns of the bottom block C of the framed matrix
+    [B; C], mutated in 0-based direction kk, given row k of B: c'_ik = -c_ik,
+    and otherwise c'_ij = c_ij + (|c_ik| b_kj + c_ik |b_kj|) / 2, which
+    leaves column j as it is when b_kj = 0."""
+    ck = cvecs[kk]
+    new = list(cvecs)
+    for j, bkj in enumerate(row_k):
+        if bkj:  # b_kk = 0, so column k is not touched here
+            a = abs(bkj)
+            new[j] = tuple([c + (abs(cik) * bkj + cik * a) // 2 for c, cik in zip(cvecs[j], ck)])
+    new[kk] = tuple([-c for c in ck])
+    return tuple(new)
+
+
+def _positions(key: tuple, cvecs) -> Optional[dict]:
+    """{c-vector: position} for the seed stored under key, whose c-vectors
+    are cvecs, or None when its mutable entries repeat: such a seed records
+    no permutation.  The key lists the mutable entries sorted, so a repeat
+    sits next to its copy."""
+    mutable = key[0]
+    if any(a == b for a, b in zip(mutable, mutable[1:])):
+        return None
+    return {c: i for i, c in enumerate(cvecs)}
 
 
 def explore(
@@ -289,15 +325,46 @@ def explore(
     writes each pending direction into the graph at its own loop position,
     so the graph's insertion order is that of a search that mutates every
     direction.  When t's mutable entries repeat there is no unique P, nothing
-    is recorded, and that edge is mutated from both ends."""
+    is recorded, and that edge is mutated from both ends.
+
+    Only a seed met for the first time costs a Laurent exchange.  Each
+    frontier seed carries its c-vectors, the columns of the bottom block C
+    of its framed matrix [B; C], with C = I at s, as in `is_finite_type`.
+    Their sorted tuple determines the abstract seed of the cluster pattern
+    with principal coefficients (Fomin-Zelevinsky, "Cluster algebras IV";
+    sign-coherence by Derksen-Weyman-Zelevinsky), and with it the abstract
+    seed under any coefficients.  An edge first mutates the c-vectors.  If
+    their key was met before, the neighbour is that abstract seed again: the
+    c-vectors give P, and B alone is mutated and checked against t's matrix
+    under P, frozen rows included, as `_assert_matrix_consistency` would.
+    Otherwise `mutate_seed` runs as described above, and the stored key and
+    P it finds are kept under the c-vector key.
+
+    Skipping the exchange is exact even when the cluster of s is not a free
+    generating set.  Send each initial variable x_i to the i-th entry of s,
+    a nonzero Laurent polynomial; by the Laurent phenomenon this maps every
+    abstract cluster variable into the fraction field of the Laurent
+    polynomials.  Exact division in a domain is unique, so each computed
+    variable is the image of its abstract variable, whatever path computed
+    it.  The same abstract seed thus gives the same cluster, and so the same
+    key, along every path, and a division is exact along one path exactly
+    when it is along any other: no LaurentPhenomenonError can be skipped.
+    Different abstract seeds can still give one key when the cluster is not
+    free; their c-vector keys differ, so each runs its own exchange and keeps
+    the P that `_assert_matrix_consistency` returns, or None where the
+    mutable entries repeat."""
     if max_seeds <= 0 or max_depth <= 0:
         raise ClusterError("limits must be positive")
+    m = s.matrix.n_mutable
+    identity = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
     key0 = s.key()
     seeds = {key0: s}
     graph: dict = {key0: {}}
     order = [key0]
+    # sorted c-vectors -> (key, {c-vector: position in the stored seed} or None)
+    by_cvecs = {tuple(sorted(identity)): (key0, _positions(key0, identity))}
     pending: dict = {}  # key -> {direction: key}, edges known from the other end
-    frontier = [(s, key0)]
+    frontier = [(s, key0, identity)]
     exhausted = True
     depth = 0
     while frontier:
@@ -305,28 +372,44 @@ def explore(
             exhausted = False
             break
         next_frontier = []
-        for seed, skey in frontier:
+        for seed, skey, cvecs in frontier:
             known = pending.pop(skey, {})
-            for k in range(1, seed.matrix.n_mutable + 1):
+            rows = seed.matrix.rows
+            for k in range(1, m + 1):
                 if k in known:
                     graph[skey][k] = known[k]
                     continue
-                neighbor = mutate_seed(seed, k)
-                nkey = neighbor.key()
-                stored = seeds.get(nkey)
-                if stored is not None:
-                    perm = _assert_matrix_consistency(stored, neighbor)
-                    if perm is not None:
-                        pending.setdefault(nkey, {})[perm[k - 1] + 1] = skey
+                kk = k - 1
+                new_cvecs = _mutate_cvecs(cvecs, rows[kk], kk)
+                ckey = tuple(sorted(new_cvecs))
+                met = by_cvecs.get(ckey)
+                if met is not None:
+                    nkey, positions = met
+                    if positions is not None:
+                        perm = [positions[c] for c in new_cvecs]
+                        _check_permuted(seeds[nkey].matrix.rows, _mutate_rows(rows, kk), perm)
+                        pending.setdefault(nkey, {})[perm[kk] + 1] = skey
                 else:
-                    if len(seeds) >= max_seeds:
-                        exhausted = False
-                        continue
-                    seeds[nkey] = neighbor
-                    graph[nkey] = {}
-                    order.append(nkey)
-                    next_frontier.append((neighbor, nkey))
-                    pending[nkey] = {k: skey}
+                    neighbor = mutate_seed(seed, k)
+                    nkey = neighbor.key()
+                    stored = seeds.get(nkey)
+                    if stored is not None:
+                        perm = _assert_matrix_consistency(stored, neighbor)
+                        if perm is None:
+                            by_cvecs[ckey] = (nkey, None)
+                        else:
+                            by_cvecs[ckey] = (nkey, dict(zip(new_cvecs, perm)))
+                            pending.setdefault(nkey, {})[perm[kk] + 1] = skey
+                    else:
+                        if len(seeds) >= max_seeds:
+                            exhausted = False
+                            continue
+                        seeds[nkey] = neighbor
+                        graph[nkey] = {}
+                        order.append(nkey)
+                        by_cvecs[ckey] = (nkey, _positions(nkey, new_cvecs))
+                        next_frontier.append((neighbor, nkey, new_cvecs))
+                        pending[nkey] = {k: skey}
                 graph[skey][k] = nkey
         frontier = next_frontier
         depth += 1

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from clusterforge.cases import D4_SEQUENCES, d4_rigid_summands
 from clusterforge.cli import main
-from clusterforge.cluster import LaurentPhenomenonError, builtin_seed
+from clusterforge.cluster import ExchangeMatrix, LaurentPhenomenonError, Seed, builtin_seed
+from clusterforge.laurent import LaurentPoly
 from clusterforge.nmatrix import D4_W0_LETTERS
 from clusterforge.phi import ChiUndeterminedError, PhiError
 from clusterforge.prepmod import ResourceCapError, build_algebra_basis, direct_sum, random_module
@@ -219,6 +220,38 @@ def test_nmatrix_product_is_pinned(runner, argv, golden):
     result = invoke(runner, "nmatrix", "product", *argv)
     assert result.exit_code == 0
     assert result.stdout == (GOLDEN / golden).read_text()
+
+
+def d4_seed():
+    """D4 with node 3 joined to 1, 2 and 4, over the free cluster y1..y4."""
+    names = tuple(f"y{i}" for i in range(1, 5))
+    rows = ((0, 0, 1, 0), (0, 0, 1, 0), (-1, -1, 0, 1), (0, 0, -1, 0))
+    return Seed(ExchangeMatrix(rows, 0), tuple(LaurentPoly.variables(names)), names)
+
+
+@pytest.mark.parametrize("source, golden", [
+    (["--seed", "builtin:quadric", "--n", "6"], "cluster_explore_quadric6.dot"),
+    (["--seed", "builtin:grassmannian_2_5"], "cluster_explore_gr25.dot"),
+    (["--seed", "{dir}/d4.json"], "cluster_explore_d4.dot"),
+], ids=["quadric6", "gr25", "D4"])
+def test_cluster_explore_dot_is_pinned(runner, tmp_path, source, golden):
+    """The exchange graph, node order and edge labels included, matches a
+    recorded run."""
+    (tmp_path / "d4.json").write_text(json.dumps(d4_seed().to_json()))
+    dot = tmp_path / "out.dot"
+    argv = [a.format(dir=tmp_path) for a in source]
+    result = invoke(runner, "cluster", "explore", *argv, "--dot", str(dot))
+    assert result.exit_code == 0
+    assert dot.read_text() == (GOLDEN / golden).read_text()
+
+
+def test_cluster_monomials_is_pinned(runner):
+    """Every cluster monomial of Gr(2,5) up to degree 2, with the clusters
+    it lies in, matches a recorded run."""
+    result = invoke(runner, "cluster", "monomials", "--seed", "builtin:grassmannian_2_5",
+                    "--degree-bound", "2", "--json")
+    assert result.exit_code == 0
+    assert result.stdout == (GOLDEN / "cluster_monomials_gr25_deg2.json").read_text()
 
 
 def d4_pair0():

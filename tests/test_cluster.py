@@ -363,8 +363,30 @@ def repeated_entry_seed():
         "markov-depth3", "A4-max-seeds10", "D4-depth2", "D4-max-seeds20", "quadric6-depth2",
         "repeated-entries"])
 def test_explore_matches_reference_search(make, limits):
-    seeds, graph, order, exhausted = reference_explore(make(), **limits)
-    mc = explore(make(), **limits)
+    assert_explore_matches_reference(make(), **limits)
+
+
+def disagrees(stored, candidate):
+    """True when the candidate's mutable entries are distinct and its matrix
+    is not the stored one under the permutation that matches the clusters."""
+    if len(set(candidate.mutable)) != len(candidate.mutable):
+        return False
+    m, d = candidate.matrix.n_mutable, candidate.matrix.d
+    perm = [stored.mutable.index(p) for p in candidate.mutable] + list(range(m, d))
+    return any(candidate.matrix.rows[i][j] != stored.matrix.rows[perm[i]][perm[j]]
+               for i in range(d) for j in range(m))
+
+
+def assert_explore_matches_reference(s, **limits):
+    """explore finds the reference's class, or, where a cluster that is not
+    free gives two seeds one key but different matrices, raises."""
+    seeds, graph, order, exhausted = reference_explore(s, **limits)
+    if any(disagrees(seeds[dst], mutate_seed(seeds[src], k))
+           for src in order for k, dst in graph[src].items()):
+        with pytest.raises(ClusterError, match="disagrees with the stored representative"):
+            explore(s, **limits)
+        return
+    mc = explore(s, **limits)
     assert mc.order == order
     assert mc.exhausted == exhausted
     for key in order:
@@ -384,18 +406,80 @@ CLASS_SIZES = pytest.mark.parametrize("make, clusters", [
 
 @CLASS_SIZES
 def test_explore_mutates_each_edge_once(monkeypatch, make, clusters):
-    calls = []
+    """On a free cluster each edge mutates B once, and only the edges that
+    find a new seed make a Laurent exchange."""
+    from clusterforge import cluster
+
+    exchanges, b_mutations = [], []
+    mutate_rows = cluster._mutate_rows
 
     def counting_mutate_seed(s, k):
-        calls.append(k)
+        exchanges.append(k)
         return mutate_seed(s, k)
 
+    def counting_mutate_rows(rows, kk):
+        b_mutations.append(kk)
+        return mutate_rows(rows, kk)
+
     s = make()
-    monkeypatch.setattr("clusterforge.cluster.mutate_seed", counting_mutate_seed)
+    monkeypatch.setattr(cluster, "mutate_seed", counting_mutate_seed)
+    monkeypatch.setattr(cluster, "_mutate_rows", counting_mutate_rows)
     mc = explore(s)
     assert mc.exhausted and mc.cluster_count == clusters
-    assert len(calls) == clusters * s.matrix.n_mutable // 2
+    assert len(exchanges) == clusters - 1
+    assert len(b_mutations) == clusters * s.matrix.n_mutable // 2
     assert mutation_class_to_dot(mc).count(" -- ") == clusters * s.matrix.n_mutable // 2
+
+
+def test_explore_checks_a_stored_neighbour_in_integers(monkeypatch):
+    """A neighbour found by its c-vectors makes no Laurent exchange, but its
+    mutated B is still compared with the stored seed's, frozen rows
+    included."""
+    from clusterforge import cluster
+
+    mutate_rows, exchanging = cluster._mutate_rows, []
+
+    def exchange(s, k):
+        exchanging.append(k)
+        try:
+            return mutate_seed(s, k)
+        finally:
+            exchanging.pop()
+
+    def corrupt_last_row_on_hits(rows, kk):
+        new_rows = mutate_rows(rows, kk)
+        if exchanging:
+            return new_rows
+        return new_rows[:-1] + (tuple(x + 1 for x in new_rows[-1]),)
+
+    s = builtin_seed("grassmannian_2_5")
+    assert s.matrix.n_frozen > 0
+    monkeypatch.setattr(cluster, "mutate_seed", exchange)
+    monkeypatch.setattr(cluster, "_mutate_rows", corrupt_last_row_on_hits)
+    with pytest.raises(ClusterError, match="disagrees with the stored representative"):
+        explore(s)
+
+
+def test_repeated_mutable_entries_record_no_permutation(monkeypatch):
+    """explore keys the initial seed by its c-vectors under the rule of
+    every stored seed: repeated mutable entries give no permutation.  No
+    edge reads that entry back, as each neighbour of the initial seed has
+    its edge back pending, so the test watches the entry being made."""
+    from clusterforge import cluster
+
+    made, positions = [], cluster._positions
+
+    def recording_positions(key, cvecs):
+        made.append((key, positions(key, cvecs)))
+        return made[-1][1]
+
+    monkeypatch.setattr(cluster, "_positions", recording_positions)
+    identity = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    for s, expected in ((repeated_entry_seed(), None),
+                        (plain_seed(D4_ROWS), {c: i for i, c in enumerate(identity)})):
+        made.clear()
+        explore(s)
+        assert made[0] == (s.key(), expected)
 
 
 # ----------------------------------------------------------------------
@@ -458,6 +542,31 @@ def principal_seeds(draw):
     names = tuple(f"x{i}" for i in range(1, m + len(frozen) + 1))
     matrix = ExchangeMatrix(tuple(map(tuple, b + frozen)), len(frozen))
     return Seed(matrix, tuple(LaurentPoly.variables(names)), names)
+
+
+@st.composite
+def unfree_seeds(draw):
+    """A principal_seeds() seed with two or more entries, one of which is
+    replaced by another entry or by a Laurent monomial in the others."""
+    s = draw(principal_seeds().filter(lambda s: s.matrix.d >= 2))
+    d = s.matrix.d
+    i = draw(st.integers(0, d - 1))
+    if draw(st.booleans()):
+        entry = s.cluster[draw(st.integers(0, d - 1).filter(lambda j: j != i))]
+    else:
+        exps = draw(st.lists(st.integers(-1, 1), min_size=d, max_size=d))
+        entry = LaurentPoly.one(s.varnames)
+        for j, e in enumerate(exps):
+            if j != i and e:
+                entry = entry * s.cluster[j] ** e
+    cluster = s.cluster[:i] + (entry,) + s.cluster[i + 1:]
+    return Seed(s.matrix, cluster, s.labels)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.one_of(principal_seeds(), unfree_seeds()), st.integers(1, 3))
+def test_explore_matches_reference_search_on_random_seeds(s, depth):
+    assert_explore_matches_reference(s, max_depth=depth)
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
