@@ -302,10 +302,10 @@ def case_d4_example152() -> dict:
     return _finish("d4-example152", checks)
 
 
-def case_quadric(n: int = 4, max_seeds: int = 100000, max_depth: int = 64) -> dict:
+def case_quadric(n: int = 4) -> dict:
     checks = []
     seed = builtin_seed("quadric", n=n)
-    mc = explore(seed, max_seeds=max_seeds, max_depth=max_depth)
+    mc = explore(seed)
     checks.append(_check("exploration exhausts", mc.exhausted))
     checks.append(
         _check(

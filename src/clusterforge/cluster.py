@@ -69,9 +69,6 @@ class ExchangeMatrix:
         """Column of the matrix for 1-based direction k."""
         return tuple(row[k - 1] for row in self.rows)
 
-    def mutate(self, k: int) -> "ExchangeMatrix":
-        return mutate_matrix(self, k)
-
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
 
@@ -216,7 +213,7 @@ def mutate_seed(s: Seed, k: int) -> Seed:
     cluster[k - 1] = new_var
     labels = list(s.labels)
     labels[k - 1] = _toggle_star(labels[k - 1])
-    return Seed(s.matrix.mutate(k), tuple(cluster), tuple(labels))
+    return Seed(mutate_matrix(s.matrix, k), tuple(cluster), tuple(labels))
 
 
 @dataclass
@@ -329,7 +326,8 @@ def explore(
 
     Only a seed met for the first time costs a Laurent exchange.  Each
     frontier seed carries its c-vectors, the columns of the bottom block C
-    of its framed matrix [B; C], with C = I at s, as in `is_finite_type`.
+    of its framed matrix [B; C], with C = I at s, mutated by
+    `_mutate_cvecs` as in `is_finite_type`.
     Their sorted tuple determines the abstract seed of the cluster pattern
     with principal coefficients (Fomin-Zelevinsky, "Cluster algebras IV";
     sign-coherence by Derksen-Weyman-Zelevinsky), and with it the abstract
@@ -422,11 +420,13 @@ def is_finite_type(s: Seed, max_seeds: int = 100000, max_depth: int = 64) -> dic
     """Finite-type detection from the exchange matrix alone; inconclusive
     results carry finite=False, exhausted=False.
 
-    The search runs over the framed matrix [B; I], where B is the principal
-    part of s, so that the coefficients are principal at s.  The bottom
-    block's columns are the c-vectors: a seed is keyed by their sorted
-    tuple, and each one must be sign-coherent (Derksen-Weyman-Zelevinsky),
-    or ClusterError is raised.
+    Each seed carries the principal part B and the c-vectors, the columns
+    of the bottom block C of the framed matrix [B; C], with C = I at s, so
+    that the coefficients are principal at s.  An edge mutates the
+    c-vectors by `_mutate_cvecs`, as `explore` does, and B only when the
+    edge finds a new seed.  A seed is keyed by its sorted c-vectors, and
+    each one must be sign-coherent (Derksen-Weyman-Zelevinsky), or
+    ClusterError is raised.
     Cluster variables are counted as distinct g-vectors, which mutation in
     direction k changes by g'_k = -g_k + sum_i [-e b_ik]_+ g_i, with e the
     sign of c_k (Nakanishi-Zelevinsky).  The frontier order, the limits,
@@ -447,12 +447,11 @@ def is_finite_type(s: Seed, max_seeds: int = 100000, max_depth: int = 64) -> dic
         raise ClusterError("limits must be positive")
     m = s.matrix.n_mutable
     identity = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
-    rows0 = s.matrix.rows[:m] + identity
     key0 = tuple(sorted(identity))
     index = {key0: {c: i for i, c in enumerate(identity)}}  # key -> {c-vector: position}
     variables = set(identity)
     pending: dict = {}  # key -> directions known from the other end
-    frontier = [(rows0, identity, identity, key0)]
+    frontier = [(s.matrix.rows[:m], identity, identity, key0)]
     exhausted = True
     depth = 0
     while frontier:
@@ -465,8 +464,7 @@ def is_finite_type(s: Seed, max_seeds: int = 100000, max_depth: int = 64) -> dic
             for kk in range(m):
                 if kk in known:
                     continue
-                new_rows = _mutate_rows(rows, kk)
-                new_cvecs = tuple(zip(*new_rows[m:]))
+                new_cvecs = _mutate_cvecs(cvecs, rows[kk], kk)
                 nkey = tuple(sorted(new_cvecs))
                 stored = index.get(nkey)
                 if stored is not None:
@@ -487,7 +485,9 @@ def is_finite_type(s: Seed, max_seeds: int = 100000, max_depth: int = 64) -> dic
                 new_g = tuple(g)
                 variables.add(new_g)
                 index[nkey] = {c: i for i, c in enumerate(new_cvecs)}
-                next_frontier.append((new_rows, new_cvecs, gvecs[:kk] + (new_g,) + gvecs[kk + 1 :], nkey))
+                next_frontier.append(
+                    (_mutate_rows(rows, kk), new_cvecs, gvecs[:kk] + (new_g,) + gvecs[kk + 1 :], nkey)
+                )
                 pending[nkey] = {kk}
         frontier = next_frontier
         depth += 1

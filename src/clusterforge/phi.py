@@ -32,7 +32,6 @@ call.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
@@ -84,14 +83,7 @@ class ChiTable:
     entries: dict = field(default_factory=dict)
 
 
-def _default_memo_cap() -> int:
-    raw = os.environ.get("CLUSTERFORGE_MAX_MEM")
-    if not raw:
-        return 1 << 20
-    try:
-        return max(1024, int(raw) // 512)
-    except ValueError:
-        return 1 << 20
+MEMO_MAX_ENTRIES = 1 << 20
 
 
 class FlagCounter:
@@ -100,15 +92,14 @@ class FlagCounter:
 
     One exact tier: a `QuiverRep` maps to a dict from state keys to
     results.  A module is keyed by itself, so only equal presentations
-    (same quiver, field, dims and map entries) share entries.
-    The cap (from CLUSTERFORGE_MAX_MEM, 512 bytes per entry assumed) counts
-    one entry per stored coefficient, and at least one per stored result;
-    reaching it only disables insertion, never correctness.
+    (same quiver, field, dims and map entries) share entries.  The cap
+    `MEMO_MAX_ENTRIES` counts one entry per stored coefficient, and at
+    least one per stored result; reaching it only disables insertion,
+    never correctness.
     """
 
-    def __init__(self, max_entries: Optional[int] = None):
+    def __init__(self):
         self.tables: dict[QuiverRep, dict] = {}
-        self.max_entries = _default_memo_cap() if max_entries is None else max_entries
         self.entry_count = 0
 
     def lookup(self, rep: QuiverRep, key: tuple):
@@ -116,7 +107,7 @@ class FlagCounter:
         return None if table is None else table.get(key)
 
     def store(self, rep: QuiverRep, key: tuple, result) -> None:
-        if self.entry_count >= self.max_entries:
+        if self.entry_count >= MEMO_MAX_ENTRIES:
             return
         self.tables.setdefault(rep, {})[key] = result
         self.entry_count += max(1, len(result)) if isinstance(result, dict) else 1
@@ -217,37 +208,26 @@ def count_flags_mod_p(rep: QuiverRep, word: Sequence[int], p: Optional[int] = No
         return count_flags(rep, word, counter)
     if p is None:
         raise PhiError("count_flags_mod_p needs a prime for a rational module")
-    rep_p = _reduce_mod_p(rep, p)
+    rep_p = _reduce_mod_p(rep, p, fingerprint(rep))
     if rep_p is None:
         raise PhiError(f"{p} is a bad prime for this module")
     return count_flags(rep_p, word, counter)
 
 
-def _reduce_mod_p(rep: QuiverRep, p: int) -> Optional[QuiverRep]:
+def _reduce_mod_p(rep: QuiverRep, p: int, invariants: tuple) -> Optional[QuiverRep]:
     """Reduce a rational module mod p, or None when p is a bad prime: a
     denominator vanishes mod p, or the reduction degenerates (its
-    socle/radical filtration invariants differ from the rational ones),
-    e.g. when an integer matrix entry is divisible by p.  Either way p is
-    no interpolation point.  Cached on the instance, None included.
+    `fingerprint` differs from `invariants`, the rational module's), e.g.
+    when an integer matrix entry is divisible by p.  Either way p is no
+    interpolation point.
     """
-    cache = rep.__dict__.get("_mod_p_cache")
-    if cache is None:
-        cache = {}
-        object.__setattr__(rep, "_mod_p_cache", cache)
-    if p not in cache:
-        gf = PrimeField(p)
-        try:
-            maps = tuple(
-                tuple(tuple(gf.coerce(x) for x in row) for row in m) for m in rep.maps
-            )
-        except ZeroDivisionError:
-            rep_p = None
-        else:
-            rep_p = QuiverRep(rep.quiver, gf, rep.dims, maps)
-            if fingerprint(rep_p) != fingerprint(rep):
-                rep_p = None
-        cache[p] = rep_p
-    return cache[p]
+    gf = PrimeField(p)
+    try:
+        maps = tuple(tuple(tuple(gf.coerce(x) for x in row) for row in m) for m in rep.maps)
+    except ZeroDivisionError:
+        return None
+    rep_p = QuiverRep(rep.quiver, gf, rep.dims, maps)
+    return rep_p if fingerprint(rep_p) == invariants else None
 
 
 def _lagrange_eval(points: Sequence[tuple[int, int]], x: int) -> Fraction:
@@ -281,8 +261,9 @@ def _solve(rep: QuiverRep, letters: tuple[int, ...], full: bool,
     tracked = {(1,) * len(letters)} if full else set()
     counts: list[tuple[int, dict]] = []
     results: dict[tuple[int, ...], ChiResult] = {}
+    invariants = fingerprint(rep)
     for p in PRIMES:
-        rep_p = _reduce_mod_p(rep, p)
+        rep_p = _reduce_mod_p(rep, p, invariants)
         if rep_p is None:
             continue
         counts.append((p, _flags(rep_p, letters, full, counter)))
@@ -426,28 +407,26 @@ def positivity_check(
     summands: Sequence[QuiverRep],
     letters: Sequence[int],
     point: Sequence[Fraction | int],
-    labels: Optional[Sequence[str]] = None,
     counter: Optional[FlagCounter] = None,
 ) -> dict:
-    """Exact phi values of each summand at a positive parameter point."""
+    """Exact phi values of each summand at a positive parameter point; the
+    rows are labelled T1..Tn in summand order."""
     values = [Fraction(x) for x in point]
     if len(values) != len(letters):
         raise PhiError("point must supply one value per word letter")
     if any(v <= 0 for v in values):
         raise PhiError("positivity check requires strictly positive coordinates")
-    if labels is None:
-        labels = [f"T{i + 1}" for i in range(len(summands))]
     if counter is None:
         counter = FlagCounter()
     rows = []
     all_positive = True
-    for label, rep in zip(labels, summands):
+    for i, rep in enumerate(summands):
         report = phi_eval(rep, letters, counter=counter)
         assignment = {p: v for p, v in zip(report.poly.varnames, values)}
         value = report.poly.evaluate(assignment)
         rows.append(
             {
-                "label": label,
+                "label": f"T{i + 1}",
                 "value": value,
                 "positive": value > 0,
                 "backend": report.backend,

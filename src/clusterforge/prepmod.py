@@ -604,13 +604,8 @@ def is_rigid(m: QuiverRep) -> bool:
 def fingerprint(rep: QuiverRep) -> tuple:
     """Cheap iso-invariants: dimension vector plus socle and radical
     filtration layers.  A reduction mod p whose fingerprint differs marks p
-    as a bad prime, and differing fingerprints certify non-isomorphism.
-    Cached on the instance."""
-    cached = rep.__dict__.get("_fingerprint")
-    if cached is None:
-        cached = (rep.dims, socle_series(rep), radical_series(rep))
-        object.__setattr__(rep, "_fingerprint", cached)
-    return cached
+    as a bad prime, and differing fingerprints certify non-isomorphism."""
+    return (rep.dims, socle_series(rep), radical_series(rep))
 
 
 def is_isomorphic(m: QuiverRep, n: QuiverRep) -> bool:
@@ -621,8 +616,13 @@ def is_isomorphic(m: QuiverRep, n: QuiverRep) -> bool:
     found among 8 random combinations of a Hom basis, coefficients drawn
     from [-99, 99] by Random(0); False when none of them is invertible.
     With rational coefficients the chance of missing an existing
-    isomorphism is below dim/199 per try.
+    isomorphism is below dim/199 per try.  Modules over different quivers
+    or fields raise PrepmodError.
     """
+    if m.quiver != n.quiver:
+        raise PrepmodError("isomorphism between modules over different quivers")
+    if m.field != n.field:
+        raise PrepmodError(f"isomorphism between modules over {m.field!r} and {n.field!r}")
     if m.dims != n.dims:
         return False
     if m.total_dim == 0 or m.maps == n.maps:

@@ -577,19 +577,27 @@ def test_is_finite_type_matches_explore_on_random_principal_parts(s, depth):
 
 @CLASS_SIZES
 def test_is_finite_type_mutates_each_edge_once(monkeypatch, make, clusters):
+    """Each edge mutates the c-vectors once, and only the edges that find a
+    new seed mutate B."""
     from clusterforge import cluster
 
-    calls = []
-    mutate_rows = cluster._mutate_rows
+    c_mutations, b_mutations = [], []
+    mutate_cvecs, mutate_rows = cluster._mutate_cvecs, cluster._mutate_rows
+
+    def counting_mutate_cvecs(cvecs, row_k, kk):
+        c_mutations.append(kk)
+        return mutate_cvecs(cvecs, row_k, kk)
 
     def counting_mutate_rows(rows, kk):
-        calls.append(kk)
+        b_mutations.append(kk)
         return mutate_rows(rows, kk)
 
     s = make()
+    monkeypatch.setattr(cluster, "_mutate_cvecs", counting_mutate_cvecs)
     monkeypatch.setattr(cluster, "_mutate_rows", counting_mutate_rows)
     assert is_finite_type(s)["cluster_count"] == clusters
-    assert len(calls) == clusters * s.matrix.n_mutable // 2
+    assert len(c_mutations) == clusters * s.matrix.n_mutable // 2
+    assert len(b_mutations) == clusters - 1
 
 
 def test_is_finite_type_rejects_nonpositive_limits():
@@ -601,12 +609,9 @@ def test_is_finite_type_rejects_nonpositive_limits():
 def test_is_finite_type_rejects_mixed_sign_c_vectors(monkeypatch):
     from clusterforge import cluster
 
-    mutate_rows = cluster._mutate_rows
+    def broken_mutate_cvecs(cvecs, row_k, kk):
+        return ((1, -1), (1, -1))  # both c-vectors mix signs
 
-    def broken_mutate_rows(rows, kk):
-        b1, b2, _, _ = mutate_rows(rows, kk)
-        return (b1, b2, (1, 1), (-1, -1))  # both c-vectors mix signs
-
-    monkeypatch.setattr(cluster, "_mutate_rows", broken_mutate_rows)
+    monkeypatch.setattr(cluster, "_mutate_cvecs", broken_mutate_cvecs)
     with pytest.raises(ClusterError, match="not sign-coherent"):
         is_finite_type(plain_seed(((0, 1), (-1, 0))))

@@ -17,6 +17,7 @@ from clusterforge.prepmod import (
     QuiverRep,
     direct_sum,
     dynkin_quiver,
+    fingerprint,
     hom_basis,
     quotient_rep,
     radical_basis_at,
@@ -81,7 +82,8 @@ def test_gfp_results_are_canonical_residues(p):
     for kind in ("A3", "D4"):
         kept = []
         while len(kept) < 3:
-            rep_p = _reduce_mod_p(random_module(kind, rng, 6), p)
+            rep = random_module(kind, rng, 6)
+            rep_p = _reduce_mod_p(rep, p, fingerprint(rep))
             if rep_p is not None:
                 kept.append(rep_p)
         reps += kept

@@ -29,7 +29,9 @@ from clusterforge.prepmod import (
     build_algebra_basis,
     direct_sum,
     dynkin_quiver,
+    fingerprint,
     functor_E,
+    is_isomorphic,
     random_module,
     simple_rep,
     zero_rep,
@@ -143,12 +145,13 @@ def test_count_flags_over_qq_rejects_a_branching_socle():
         count_flags(ss, (1, 1))
 
 
-def test_chi_results_do_not_depend_on_memo_sharing(d4_algebra):
+def test_chi_results_do_not_depend_on_memo_sharing(monkeypatch, d4_algebra):
     q3 = d4_algebra.injective(3)
     word = (3, 1, 2, 4, 3, 3, 1, 2, 4, 3)
     fresh = chi(q3, word, counter=FlagCounter())
     shared = chi(q3, word)
-    capped = chi(q3, word, counter=FlagCounter(max_entries=0))
+    monkeypatch.setattr(phi_module, "MEMO_MAX_ENTRIES", 0)
+    capped = chi(q3, word, counter=FlagCounter())
     assert fresh.value == shared.value == capped.value
 
 
@@ -411,20 +414,27 @@ def test_positivity_single_simple():
 # memo arena and report plumbing
 
 
-def test_memo_cap_from_environment(monkeypatch):
-    monkeypatch.setenv("CLUSTERFORGE_MAX_MEM", str(512 * 2048))
-    assert FlagCounter().max_entries == 2048
-    monkeypatch.setenv("CLUSTERFORGE_MAX_MEM", "not-a-number")
-    assert FlagCounter().max_entries == 1 << 20
-    monkeypatch.delenv("CLUSTERFORGE_MAX_MEM")
-    assert FlagCounter().max_entries == 1 << 20
-
-
-def test_capped_counter_stops_memoizing(a2_algebra):
-    counter = FlagCounter(max_entries=0)
+def test_capped_counter_stops_memoizing(monkeypatch, a2_algebra):
+    monkeypatch.setattr(phi_module, "MEMO_MAX_ENTRIES", 0)
+    counter = FlagCounter()
     q1 = a2_algebra.injective(1)
     assert count_flags(q1, (1, 2), counter) == 1
     assert counter.entry_count == 0
+
+
+def test_modules_carry_no_cached_state():
+    """The call's FlagCounter is the only memo: no call leaves a
+    fingerprint or a reduction mod p on the modules it reads."""
+    ss = direct_sum(simple_rep(A2, 1), simple_rep(A2, 1))
+    split = direct_sum(simple_rep(A2, 1), simple_rep(A2, 2))
+    uniserial = QuiverRep(A2, QQ, (1, 1), (((1,),), ((0,),)))
+    assert phi_eval(ss, (1, 1)).backend == INTERPOLATED
+    assert chi(ss, (1, 1)) == ChiResult(2, INTERPOLATED, (2, 3, 5, 7))
+    assert count_flags_mod_p(ss, (1, 1), 5) == 6
+    assert not is_isomorphic(split, uniserial)
+    assert fingerprint(ss) == ((2, 0), ((2, 0),), ((2, 0),))
+    for rep in (ss, split, uniserial):
+        assert set(vars(rep)) == {"quiver", "field", "dims", "maps"}
 
 
 def _rebased(rep, rng):

@@ -379,6 +379,20 @@ def test_is_isomorphic_rejects_different_modules(d4_rigid):
     assert not is_isomorphic(d4_rigid["by_label"]["M5"], d4_rigid["by_label"]["Q4"])
 
 
+@pytest.mark.parametrize("vertex", [1, 3])
+def test_is_isomorphic_rejects_modules_over_different_quivers(vertex):
+    """S1 over A4 and over D4 have equal dims and maps; they are still no
+    pair of modules over one algebra."""
+    a4 = simple_rep(dynkin_quiver("A4"), vertex)
+    with pytest.raises(PrepmodError, match="different quivers"):
+        is_isomorphic(a4, simple_rep(D4, vertex))
+
+
+def test_is_isomorphic_rejects_modules_over_different_fields():
+    with pytest.raises(PrepmodError, match="GF\\(5\\)"):
+        is_isomorphic(simple_rep(D4, 1), simple_rep(D4, 1, PrimeField(5)))
+
+
 # ----------------------------------------------------------------------
 # complete rigid construction and exchange matrices
 
