@@ -34,7 +34,7 @@ from .cluster import (
 )
 from .laurent import LaurentError
 from .nmatrix import D4_W0_LETTERS, NMatrixError, Word, minor, product, verify_quadric_relation
-from .phi import ChiUndeterminedError, PhiError, chi, phi_eval, positivity_check
+from .phi import ChiUndeterminedError, FlagCounter, PhiError, chi, phi_eval
 from .prepmod import (
     PrepmodError,
     QuiverRep,
@@ -548,34 +548,41 @@ def phi_verify_cmd(case_name, n, as_json):
 def phi_positivity_cmd(ctx, rigid_name, point, random_points, as_json):
     """Positivity of the summand functions of the basic complete rigid modules."""
     data = case_registry.d4_rigid_summands()
-    base = dict(zip(data["labels"], data["ordered"]))
+    summands = dict(zip(data["labels"], data["ordered"]))
+    summands.update({"M7*": data["M7*"], "M8*": data["M8*"]})
     families = {
-        "T1": [base["M4"], base["M5"], base["M6"], base["M7"], base["M8"], base["Q4"]],
-        "T2": [base["M4"], base["M5"], base["M6"], data["M7*"], base["M8"], base["Q4"]],
-        "T3": [base["M4"], base["M5"], base["M6"], base["M7"], data["M8*"], base["Q4"]],
-        "T4": [base["M4"], base["M5"], base["M6"], data["M7*"], data["M8*"], base["Q4"]],
+        "T1": ["M4", "M5", "M6", "M7", "M8", "Q4"],
+        "T2": ["M4", "M5", "M6", "M7*", "M8", "Q4"],
+        "T3": ["M4", "M5", "M6", "M7", "M8*", "Q4"],
+        "T4": ["M4", "M5", "M6", "M7*", "M8*", "Q4"],
     }
     rng = random.Random(ctx.obj["rng_seed"])
     points = []
     if point:
         try:
-            points.append([Fraction(x) for x in point.split(",")])
+            pt = [Fraction(x) for x in point.split(",")]
         except (ValueError, ZeroDivisionError) as exc:
             raise CliError(f"expected comma-separated rationals for --point, got {point!r}",
                            EXIT_INVALID) from exc
+        if len(pt) != len(D4_W0_LETTERS):
+            raise CliError("point must supply one value per word letter", EXIT_INVALID)
+        if any(x <= 0 for x in pt):
+            raise CliError("positivity check requires strictly positive coordinates", EXIT_INVALID)
+        points.append(pt)
     for _ in range(random_points):
         points.append([Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in D4_W0_LETTERS])
     if not points:
         points.append([Fraction(1)] * len(D4_W0_LETTERS))
-    all_ok = True
-    results = []
-    for name, summands in sorted(families.items()):
-        for pt in points:
-            rep = positivity_check(summands, D4_W0_LETTERS, pt)
-            results.append({"family": name, "point": [str(x) for x in pt],
-                            "all_positive": rep["all_positive"],
-                            "values": [str(r["value"]) for r in rep["rows"]]})
-            all_ok = all_ok and rep["all_positive"]
+    counter = FlagCounter()
+    polys = {label: phi_eval(rep, D4_W0_LETTERS, counter=counter).poly
+             for label, rep in summands.items()}
+    values = [{label: poly.evaluate(dict(zip(poly.varnames, pt))) for label, poly in polys.items()}
+              for pt in points]
+    results = [{"family": name, "point": [str(x) for x in pt],
+                "all_positive": all(at[label] > 0 for label in labels),
+                "values": [str(at[label]) for label in labels]}
+               for name, labels in families.items() for pt, at in zip(points, values)]
+    all_ok = all(r["all_positive"] for r in results)
     if as_json:
         _emit_json({"results": results, "all_positive": all_ok})
     else:

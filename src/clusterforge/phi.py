@@ -146,12 +146,14 @@ def _flags(rep: QuiverRep, letters: tuple[int, ...], full: bool,
     """{a: number of chains of type (letters, a)} over rep's field, zero
     counts omitted.  `full` forces every a_j = 1, counting composition
     series.  Over QQ a proper nonzero subspace of a socle part raises
-    _SocleBranching."""
+    _SocleBranching.
+
+    A letter's last occurrence quotients away all of M_v, so a support
+    vertex missing from the letters still to come can only be missing on
+    entry; the callers check that once (such a word has no flags)."""
     if not letters:
         return {(): 1} if rep.is_zero else {}
     v, rest = letters[0], letters[1:]
-    if any(rep.dim(u) and u != v and u not in rest for u in rep.quiver.vertices):
-        return {}
     key = (full, letters)
     hit = counter.lookup(rep, key)
     if hit is not None:
@@ -336,7 +338,9 @@ def phi_eval(
 ) -> PhiReport:
     """phi_M over the word x_{i_1}(t_1)...x_{i_k}(t_k) as a polynomial in the
     t-parameters: the coefficient of t^a is the Euler characteristic of the
-    partial flags of type (letters, a), from one `_solve` over all a."""
+    partial flags of type (letters, a), from one `_solve` over all a.  A
+    word that misses a vertex of M's support has no flags: phi_M is the
+    exact zero polynomial."""
     if counter is None:
         counter = FlagCounter()
     letters = tuple(letters)
@@ -352,13 +356,15 @@ def phi_eval(
     bad = sorted(set(letters) - set(rep.quiver.vertices))
     if bad:
         raise PhiError(f"letters {bad} are not vertices of the quiver")
+    if any(rep.dim(v) and v not in letters for v in rep.quiver.vertices):
+        return PhiReport(LaurentPoly(params, {}), EXACT, (), ChiTable())
     results, primes = _solve(rep, letters, False, counter)
     poly = LaurentPoly(params, {a: r.value for a, r in results.items() if r.value})
     return PhiReport(poly, INTERPOLATED if primes else EXACT, primes, ChiTable(results))
 
 
 # ----------------------------------------------------------------------
-# identity verification and positivity
+# identity verification
 
 
 def _first_difference(p: LaurentPoly, q: LaurentPoly) -> Optional[str]:
@@ -401,36 +407,3 @@ def verify_multiplication(
             "witness": _first_difference(product, rhs),
         }
     return report
-
-
-def positivity_check(
-    summands: Sequence[QuiverRep],
-    letters: Sequence[int],
-    point: Sequence[Fraction | int],
-    counter: Optional[FlagCounter] = None,
-) -> dict:
-    """Exact phi values of each summand at a positive parameter point; the
-    rows are labelled T1..Tn in summand order."""
-    values = [Fraction(x) for x in point]
-    if len(values) != len(letters):
-        raise PhiError("point must supply one value per word letter")
-    if any(v <= 0 for v in values):
-        raise PhiError("positivity check requires strictly positive coordinates")
-    if counter is None:
-        counter = FlagCounter()
-    rows = []
-    all_positive = True
-    for i, rep in enumerate(summands):
-        report = phi_eval(rep, letters, counter=counter)
-        assignment = {p: v for p, v in zip(report.poly.varnames, values)}
-        value = report.poly.evaluate(assignment)
-        rows.append(
-            {
-                "label": f"T{i + 1}",
-                "value": value,
-                "positive": value > 0,
-                "backend": report.backend,
-            }
-        )
-        all_positive = all_positive and value > 0
-    return {"rows": rows, "all_positive": all_positive}

@@ -195,6 +195,13 @@ def positive_root_count(quiver: DoubleQuiver, vertices: Sequence[int]) -> int:
 # representations
 
 
+def _map_entry(arrow: str, x) -> Fraction:
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        raise PrepmodError(f"map {arrow} entry {x!r} is not a rational number") from None
+
+
 @dataclass(frozen=True)
 class QuiverRep:
     """A finite-dimensional representation of the double quiver.
@@ -243,6 +250,9 @@ class QuiverRep:
         relation."""
         if not isinstance(data, Mapping):
             raise PrepmodError("a module must be a JSON object")
+        for key in ("type", "dims"):
+            if key not in data:
+                raise PrepmodError(f"module is missing the key {key!r}")
         kind = data["type"]
         if not isinstance(kind, str):
             raise PrepmodError(f"module type must be a string, got {kind!r}")
@@ -281,7 +291,7 @@ class QuiverRep:
                 raise PrepmodError(
                     f"map {a.name} entries must be integers or strings, got {bad[0]!r}"
                 )
-            matrix = tuple(tuple(Fraction(x) for x in row) for row in rows)
+            matrix = tuple(tuple(_map_entry(a.name, x) for x in row) for row in rows)
             if len(matrix) != tdim or any(len(row) != sdim for row in matrix):
                 raise PrepmodError(
                     f"map {a.name} has the wrong shape; expected {tdim} x {sdim}"
@@ -589,7 +599,9 @@ def ext1_dim(m: QuiverRep, n: QuiverRep) -> int:
     Valid for nilpotent representations satisfying the defining relation; a
     negative value signals a relation-violating input and aborts.
     """
-    value = hom_dim(m, n) + hom_dim(n, m) - cartan_pairing(m.quiver, m.dims, n.dims)
+    hom_mn = hom_dim(m, n)
+    hom_nm = hom_mn if n is m else hom_dim(n, m)
+    value = hom_mn + hom_nm - cartan_pairing(m.quiver, m.dims, n.dims)
     if value < 0:
         raise PrepmodError(
             f"negative Ext dimension {value}; inputs violate the defining relation"
@@ -922,10 +934,10 @@ def exchange_matrix_from_sequences(
         for j in coeff_vertices:
             if j not in quiver.vertices:
                 raise PrepmodError(f"coefficient vertex {j} is not a vertex of the {quiver.kind} quiver")
-        hom_to_simple = {
-            j: [hom_dim(simple_rep(quiver, j, summands[0].field), t) for t in summands]
-            for j in coeff_vertices
-        }
+        if any(t.quiver != quiver for t in summands):
+            raise PrepmodError("Hom between modules over different quivers")
+        # dim Hom(S_j, T) = dim soc(T)_j
+        hom_to_simple = {j: [len(socle_basis_at(t, j)) for t in summands] for j in coeff_vertices}
         for j in coeff_vertices:
             row = []
             for seq in sequences:

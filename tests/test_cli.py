@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from clusterforge.cli import main
 from clusterforge.cluster import ExchangeMatrix, LaurentPhenomenonError, Seed, builtin_seed
 from clusterforge.laurent import LaurentPoly
 from clusterforge.nmatrix import D4_W0_LETTERS
-from clusterforge.phi import ChiUndeterminedError, PhiError
+from clusterforge.phi import ChiUndeterminedError, PhiError, phi_eval
 from clusterforge.prepmod import ResourceCapError, build_algebra_basis, direct_sum, random_module
 
 
@@ -34,6 +35,27 @@ def test_cluster_mutate_golden(runner):
     assert result.exit_code == 0
     assert "[0, 1]" in result.output
     assert "y1^-1*y2*y4 + y1^-1*y3*y5" in result.output
+
+
+def test_cluster_mutate_json(runner):
+    result = invoke(runner, "cluster", "mutate", "--seed", "builtin:grassmannian_2_5",
+                    "--direction", "1", "--json")
+    assert result.exit_code == 0
+    payload = json.loads(result.stdout)
+    new_variable = LaurentPoly.from_json(payload["new_variable"])
+    assert str(new_variable) == "y1^-1*y2*y4 + y1^-1*y3*y5"
+    assert Seed.from_json(payload["seed"]).cluster[0] == new_variable
+
+
+def test_cluster_explore_json_at_the_depth_cap(runner):
+    """quadric(6) has principal part (A1)^4: depth 1 reaches the initial
+    seed and its 4 neighbours, and the class is not exhausted."""
+    result = runner.invoke(main, ["cluster", "explore", "--seed", "builtin:quadric", "--n", "6",
+                                  "--max-depth", "1", "--json"])
+    assert result.exit_code == 4
+    payload = json.loads(result.stdout)
+    assert payload["exhausted"] is False
+    assert payload["cluster_count"] == 5
 
 
 def test_output_is_byte_identical_across_runs(runner):
@@ -290,10 +312,79 @@ def test_phi_positivity(runner):
     assert "all positive" in result.output
 
 
+def test_phi_positivity_json_values(runner):
+    """At t = 1 each value counts the monomials of the matching minor, in
+    the order M4, M5, M6, M7 or M7*, M8 or M8*, Q4: n_14, the 2x2 minor
+    7*3 - 1, n_15, n_12, n_13, n_18 for T1.  phi_M is homogeneous of
+    degree dim M, so at t = 1/2 each value is divided by 2^dim M."""
+    families = {
+        "T1": (["M4", "M5", "M6", "M7", "M8", "Q4"], [4, 20, 4, 3, 6, 1]),
+        "T2": (["M4", "M5", "M6", "M7*", "M8", "Q4"], [4, 20, 4, 7, 6, 1]),
+        "T3": (["M4", "M5", "M6", "M7", "M8*", "Q4"], [4, 20, 4, 3, 6, 1]),
+        "T4": (["M4", "M5", "M6", "M7*", "M8*", "Q4"], [4, 20, 4, 7, 6, 1]),
+    }
+    data = d4_rigid_summands()
+    dims = {label: data["by_label"][label].total_dim for label in data["labels"]}
+    dims.update({label: data[label].total_dim for label in ("M7*", "M8*")})
+
+    def run(*extra):
+        result = invoke(runner, "phi", "positivity", "--rigid", "d4-example", "--json", *extra)
+        assert result.exit_code == 0
+        payload = json.loads(result.stdout)
+        assert payload["all_positive"] and all(r["all_positive"] for r in payload["results"])
+        return [(r["family"], r["point"], r["values"]) for r in payload["results"]]
+
+    assert run() == [(family, ["1"] * 12, [str(value) for value in values])
+                     for family, (_, values) in families.items()]
+    assert run("--point", ",".join(["1/2"] * 12)) == [
+        (family, ["1/2"] * 12,
+         [str(Fraction(value, 2 ** dims[label])) for label, value in zip(labels, values)])
+        for family, (labels, values) in families.items()
+    ]
+
+
+def test_phi_positivity_computes_each_summand_once(runner, monkeypatch):
+    """Eight distinct summands (M4-M8, Q4, M7*, M8*) make the four families;
+    each phi is computed once and evaluated at all 10 points."""
+    calls = []
+
+    def counted(rep, letters, **kwargs):
+        calls.append(rep)
+        return phi_eval(rep, letters, **kwargs)
+
+    monkeypatch.setattr("clusterforge.phi.phi_eval", counted)
+    monkeypatch.setattr("clusterforge.cli.phi_eval", counted)
+    result = invoke(runner, "phi", "positivity", "--rigid", "d4-example",
+                    "--random-points", "10", "--json")
+    assert result.exit_code == 0
+    payload = json.loads(result.stdout)
+    assert payload["all_positive"] and len(payload["results"]) == 40
+    assert len(calls) == 8
+
+
 def test_verify_all_suite(runner):
     result = runner.invoke(main, ["verify", "all", "--suite", "paper-golden"])
     assert result.exit_code == 0
     assert "passed 6/6 cases" in result.output
+
+
+def test_verify_all_json(runner):
+    result = invoke(runner, "verify", "all", "--json")
+    assert result.exit_code == 0
+    payload = json.loads(result.stdout)
+    assert (payload["suite"], payload["passed"], payload["total"]) == ("paper-golden", 6, 6)
+    assert len(payload["cases"]) == 6 and all(case["ok"] for case in payload["cases"])
+
+
+def test_unstable_interpolation_exits_5(runner, monkeypatch, tmp_path):
+    """S1 + S1 over A2 with word (1, 1) counts 1 chain of type (0, 2) at
+    every prime; two primes are too few to confirm any fit."""
+    monkeypatch.setattr("clusterforge.phi.PRIMES", (2, 3))
+    module = tmp_path / "s1s1.json"
+    module.write_text(json.dumps({"type": "A2", "dims": {"1": 2, "2": 0}}))
+    result = runner.invoke(main, ["phi", "eval", "--module", str(module), "--word", "1,1"])
+    _assert_one_line_error(result, 5)
+    assert "point counts [(2, 1), (3, 1)] never stabilized" in result.stderr
 
 
 def test_invalid_inputs_exit_2(runner):
@@ -341,6 +432,21 @@ def test_positivity_bad_point_exits_2(runner):
                                   "--random-points", "-2"])
     _assert_one_line_error(result, 2)
     assert "--random-points" in result.stderr
+    for point, message in (("1,1,1", "point must supply one value per word letter"),
+                           (",".join(["0"] + ["1"] * 11),
+                            "positivity check requires strictly positive coordinates")):
+        result = runner.invoke(main, ["phi", "positivity", "--rigid", "d4-example",
+                                      "--point", point, "--random-points", "2"])
+        _assert_one_line_error(result, 2)
+        assert message in result.stderr
+
+
+def test_module_file_error_names_the_bad_entry(runner, tmp_path):
+    module = tmp_path / "m.json"
+    module.write_text(json.dumps({**A2_MODULE, "maps": {"2->1": [["1/0"]]}}))
+    result = runner.invoke(main, ["prepmod", "rigid", "--module", str(module)])
+    _assert_one_line_error(result, 2)
+    assert "map 2->1 entry '1/0' is not a rational number" in result.stderr
 
 
 @pytest.mark.parametrize("kind, k_set, word, message", [

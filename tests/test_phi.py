@@ -6,8 +6,10 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
 from clusterforge import phi as phi_module
+from clusterforge.cli import main
 from clusterforge.fields import QQ, PrimeField
 from clusterforge.laurent import LaurentPoly
 from clusterforge.nmatrix import A3_W0_LETTERS, D4_W0_LETTERS, Word, minor, product
@@ -21,7 +23,6 @@ from clusterforge.phi import (
     count_flags,
     count_flags_mod_p,
     phi_eval,
-    positivity_check,
     verify_multiplication,
 )
 from clusterforge.prepmod import (
@@ -172,6 +173,17 @@ def test_phi_example_values_a2(a2_algebra):
 def test_phi_of_zero_module_is_one():
     report = phi_eval(zero_rep(D4), D4_W0_LETTERS)
     assert report.poly.is_one and report.backend == EXACT
+
+
+def test_phi_of_a_word_missing_a_support_vertex_is_exact_zero():
+    report = phi_eval(simple_rep(A2, 1), (2,))
+    assert report.poly.is_zero and report.backend == EXACT
+    assert report.primes == () and report.table.entries == {}
+    # Past the check at entry, (1, 1) would meet a line in the 2-dimensional
+    # socle part at vertex 1 and count points over GF(p).
+    m = direct_sum(simple_rep(A2, 1), simple_rep(A2, 1), simple_rep(A2, 2))
+    report = phi_eval(m, (1, 1))
+    assert report.poly.is_zero and report.backend == EXACT and report.primes == ()
 
 
 def test_phi_q4_is_top_corner_entry(d4_algebra, d4_product):
@@ -386,28 +398,35 @@ def test_failed_identity_reports_witness(a2_algebra):
 # positivity
 
 
+def _values_at(summands, letters, point):
+    values = []
+    for rep in summands:
+        poly = phi_eval(rep, letters).poly
+        values.append(poly.evaluate(dict(zip(poly.varnames, point))))
+    return values
+
+
 def test_positivity_at_all_ones(d4_rigid):
     # at t = 1 each phi value counts the monomials of the matching minor:
     # n_12, n_13, n_14, the 2x2 minor 7*3 - 1, n_15, n_18
-    summands = d4_rigid["ordered"]
-    report = positivity_check(summands, D4_W0_LETTERS, [1] * 12)
-    assert report["all_positive"]
-    assert [r["value"] for r in report["rows"]] == [
-        Fraction(c) for c in (3, 6, 4, 20, 4, 1)
-    ]
+    values = _values_at(d4_rigid["ordered"], D4_W0_LETTERS, [Fraction(1)] * 12)
+    assert values == [Fraction(c) for c in (3, 6, 4, 20, 4, 1)]
+    assert all(v > 0 for v in values)
 
 
-def test_positivity_rejects_nonpositive_points(d4_rigid):
-    with pytest.raises(PhiError):
-        positivity_check(d4_rigid["ordered"], D4_W0_LETTERS, [0] + [1] * 11)
-    with pytest.raises(PhiError):
-        positivity_check(d4_rigid["ordered"], D4_W0_LETTERS, [1] * 11)
+def test_positivity_rejects_nonpositive_points():
+    runner = CliRunner()
+    for point, message in ((",".join(["0"] + ["1"] * 11),
+                            "positivity check requires strictly positive coordinates"),
+                           (",".join(["1"] * 11), "point must supply one value per word letter")):
+        result = runner.invoke(main, ["phi", "positivity", "--rigid", "d4-example",
+                                      "--point", point])
+        assert result.exit_code == 2
+        assert message in result.stderr
 
 
 def test_positivity_single_simple():
-    report = positivity_check([simple_rep(A2, 1)], (1,), [Fraction(1, 2)])
-    assert report["rows"][0]["value"] == Fraction(1, 2)
-    assert report["all_positive"]
+    assert _values_at([simple_rep(A2, 1)], (1,), [Fraction(1, 2)]) == [Fraction(1, 2)]
 
 
 # ----------------------------------------------------------------------

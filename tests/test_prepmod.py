@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from clusterforge import prepmod
 from clusterforge.cases import d4_nonrigid_module
 from clusterforge.fields import QQ, PrimeField
 from clusterforge.prepmod import (
@@ -31,6 +32,7 @@ from clusterforge.prepmod import (
     positive_root_count,
     random_module,
     simple_rep,
+    socle_basis_at,
     socle_series,
     socle_top,
     span_sub_rep,
@@ -299,6 +301,33 @@ def test_nonrigid_family_module():
     assert ext1_dim(m, m) == 2
 
 
+def test_is_rigid_solves_hom_once(monkeypatch):
+    calls = []
+    solve = prepmod.hom_basis
+
+    def counted(m, n):
+        calls.append((m, n))
+        return solve(m, n)
+
+    monkeypatch.setattr(prepmod, "hom_basis", counted)
+    m = d4_nonrigid_module()
+    assert not is_rigid(m)
+    assert calls == [(m, m)]
+    # an equal module that is not the same object still costs two solves
+    calls.clear()
+    assert ext1_dim(m, d4_nonrigid_module()) == 2
+    assert len(calls) == 2
+
+
+def test_socle_part_counts_hom_from_the_simple(d4_rigid):
+    """dim Hom(S_j, T) = dim soc(T)_j, which the coefficient rows of
+    exchange_matrix_from_sequences read from the socle."""
+    summands = d4_rigid["ordered"] + [d4_rigid["M7*"], d4_rigid["M8*"]]
+    for t in summands:
+        for j in D4.vertices:
+            assert len(socle_basis_at(t, j)) == hom_dim(simple_rep(D4, j), t)
+
+
 def test_complete_rigid_module_is_rigid(d4_rigid):
     t = direct_sum(*d4_rigid["build"]["summands"])
     assert is_rigid(t)
@@ -471,6 +500,13 @@ def test_exchange_matrix_rejects_overlap(d4_rigid):
         exchange_matrix_from_sequences(summands, 4, seqs)
 
 
+def test_exchange_matrix_rejects_summands_over_different_quivers(d4_rigid):
+    summands = d4_rigid["ordered"][:5] + [simple_rep(A3, 1)]
+    seqs = [{"X": (0,) * 6, "Y": (0,) * 6}] * 2
+    with pytest.raises(PrepmodError, match="different quivers"):
+        exchange_matrix_from_sequences(summands, 4, seqs, coeff_vertices=(4,))
+
+
 # ----------------------------------------------------------------------
 # random modules and serialization
 
@@ -552,10 +588,15 @@ A2_INJECTIVE_1 = {"type": "A2", "dims": {"1": 1, "2": 1}, "maps": {"1->2": [["0"
         ({**A2_INJECTIVE_1, "maps": {"1->2": [[0.1]]}}, "map 1->2 entries must be integers"),
         ({**A2_INJECTIVE_1, "maps": {"2->1": [[True]]}}, "map 2->1 entries must be integers"),
         ({**A2_INJECTIVE_1, "maps": {"2->1": [[None]]}}, "map 2->1 entries must be integers"),
+        ({"dims": {"1": 1}}, "missing the key 'type'"),
+        ({"type": "A2", "maps": {}}, "missing the key 'dims'"),
+        ({**A2_INJECTIVE_1, "maps": {"2->1": [["1/0"]]}}, "map 2->1 entry '1/0' is not a rational"),
+        ({**A2_INJECTIVE_1, "maps": {"1->2": [["x"]]}}, "map 1->2 entry 'x' is not a rational"),
     ],
     ids=["blob-list", "dims-list", "maps-list", "dims-vertex", "maps-arrow", "row-not-list",
          "rows-not-list", "type-not-string", "relation", "dim-fraction", "dim-bool",
-         "dim-string", "entry-float", "entry-bool", "entry-null"],
+         "dim-string", "entry-float", "entry-bool", "entry-null", "no-type", "no-dims",
+         "entry-zero-denominator", "entry-not-a-number"],
 )
 def test_module_json_rejects_malformed_module(blob, message):
     with pytest.raises(PrepmodError, match=re.escape(message)):
