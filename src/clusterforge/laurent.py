@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from itertools import islice
-from operator import add, neg, sub
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 # An exponent vector; one slot per variable of the ambient ring, negative
@@ -40,22 +40,6 @@ def _grlex_key(exponents: Monomial) -> tuple:
     return (sum(exponents), exponents)
 
 
-def _graded(exponents: Monomial, shift: Monomial) -> Monomial:
-    """exponents - shift in graded coordinates (-degree, -e1, ..., -e(n-1)).
-
-    These determine e_n, add like exponent vectors, and compare as tuples
-    in reverse graded-lex order.  Both conversions build tuples of length n
-    only: temporaries of other lengths fill further per-length tuple free
-    lists in CPython and measurably raise peak memory."""
-    neg_e = tuple(map(sub, shift, exponents))
-    return (sum(neg_e), *islice(neg_e, len(neg_e) - 1))
-
-
-def _ungraded(key: Monomial) -> Monomial:
-    """The exponent vector with graded coordinates key."""
-    return (*map(neg, islice(key, 1, None)), sum(islice(key, 1, None)) - key[0])
-
-
 class LaurentPoly:
     """An immutable Laurent polynomial over Z.
 
@@ -72,14 +56,31 @@ class LaurentPoly:
         names = tuple(varnames)
         clean: dict[Monomial, int] = {}
         for exps, coeff in terms.items():
+            exps = tuple(exps)
+            if not all(map(_is_int, exps)):
+                raise LaurentError("exponents must be integers")
             if len(exps) != len(names):
                 raise VariableMismatchError(
                     f"exponent vector {exps} has length {len(exps)}, expected {len(names)}"
                 )
+            if not _is_int(coeff):
+                raise LaurentError(f"coefficient must be an integer, got {coeff!r}")
             if coeff:
-                clean[tuple(exps)] = int(coeff)
-        object.__setattr__(self, "varnames", names)
-        object.__setattr__(self, "terms", clean)
+                clean[exps] = coeff
+        self._fill(names, clean)
+
+    @classmethod
+    def _build(cls, varnames: tuple[str, ...], terms: dict[Monomial, int]) -> "LaurentPoly":
+        """A polynomial on a terms dict that this module's arithmetic built:
+        int-tuple keys of the right length and nonzero int values, so
+        nothing is checked or copied."""
+        self = object.__new__(cls)
+        self._fill(varnames, terms)
+        return self
+
+    def _fill(self, varnames: tuple[str, ...], terms: dict[Monomial, int]) -> None:
+        object.__setattr__(self, "varnames", varnames)
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_key", None)
 
@@ -156,8 +157,8 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             self._check_compatible(other)
             return other
-        if isinstance(other, int):
-            return LaurentPoly.constant(self.varnames, other)
+        if isinstance(other, int):  # a bool operand acts as 0 or 1
+            return LaurentPoly.constant(self.varnames, int(other))
         return NotImplemented
 
     # ------------------------------------------------------------------
@@ -174,12 +175,12 @@ class LaurentPoly:
                 out[exps] = c
             else:
                 out.pop(exps, None)
-        return LaurentPoly(self.varnames, out)
+        return LaurentPoly._build(self.varnames, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.varnames, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._build(self.varnames, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
@@ -212,7 +213,7 @@ class LaurentPoly:
                     out[exps] = c
                 else:
                     del out[exps]
-        return LaurentPoly(self.varnames, out)
+        return LaurentPoly._build(self.varnames, out)
 
     __rmul__ = __mul__
 
@@ -242,7 +243,7 @@ class LaurentPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = LaurentPoly.constant(self.varnames, other)
+            other = LaurentPoly.constant(self.varnames, int(other))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.varnames == other.varnames and self.terms == other.terms
@@ -274,16 +275,36 @@ class LaurentPoly:
 
         Each step cancels the remainder's graded-lex largest term, and the
         divisor's leading term is left out of the update because it cancels
-        by construction.  The remainder is kept in graded coordinates (see
-        `_graded`), in which the graded-lex largest monomial is the smallest
-        tuple, and its monomials sit in a heap: pushed when they enter the
-        remainder, skipped when popped after they have cancelled.  Graded lex
-        is a monomial order, so every term a step adds lies below the one it
-        cancels, and the heap's smallest live entry is the remainder's
-        largest term.  The steps therefore run in the order that rescanning
-        the whole remainder for its maximum gives, with the same quotient
-        and the same error; the leading terms strictly decrease, so each
-        quotient monomial is written once.
+        by construction.
+
+        The steps run on monomials packed into single ints.  Taken relative
+        to its operand's shift (the componentwise minimum of its exponents),
+        a monomial has the digits, from the most significant down, degree,
+        e1, ..., en.  Each digit is w bits wide and its top bit is a guard,
+        left clear; w is one more than the bit length of the largest
+        relative degree over both operands, so every digit of both operands
+        fits below its guard.  Packing is linear: e_i contributes e_i times
+        2^(n*w) + 2^offset_i, less the same sum over the shift.  Packed ints
+        compare like the tuples (degree, e1, ..., en), so the largest packed
+        monomial is the graded-lex largest.
+
+        The remainder's monomials sit in a heap of negated ints: pushed when
+        they enter the remainder, skipped when popped after they have
+        cancelled.  Graded lex is a monomial order, so every term a step
+        adds lies below the one it cancels, and the heap's smallest live
+        entry is the remainder's largest term, negated.  The steps run in
+        the order that rescanning the whole remainder for its maximum gives:
+        each quotient monomial is written once, in that order, and a failing
+        step names the same term with the same coefficient.
+
+        With G the int whose set bits are all the guards, a step's quotient
+        monomial is (lead | G) - lead_q: each digit lead_i + 2^(w-1) - q_i
+        lies in [1, 2^w), so no borrow crosses a digit, and its guard
+        survives iff lead_i >= q_i.  So lead is a multiple of lead_q iff
+        every guard survives.  A term the step adds has degree at most the
+        leading term's, which is at most the dividend's, so its digits stay
+        below their guards, and it costs one int add.  Only quotient terms
+        and the error's leading term are unpacked, by a shift and a mask.
         """
         self._check_compatible(divisor)
         if divisor.is_zero:
@@ -300,45 +321,56 @@ class LaurentPoly:
                         f"inexact division: coefficient {c} is not a multiple of {c_q}"
                     )
                 out[tuple(map(sub, e, exps_q))] = q
-            return LaurentPoly(self.varnames, out)
+            return LaurentPoly._build(self.varnames, out)
+        n = len(self.varnames)
         shift_p = tuple(map(min, zip(*self.terms)))
         shift_q = tuple(map(min, zip(*divisor.terms)))
-        current = {_graded(e, shift_p): c for e, c in self.terms.items()}
-        divis = {_graded(e, shift_q): c for e, c in divisor.terms.items()}
-        lead_q = min(divis)
+        top = max(max(map(sum, self.terms)) - sum(shift_p),
+                  max(map(sum, divisor.terms)) - sum(shift_q))
+        w = top.bit_length() + 1
+        offsets = range((n - 1) * w, -1, -w)
+        weights = [(1 << n * w) + (1 << o) for o in offsets]
+        guards = sum(1 << o + w - 1 for o in range(0, (n + 1) * w, w))
+        mask = (1 << w - 1) - 1
+        base_p = sum(map(mul, shift_p, weights))
+        base_q = sum(map(mul, shift_q, weights))
+        current = {sum(map(mul, e, weights)) - base_p: c for e, c in self.terms.items()}
+        divis = {sum(map(mul, e, weights)) - base_q: c for e, c in divisor.terms.items()}
+        lead_q = max(divis)
         lc_q = divis.pop(lead_q)
-        shift = tuple(map(sub, shift_p, shift_q))
-        heap = list(current)
+        rest = list(divis.items())
+        unshift = list(zip(offsets, map(sub, shift_p, shift_q)))
+        heap = [-m for m in current]
         heapq.heapify(heap)
         pop, push, get = heapq.heappop, heapq.heappush, current.get
         quotient: dict[Monomial, int] = {}
         while heap:
-            lead_c = pop(heap)
-            lc_c = current.pop(lead_c, 0)
+            lead = -pop(heap)
+            lc_c = current.pop(lead, 0)
             if not lc_c:
                 continue
-            diff = tuple(map(sub, lead_c, lead_q))
-            q_exps = _ungraded(diff)
-            if min(q_exps) < 0 or lc_c % lc_q:
-                lead = tuple(map(add, _ungraded(lead_c), shift_p))
+            q = (lead | guards) - lead_q
+            if q & guards != guards or lc_c % lc_q:
+                lead_e = tuple([(lead >> o & mask) + s for o, s in zip(offsets, shift_p)])
                 raise InexactDivisionError(
-                    f"inexact division: remainder has leading term {lead} -> {lc_c}"
+                    f"inexact division: remainder has leading term {lead_e} -> {lc_c}"
                 )
+            q ^= guards
             coeff = lc_c // lc_q
-            quotient[tuple(map(add, q_exps, shift))] = coeff
-            for e, c in divis.items():
-                exps = tuple(map(add, diff, e))
-                old = get(exps)
+            quotient[tuple([(q >> o & mask) + s for o, s in unshift])] = coeff
+            for e, c in rest:
+                m = q + e
+                old = get(m)
                 if old is None:
-                    current[exps] = -coeff * c
-                    push(heap, exps)
+                    current[m] = -coeff * c
+                    push(heap, -m)
                 else:
                     nc = old - coeff * c
                     if nc:
-                        current[exps] = nc
+                        current[m] = nc
                     else:
-                        del current[exps]
-        return LaurentPoly(self.varnames, quotient)
+                        del current[m]
+        return LaurentPoly._build(self.varnames, quotient)
 
     def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:
         """Exact rational value of the polynomial at the given point.
@@ -385,8 +417,6 @@ class LaurentPoly:
         if len(set(names)) != len(names):
             raise LaurentError(f"vars must be distinct, got {names}")
         terms = {tuple(t["exponents"]): _json_coeff(t["coeff"]) for t in data["terms"]}
-        if not all(_is_int(e) for exps in terms for e in exps):
-            raise LaurentError("exponents must be integers")
         if len(terms) != len(data["terms"]):
             raise LaurentError("two terms have the same exponent vector")
         return cls(tuple(names), terms)

@@ -143,6 +143,36 @@ def test_exploration_growing_degrees_in_affine_type():
     assert degrees == sorted(degrees) and degrees[0] >= 1 and degrees[-1] > degrees[0]
 
 
+def fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def test_kronecker_explore_to_depth_16():
+    # The exchange graph is a line: 2*16 + 1 clusters and 2*16 + 2 variables,
+    # whose values at (1, 1) are F_1, F_3, ..., F_33, each taken twice, and
+    # whose coefficients are all positive (Lee-Schiffler positivity).  Its
+    # last divisions have dividends of hundreds of terms.
+    mc = explore(plain_seed(KRONECKER_ROWS), max_depth=16)
+    variables = mc.variables()
+    assert (mc.cluster_count, len(variables)) == (33, 34)
+    values = sorted(p.evaluate({"x1": 1, "x2": 1}) for p in variables)
+    assert values == sorted(fibonacci(2 * i + 1) for i in range(17) for _ in range(2))
+    assert all(c > 0 for p in variables for c in p.terms.values())
+
+
+def test_markov_explore_to_depth_5():
+    # The exchange graph is the trivalent tree: 3 * 2^5 - 2 clusters within
+    # depth 5, each a Markov triple a^2 + b^2 + c^2 = 3abc at (1, 1, 1).
+    mc = explore(plain_seed(MARKOV_ROWS), max_depth=5)
+    assert mc.cluster_count == 94
+    for seed in mc.seeds.values():
+        a, b, c = (p.evaluate({"x1": 1, "x2": 1, "x3": 1}) for p in seed.cluster)
+        assert a * a + b * b + c * c == 3 * a * b * c
+
+
 def test_coefficient_stability_and_exchange_identity():
     s = builtin_seed("grassmannian_2_5")
     mc = explore(s)

@@ -141,6 +141,14 @@ def test_constant_hashes_like_its_int(c):
     assert hash(x) == hash((XY, x.sort_key()))
 
 
+def test_bool_operands_act_as_ints():
+    # the constructor rejects a bool coefficient, but arithmetic and
+    # comparison with a bool still read it as 0 or 1
+    x = var("x")
+    assert x + True == x + 1 and x * False == 0 and x - True == x - 1
+    assert LaurentPoly.one(XY) == True and LaurentPoly.zero(XY) == False
+
+
 def test_division_by_zero_raises():
     x = var("x")
     with pytest.raises(InexactDivisionError):
@@ -189,6 +197,21 @@ def test_serialization_round_trip():
 def test_from_json_rejects_non_integer_entries(term):
     with pytest.raises(LaurentError):
         LaurentPoly.from_json({"vars": ["x", "y"], "terms": [term]})
+
+
+@pytest.mark.parametrize("terms", [
+    {(1,): 2.5},
+    {(1,): Fraction(5, 2)},
+    {(1,): Fraction(2)},
+    {(1,): True},
+    {(1.0,): 1},
+    {(True,): 1},
+], ids=["float-coeff", "fraction-coeff", "integral-fraction-coeff", "bool-coeff",
+        "float-exponent", "bool-exponent"])
+def test_constructor_rejects_non_integer_entries(terms):
+    # a coefficient is never truncated and an exponent never stored as a float
+    with pytest.raises(LaurentError):
+        LaurentPoly(("x",), terms)
 
 
 def test_from_json_rejects_repeated_exponent_vectors():
@@ -347,10 +370,9 @@ def division_cases(draw):
     return draw(st.one_of(polys3, near_multiples)), q
 
 
-@given(division_cases())
-@settings(max_examples=300)
-def test_div_exact_matches_long_division(case):
-    p, q = case
+def assert_matches_long_division(p, q):
+    """div_exact gives long division's quotient, with its terms in the same
+    order, or raises the same error text."""
     try:
         expected = long_division(p, q)
     except InexactDivisionError as exc:
@@ -360,6 +382,62 @@ def test_div_exact_matches_long_division(case):
         return
     got = p.div_exact(q)
     assert got == expected and list(got.terms) == list(expected.terms)
+
+
+@given(division_cases())
+@settings(max_examples=300)
+def test_div_exact_matches_long_division(case):
+    assert_matches_long_division(*case)
+
+
+def names_of(n):
+    return tuple(f"x{i}" for i in range(1, n + 1))
+
+
+def wide_polys(n, min_size, max_size):
+    """Polynomials in n variables with exponents in +-30: digits of the
+    packed monomials in div_exact are then wider than 5 bits."""
+    exps = st.lists(st.integers(-30, 30), min_size=n, max_size=n).map(tuple)
+    return st.dictionaries(exps, coeffs, min_size=min_size, max_size=max_size).map(
+        lambda terms: LaurentPoly(names_of(n), terms)
+    )
+
+
+@st.composite
+def wide_division_cases(draw):
+    """A divisor of two to four terms in 1-20 variables (quadric(10) has 19),
+    over a random dividend, a multiple of it, or a multiple plus a small
+    remainder.  Once monomial content is cleared, about half of the divisors
+    have a higher degree than the dividend."""
+    n = draw(st.integers(1, 20))
+    q = draw(wide_polys(n, 2, 4))
+    near_multiples = st.builds(lambda p, r: p * q + r, wide_polys(n, 0, 4), wide_polys(n, 0, 2))
+    return draw(st.one_of(wide_polys(n, 1, 5), near_multiples)), q
+
+
+X1 = names_of(1)
+X2 = names_of(2)
+
+
+@given(wide_division_cases())
+@settings(max_examples=150)
+# x^4 + 1 has a larger degree than any term of x + 1: a digit width taken
+# from the dividend alone lets the first step borrow across digits and pass
+# the guard test, and the error then names (0,) instead of (1,)
+@example((poly({(1,): 1, (0,): 1}, X1), poly({(4,): 1, (0,): 1}, X1)))
+# x1^2 - 3*x2 has a unit leading coefficient: an exact multiple, and the
+# same plus x2^2
+@example((poly({(3, 0): 1, (2, 1): -1, (1, 1): -3, (0, 2): 3}, X2),
+          poly({(2, 0): 1, (0, 1): -3}, X2)))
+@example((poly({(3, 0): 1, (2, 1): -1, (1, 1): -3, (0, 2): 4}, X2),
+          poly({(2, 0): 1, (0, 1): -3}, X2)))
+# -2*x1^2 + x2 has a non-unit leading coefficient: an exact multiple, and
+# x1^3 + 1, whose leading coefficient 1 is not a multiple of -2
+@example((poly({(3, 0): -2, (2, -1): -2, (1, 1): 1, (0, 0): 1}, X2),
+          poly({(2, 0): -2, (0, 1): 1}, X2)))
+@example((poly({(3, 0): 1, (0, 0): 1}, X2), poly({(2, 0): -2, (0, 1): 1}, X2)))
+def test_div_exact_matches_long_division_in_many_variables(case):
+    assert_matches_long_division(*case)
 
 
 @given(polys3, non_unit_lead_divisors())
