@@ -33,7 +33,8 @@ class InexactDivisionError(LaurentError):
 
 
 class EvaluationError(LaurentError):
-    """Evaluation hit a zero value at a negatively-exponentiated variable."""
+    """Evaluation met a missing value, a value that is not an int or a
+    Fraction, or a zero value at a negatively-exponentiated variable."""
 
 
 def _grlex_key(exponents: Monomial) -> tuple:
@@ -375,13 +376,19 @@ class LaurentPoly:
     def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:
         """Exact rational value of the polynomial at the given point.
 
-        Every variable with a negative exponent somewhere in the polynomial
-        must map to a nonzero rational.
+        A value is an int (not a bool) or a Fraction; a float would be read
+        as its binary expansion.  Every variable with a negative exponent
+        somewhere in the polynomial must map to a nonzero value.
         """
         values = []
         for i, name in enumerate(self.varnames):
             if name in point:
-                values.append(Fraction(point[name]))
+                value = point[name]
+                if not (_is_int(value) or isinstance(value, Fraction)):
+                    raise EvaluationError(
+                        f"value {value!r} for variable {name!r} is not an int or a Fraction"
+                    )
+                values.append(Fraction(value))
             else:
                 if any(e[i] != 0 for e in self.terms):
                     raise EvaluationError(f"no value supplied for variable {name!r}")

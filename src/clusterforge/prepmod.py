@@ -361,28 +361,30 @@ def check_relation(rep: QuiverRep) -> tuple[bool, Optional[int]]:
     return True, None
 
 
+def dual(rep: QuiverRep) -> QuiverRep:
+    """The k-dual D(rep) = Hom_k(rep, k), a module again since the
+    preprojective algebra is isomorphic to its opposite: arrow i->j carries
+    the transpose of rep's map on j->i.  Each relation term at a vertex is
+    the transpose of rep's term there, so D(rep) satisfies the relation, and
+    D(D(rep)) == rep.  The socle of D(rep) is dual to the top of rep.
+
+    >>> q1 = build_algebra_basis("A2").injective(1)
+    >>> [len(socle_basis_at(dual(q1), v)) for v in q1.quiver.vertices]
+    [0, 1]
+    """
+    q = rep.quiver
+    maps = []
+    for a in q.arrows:
+        # a map with no rows is (), which hides its column count
+        m = rep.maps[q.arrow_position(f"{a.target}->{a.source}")]
+        maps.append(tuple(zip(*m)) if m else ((),) * rep.dim(a.target))
+    return QuiverRep(q, rep.field, rep.dims, tuple(maps))
+
+
 def is_nilpotent(rep: QuiverRep) -> bool:
-    """The total path action is nilpotent (automatic in Dynkin type)."""
-    q, F = rep.quiver, rep.field
-    n = rep.total_dim
-    if n == 0:
-        return True
-    offs = {}
-    off = 0
-    for v in q.vertices:
-        offs[v] = off
-        off += rep.dim(v)
-    big = [[0] * n for _ in range(n)]
-    for a, m in zip(q.arrows, rep.maps):
-        ro, co = offs[a.target], offs[a.source]
-        for x in range(rep.dim(a.target)):
-            for y in range(rep.dim(a.source)):
-                big[ro + x][co + y] = m[x][y]
-    big = tuple(tuple(row) for row in big)
-    power = big
-    for _ in range(n):
-        power = mat_mul(F, power, big)
-    return not any(x for row in power for x in row)
+    """The total path action is nilpotent (automatic in Dynkin type): the
+    socle series exhausts rep."""
+    return sum(map(sum, socle_series(rep))) == rep.total_dim
 
 
 # ----------------------------------------------------------------------
@@ -406,13 +408,11 @@ def radical_basis_at(rep: QuiverRep, v: int) -> list:
 
 
 def socle_top(rep: QuiverRep) -> dict:
-    """Multiplicities of each simple in the top and in the socle."""
-    top = []
-    soc = []
-    for v in rep.quiver.vertices:
-        top.append(rep.dim(v) - len(radical_basis_at(rep, v)))
-        soc.append(len(socle_basis_at(rep, v)))
-    return {"top": tuple(top), "socle": tuple(soc)}
+    """Multiplicities of each simple in the top and in the socle; the top
+    is read as the socle of the dual."""
+    d, vertices = dual(rep), rep.quiver.vertices
+    return {"top": tuple(len(socle_basis_at(d, v)) for v in vertices),
+            "socle": tuple(len(socle_basis_at(rep, v)) for v in vertices)}
 
 
 def sub_rep(rep: QuiverRep, spans: Mapping[int, Sequence[Sequence]]) -> QuiverRep:
@@ -497,17 +497,9 @@ def socle_series(rep: QuiverRep) -> tuple[tuple[int, ...], ...]:
 
 
 def radical_series(rep: QuiverRep) -> tuple[tuple[int, ...], ...]:
-    """Layer dimension vectors of the radical filtration, top first."""
-    layers = []
-    current = rep
-    guard = rep.total_dim + 1
-    while not current.is_zero and guard:
-        bases = {v: radical_basis_at(current, v) for v in current.quiver.vertices}
-        nxt = sub_rep(current, bases)
-        layers.append(tuple(a - b for a, b in zip(current.dims, nxt.dims)))
-        current = nxt
-        guard -= 1
-    return tuple(layers)
+    """Layer dimension vectors of the radical filtration, top first: layer
+    k of rep's radical series is layer k of the dual's socle series."""
+    return socle_series(dual(rep))
 
 
 # ----------------------------------------------------------------------

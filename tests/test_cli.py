@@ -299,6 +299,64 @@ def test_phi_eval_is_pinned(runner, tmp_path, module, word, flags, golden):
     assert result.stdout == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("argv, stdout", [
+    (["cluster", "monomials", "--seed", "builtin:grassmannian_2_5", "--degree-bound", "1"],
+     "golden:cluster_monomials_gr25_deg1.txt"),
+    (["nmatrix", "minor", "--type", "A2", "--word", "1,2,1", "--rows", "1,2", "--cols", "2,3",
+      "--json"], "golden:nmatrix_minor_A2.json"),
+    (["nmatrix", "quadric-check", "--rank", "4", "--json"],
+     '{\n  "holds": true,\n  "schema": "clusterforge.v1",\n  "witness": null\n}\n'),
+    (["prepmod", "efunctor", "--module", "{q4}", "--word", "4"],
+     "dims: [1, 1, 2, 1]\nsocle series (socle first): "
+     "[[0, 0, 0, 1], [0, 0, 1, 0], [1, 1, 0, 0], [0, 0, 1, 0]]\n"),
+    (["prepmod", "efunctor", "--module", "{q4}", "--word", "4,3", "--dagger"],
+     "dims: [1, 1, 2, 1]\nsocle series (socle first): "
+     "[[0, 0, 1, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]\n"),
+    (["prepmod", "build-rigid", "--type", "D4", "--K", "1,2,3",
+      "--word", "1,3,1,2,3,1,4,3,1,2,3,4"], "golden:build_rigid_D4.txt"),
+    (["prepmod", "exchange-matrix", "--builtin", "d4-example152"],
+     "B(T) rows: [[0, 0], [0, 0], [0, -1], [-1, 1], [0, -1], [1, 0]]\n"
+     "extension rows: {'4': [1, 0]}\n"),
+    (["phi", "chi", "--module", "{q4}", "--type", "4,3,1,2,3,4"],
+     "chi = 1 (exact-enumeration, primes [])\n"),
+    (["phi", "verify", "--case", "a2-thm61", "--json"], "golden:phi_verify_a2-thm61.json"),
+], ids=["monomials-text", "minor-json", "quadric-check-json", "efunctor-text",
+        "efunctor-dagger-text", "build-rigid-text", "exchange-matrix-text", "chi-text",
+        "verify-json"])
+def test_cli_output_is_pinned(runner, tmp_path, argv, stdout):
+    """Text and JSON modes that the other tests read only in part print a
+    recorded run; a "golden:" answer names a file under tests/golden."""
+    q4 = tmp_path / "q4.json"
+    q4.write_text(json.dumps(build_algebra_basis("D4").injective(4).to_json()))
+    result = invoke(runner, *[a.format(q4=q4) for a in argv])
+    assert result.exit_code == 0
+    if stdout.startswith("golden:"):
+        stdout = (GOLDEN / stdout.removeprefix("golden:")).read_text()
+    assert result.stdout == stdout
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["cluster", "monomials", "--seed", "builtin:grassmannian_2_5", "--degree-bound", "1",
+      "--max-seeds", "2"], 4, "exploration hit its limits; cannot enumerate monomials"),
+    (["nmatrix", "quadric-check", "--rank", "5"], 2, "--word is required for rank != 4"),
+    (["prepmod", "exchange-matrix"], 2, "provide exactly one of --input or --builtin"),
+    (["prepmod", "exchange-matrix", "--builtin", "d4-example152", "--input", "{q4}"], 2,
+     "provide exactly one of --input or --builtin"),
+    (["nmatrix", "product", "--type", "A2", "--word", "1,2,1", "--params", "a,b"], 2,
+     "--params must match --word in length"),
+    (["cluster", "mutate", "--seed", "nosuch", "--direction", "1"], 2,
+     "seed source 'nosuch' is neither builtin:<name> nor a file"),
+], ids=["monomials-limits", "quadric-check-no-word", "exchange-matrix-neither",
+        "exchange-matrix-both", "params-length", "seed-source"])
+def test_cli_refusal_is_pinned(runner, tmp_path, argv, code, message):
+    q4 = tmp_path / "q4.json"
+    q4.write_text(json.dumps(build_algebra_basis("D4").injective(4).to_json()))
+    result = runner.invoke(main, [a.format(q4=q4) for a in argv])
+    _assert_one_line_error(result, code)
+    assert result.stdout == ""
+    assert f"Error: {message}\n" in result.stderr
+
+
 def test_phi_verify_case(runner):
     result = invoke(runner, "phi", "verify", "--case", "a2-thm61")
     assert result.exit_code == 0

@@ -376,6 +376,17 @@ def repeated_entry_seed():
     return Seed(ExchangeMatrix(D4_ROWS, 0), (x1, x1, x2, x3), ("x1", "x1*", "x2", "x3"))
 
 
+def repeated_mutable_seed():
+    """A rank-4 matrix over the cluster (1, 1, x1^-1, 1): two c-vector keys
+    met at depth 2 land on stored seeds whose mutable entries repeat, so
+    explore keeps no permutation for them.  Seed files reject repeated
+    entries, so this seed exists only through the API."""
+    (x1,) = LaurentPoly.variables(("x1",))
+    one = LaurentPoly.one(("x1",))
+    rows = ((0, 0, 1, 1), (0, 0, 2, -1), (-1, -2, 0, 1), (-1, 1, -1, 0))
+    return Seed(ExchangeMatrix(rows, 0), (one, one, x1 ** -1, one), ("a", "b", "c", "d"))
+
+
 @pytest.mark.parametrize("make, limits", [
     (lambda: plain_seed(A4_ROWS), {}),
     (lambda: plain_seed(D4_ROWS), {}),
@@ -389,11 +400,27 @@ def repeated_entry_seed():
     (lambda: plain_seed(D4_ROWS), {"max_seeds": 20}),
     (lambda: builtin_seed("quadric", n=6), {"max_depth": 2}),
     (repeated_entry_seed, {}),
+    (repeated_mutable_seed, {"max_depth": 2}),
 ], ids=["A4", "D4", "quadric6", "gr25", "d4_flag_extended", "kronecker-depth6",
         "markov-depth3", "A4-max-seeds10", "D4-depth2", "D4-max-seeds20", "quadric6-depth2",
-        "repeated-entries"])
+        "repeated-entries", "repeated-mutable-entries-depth2"])
 def test_explore_matches_reference_search(make, limits):
     assert_explore_matches_reference(make(), **limits)
+
+
+def test_explore_keeps_no_permutation_where_mutable_entries_repeat(monkeypatch):
+    from clusterforge import cluster
+
+    found = []
+    check = cluster._assert_matrix_consistency
+
+    def recording_check(stored, candidate):
+        found.append(check(stored, candidate))
+        return found[-1]
+
+    monkeypatch.setattr(cluster, "_assert_matrix_consistency", recording_check)
+    explore(repeated_mutable_seed(), max_depth=2)
+    assert found == [None, None]
 
 
 def disagrees(stored, candidate):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from clusterforge import prepmod
 from clusterforge.cases import d4_nonrigid_module
 from clusterforge.fields import QQ, PrimeField
+from clusterforge.linalg import mat_mul, mat_vec, rref
 from clusterforge.prepmod import (
     D4_RIGID_WORD,
     PrepmodError,
@@ -17,6 +19,7 @@ from clusterforge.prepmod import (
     cartan_pairing,
     check_relation,
     direct_sum,
+    dual,
     dynkin_quiver,
     exchange_matrix_from_sequences,
     ext1_dim,
@@ -30,6 +33,7 @@ from clusterforge.prepmod import (
     is_nilpotent,
     is_rigid,
     positive_root_count,
+    radical_series,
     random_module,
     simple_rep,
     socle_basis_at,
@@ -229,6 +233,114 @@ def test_braid_relation_instances():
         c = functor_E(functor_E(m, 1), 2)
         d = functor_E(functor_E(m, 2), 1)
         assert is_isomorphic(c, d)
+
+
+# ----------------------------------------------------------------------
+# the radical side as the socle side of the dual
+
+
+def radical_layers_oracle(rep):
+    """Radical layers from spans of images, top first: rad^0 M_w = M_w and
+    rad^k M_w = sum over arrows a: v -> w of M_a(rad^(k-1) M_v).  Stops
+    when the radical vanishes or after total_dim + 1 layers."""
+    q, F = rep.quiver, rep.field
+    span = {v: [tuple(int(r == c) for c in range(rep.dim(v))) for r in range(rep.dim(v))]
+            for v in q.vertices}
+    layers = []
+    for _ in range(rep.total_dim + 1):
+        if not any(span.values()):
+            break
+        nxt = {}
+        for w in q.vertices:
+            images = [mat_vec(F, rep.map_of(a), u) for a in q.arrows_into(w) for u in span[a.source]]
+            red, pivots = rref(F, tuple(images))
+            nxt[w] = red[:len(pivots)]
+        layers.append(tuple(len(span[v]) - len(nxt[v]) for v in q.vertices))
+        span = nxt
+    return tuple(layers)
+
+
+def nilpotency_oracle(rep):
+    """The n x n block matrix of all arrow maps, raised to a power >= n by
+    repeated squaring, is zero.  Over QQ it is scaled to integer entries
+    first, which keeps its nilpotency and spares Fraction arithmetic."""
+    q, F = rep.quiver, rep.field
+    n = rep.total_dim
+    scale = math.lcm(*(Fraction(x).denominator for m in rep.maps for row in m for x in row))
+    offs = dict(zip(q.vertices, [sum(rep.dims[:k]) for k in range(len(q.vertices))]))
+    big = [[0] * n for _ in range(n)]
+    for a, m in zip(q.arrows, rep.maps):
+        for x, row in enumerate(m):
+            big[offs[a.target] + x][offs[a.source]:offs[a.source] + len(row)] = [
+                int(scale * y) for y in row]
+    power, exponent = tuple(map(tuple, big)), 1
+    while exponent < n:
+        power, exponent = mat_mul(F, power, power), 2 * exponent
+    return not any(x for row in power for x in row)
+
+
+@pytest.fixture(scope="module")
+def dual_modules():
+    """Random modules of A3, A4, D4, D5 and every injective of A5, D4, D5,
+    E6 over QQ, and their reductions to GF(2), GF(3), GF(5) where no
+    denominator vanishes; keyed by field name."""
+    rng = random.Random(20)
+    mods = [random_module(kind, rng, 8) for kind in ("A3", "A4", "D4", "D5") for _ in range(6)]
+    for kind in ("A5", "D4", "D5", "E6"):
+        algebra = build_algebra_basis(kind)
+        mods += [algebra.injective(i) for i in algebra.quiver.vertices]
+    by_field = {QQ.name: mods}
+    for p in (2, 3, 5):
+        gf = PrimeField(p)
+        by_field[gf.name] = [
+            QuiverRep(rep.quiver, gf, rep.dims,
+                      tuple(tuple(tuple(map(gf.coerce, row)) for row in m) for m in rep.maps))
+            for rep in mods
+            if all(Fraction(x).denominator % p for m in rep.maps for row in m for x in row)
+        ]
+    return by_field
+
+
+@pytest.mark.parametrize("field", ["QQ", "GF(2)", "GF(3)", "GF(5)"])
+def test_radical_side_matches_the_span_of_images_oracle(dual_modules, field):
+    assert len(dual_modules[field]) >= 30
+    for m in dual_modules[field]:
+        layers = radical_layers_oracle(m)
+        assert radical_series(m) == layers
+        assert socle_top(m)["top"] == layers[0]
+        assert is_nilpotent(m) and nilpotency_oracle(m)
+        d = dual(m)
+        assert (d.quiver, d.field, d.dims) == (m.quiver, m.field, m.dims)
+        assert dual(d) == m
+        assert check_relation(d) == (True, None)
+
+
+def test_radical_side_needs_no_submodule_or_matrix_product(dual_modules, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(prepmod, "sub_rep", forbidden)
+    monkeypatch.setattr(prepmod, "mat_mul", forbidden)
+    for mods in dual_modules.values():
+        for m in mods:
+            fingerprint(m), radical_series(m), socle_top(m), is_nilpotent(m)
+
+
+def test_identity_maps_are_not_nilpotent():
+    one = ((Fraction(1),),)
+    rep = QuiverRep(A2, QQ, (1, 1), (one, one))
+    assert not nilpotency_oracle(rep)
+    assert not is_nilpotent(rep)
+    # no layer is ever split off, on either side
+    assert radical_series(rep) == radical_layers_oracle(rep) == ((0, 0),) * 3
+    assert socle_top(rep) == {"top": (0, 0), "socle": (0, 0)}
+
+
+def test_dual_transposes_onto_the_reverse_arrow():
+    # A2's Q1 has 2->1 = [1] and 1->2 = 0; its dual swaps them
+    q1 = build_algebra_basis("A2").injective(1)
+    assert q1.maps == (((0,),), ((1,),))
+    assert dual(q1).maps == (((1,),), ((0,),))
 
 
 # ----------------------------------------------------------------------
@@ -543,6 +655,7 @@ def test_module_through_a_zero_dimensional_vertex():
     assert socle_top(m) == {"top": (1, 0, 1), "socle": (1, 0, 1)}
     assert socle_series(m) == ((1, 0, 1),)
     assert fingerprint(m) == ((1, 0, 1), ((1, 0, 1),), ((1, 0, 1),))
+    assert dual(m) == m
     assert hom_dim(m, m) == 2
     assert hom_dim(m, simple_rep(A3, 2)) == 0
     assert hom_dim(zero_rep(A3), m) == 0
