@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping, Optional
 
-from .laurent import InexactDivisionError, LaurentPoly, _is_int, product_of
+from .laurent import InexactDivisionError, LaurentError, LaurentPoly, _is_int, product_of
 
 
 class ClusterError(Exception):
@@ -117,9 +117,9 @@ class Seed:
         if len(self.labels) != len(self.cluster):
             raise ClusterError("labels and cluster must have equal length")
         names = self.cluster[0].varnames if self.cluster else ()
-        for p in self.cluster:
+        for i, p in enumerate(self.cluster):
             if p.varnames != names:
-                raise ClusterError("cluster entries live over different variable lists")
+                raise ClusterError(f"cluster entry {i} has vars {p.varnames}, entry 0 {names}")
 
     @property
     def varnames(self) -> tuple[str, ...]:
@@ -164,26 +164,36 @@ class Seed:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Seed":
-        """Read the form written by to_json; raises ClusterError on a blob
-        that is not an object, a matrix that is not integer rows, an n that
-        is not an integer, a d that is not the matrix's row count, a cluster
-        with a zero or a repeated entry, or labels that are not a list of
-        strings.  JSON true and false are not integers here."""
+        """Read the form written by to_json; a malformed blob raises
+        ClusterError naming the field, and a cluster entry by its index.
+        JSON true and false are not integers here."""
         if not isinstance(data, Mapping):
             raise ClusterError("a seed must be a JSON object")
-        rows = data["matrix"]
+        for key in ("matrix", "n", "cluster"):
+            if key not in data:
+                raise ClusterError(f"seed is missing the key {key!r}")
+        rows, n, blob = data["matrix"], data["n"], data["cluster"]
         if not isinstance(rows, list) or not all(
             isinstance(r, list) and all(_is_int(x) for x in r) for r in rows
         ):
             raise ClusterError("seed matrix must be a list of integer rows")
-        n = data["n"]
-        if not _is_int(n):
-            raise ClusterError(f"seed n must be an integer, got {n!r}")
-        matrix = ExchangeMatrix(tuple(tuple(r) for r in rows), n)
+        if not _is_int(n) or not 0 <= n <= len(rows):
+            raise ClusterError(f"seed n must be an integer from 0 to {len(rows)}, got {n!r}")
+        try:
+            matrix = ExchangeMatrix(tuple(tuple(r) for r in rows), n)
+        except ClusterError as exc:
+            raise ClusterError(f"seed matrix: {exc}") from exc
         d = data.get("d", matrix.d)
         if not _is_int(d) or d != matrix.d:
             raise ClusterError(f"seed d is {d!r} but the matrix has {matrix.d} rows")
-        cluster = tuple(LaurentPoly.from_json(p) for p in data["cluster"])
+        if not isinstance(blob, list):
+            raise ClusterError("seed cluster must be a list of polynomial objects")
+        cluster = []
+        for i, p in enumerate(blob):
+            try:
+                cluster.append(LaurentPoly.from_json(p))
+            except LaurentError as exc:
+                raise ClusterError(f"seed cluster entry {i}: {exc}") from exc
         if any(p.is_zero for p in cluster):
             raise ClusterError("seed cluster has a zero entry")
         if len(set(cluster)) != len(cluster):
@@ -193,7 +203,7 @@ class Seed:
             labels = [f"y{i + 1}" for i in range(matrix.d)]
         if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
             raise ClusterError("seed labels must be a list of strings")
-        return cls(matrix, cluster, tuple(labels))
+        return cls(matrix, tuple(cluster), tuple(labels))
 
 
 def _toggle_star(label: str) -> str:
@@ -291,15 +301,90 @@ def _mutate_cvecs(cvecs, row_k: tuple[int, ...], kk: int) -> tuple[tuple[int, ..
     return tuple(new)
 
 
-def _positions(key: tuple, cvecs) -> Optional[dict]:
-    """{c-vector: position} for the seed stored under key, whose c-vectors
-    are cvecs, or None when its mutable entries repeat: such a seed records
-    no permutation.  The key lists the mutable entries sorted, so a repeat
-    sits next to its copy."""
-    mutable = key[0]
-    if any(a == b for a, b in zip(mutable, mutable[1:])):
-        return None
-    return {c: i for i, c in enumerate(cvecs)}
+def _search(nodes: dict, root: tuple, step, max_seeds: int, max_depth: int, check=None):
+    """Breadth-first search of the mutation class of a seed, for `explore`
+    and `is_finite_type`.  It stores each node found in nodes, {key: node}
+    in discovery order, and returns (graph, exhausted): graph maps a key to
+    {direction k: key}, and exhausted is False when a new node past
+    max_seeds, or a frontier left at max_depth, cut the search short.
+
+    A node is what the caller's layer keeps for a seed; root is (key, node,
+    rows, perm) for the initial seed, rows being its matrix rows.  Frontier
+    nodes carry their c-vectors, the columns of the bottom block C of the
+    framed matrix [B; C], with C = I at the root, mutated by `_mutate_cvecs`
+    on every edge.  Their sorted tuple, the c-vector key, determines the
+    abstract seed of the cluster pattern with principal coefficients
+    (Fomin-Zelevinsky, "Cluster algebras IV"; sign-coherence by
+    Derksen-Weyman-Zelevinsky), and so the abstract seed under any
+    coefficients.  Only a c-vector key not met before calls step(node,
+    rows, kk, cvecs), which mutates in 0-based direction kk and returns the
+    neighbour's (key, node, rows, perm): perm[i] is the position of its
+    i-th entry in the node stored under that key, range(m) for a new node,
+    or None where no permutation is unique.  The index keeps {c-vector:
+    perm[i]}, or None, for the c-vector key, and an edge to a met key calls
+    check(rows, kk, stored node, perm), if given, with the perm it gives.
+
+    Each undirected edge is mutated once.  When s mutated in direction k
+    gives t = P·mu_k(s), direction j = P(k) of t is recorded as pending
+    back to s: mutation is an involution that commutes with permuting the
+    cluster, so mu_j(t) = P·s exactly.  Expanding t writes each pending
+    direction into the graph at its own loop position, the order of a
+    search that mutates every direction.  Where the index holds None
+    nothing is recorded, and that edge is mutated from both ends."""
+    if max_seeds <= 0 or max_depth <= 0:
+        raise ClusterError("limits must be positive")
+    key0, node0, rows0, perm0 = root
+    m = len(rows0[0]) if rows0 else 0
+    identity = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+    nodes[key0] = node0
+    graph: dict = {key0: {}}
+    # sorted c-vectors -> (key, {c-vector: position in the stored node} or None)
+    index = {tuple(sorted(identity)): (key0, None if perm0 is None else dict(zip(identity, perm0)))}
+    pending: dict = {}  # key -> {direction: key}, edges known from the other end
+    frontier = [(node0, key0, rows0, identity)]
+    exhausted = True
+    depth = 0
+    while frontier:
+        if depth >= max_depth:
+            exhausted = False
+            break
+        next_frontier = []
+        for node, key, rows, cvecs in frontier:
+            known = pending.pop(key, {})
+            edges = graph[key]
+            for kk in range(m):
+                k = kk + 1
+                if k in known:
+                    edges[k] = known[k]
+                    continue
+                new_cvecs = _mutate_cvecs(cvecs, rows[kk], kk)
+                ckey = tuple(sorted(new_cvecs))
+                met = index.get(ckey)
+                if met is not None:
+                    nkey, positions = met
+                    if positions is not None:
+                        if check is not None:
+                            check(rows, kk, nodes[nkey], [positions[c] for c in new_cvecs])
+                        pending.setdefault(nkey, {})[positions[new_cvecs[kk]] + 1] = key
+                else:
+                    nkey, new_node, new_rows, perm = step(node, rows, kk, new_cvecs)
+                    if nkey not in nodes:
+                        if len(nodes) >= max_seeds:
+                            exhausted = False
+                            continue
+                        nodes[nkey] = new_node
+                        graph[nkey] = {}
+                        next_frontier.append((new_node, nkey, new_rows, new_cvecs))
+                        pending[nkey] = {k: key}
+                    elif perm is not None:
+                        pending.setdefault(nkey, {})[perm[kk] + 1] = key
+                    index[ckey] = (nkey, None if perm is None else dict(zip(new_cvecs, perm)))
+                edges[k] = nkey
+        frontier = next_frontier
+        depth += 1
+        if not exhausted:
+            break
+    return graph, exhausted
 
 
 def explore(
@@ -311,32 +396,14 @@ def explore(
     de-duplication.  Returns a partial class flagged exhausted=False when a
     limit is hit.
 
-    Each undirected edge of the exchange graph is mutated once.  When
-    mutating s in direction k gives a seed whose stored representative t is
-    P·mu_k(s), for the permutation P that `_assert_matrix_consistency` finds
-    (the identity for a new seed), the edge is recorded as pending: direction
-    j = P(k) of t leads back to s.  Mutation is an involution that commutes
-    with permuting the cluster, so mu_j(t) = P·mu_k(mu_k(s)) = P·s exactly:
-    its division is exact, its matrix is valid and it agrees with s under P,
-    which are the checks a second mutation would run.  When t is expanded it
-    writes each pending direction into the graph at its own loop position,
-    so the graph's insertion order is that of a search that mutates every
-    direction.  When t's mutable entries repeat there is no unique P, nothing
-    is recorded, and that edge is mutated from both ends.
-
-    Only a seed met for the first time costs a Laurent exchange.  Each
-    frontier seed carries its c-vectors, the columns of the bottom block C
-    of its framed matrix [B; C], with C = I at s, mutated by
-    `_mutate_cvecs` as in `is_finite_type`.
-    Their sorted tuple determines the abstract seed of the cluster pattern
-    with principal coefficients (Fomin-Zelevinsky, "Cluster algebras IV";
-    sign-coherence by Derksen-Weyman-Zelevinsky), and with it the abstract
-    seed under any coefficients.  An edge first mutates the c-vectors.  If
-    their key was met before, the neighbour is that abstract seed again: the
-    c-vectors give P, and B alone is mutated and checked against t's matrix
-    under P, frozen rows included, as `_assert_matrix_consistency` would.
-    Otherwise `mutate_seed` runs as described above, and the stored key and
-    P it finds are kept under the c-vector key.
+    The search is `_search`'s, with a Laurent layer: a node is a Seed keyed
+    by `Seed.key`, and only a new c-vector key costs a Laurent exchange,
+    `mutate_seed`.  A new seed's permutation is the identity, or None when
+    its mutable entries repeat; an exchange that lands on a stored key, as
+    on a cluster that is not free, takes the one that
+    `_assert_matrix_consistency` checks.  An edge to a met c-vector key
+    mutates B alone and checks it against the stored matrix under P,
+    frozen rows included.
 
     Skipping the exchange is exact even when the cluster of s is not a free
     generating set.  Send each initial variable x_i to the i-th entry of s,
@@ -348,94 +415,48 @@ def explore(
     key, along every path, and a division is exact along one path exactly
     when it is along any other: no LaurentPhenomenonError can be skipped.
     Different abstract seeds can still give one key when the cluster is not
-    free; their c-vector keys differ, so each runs its own exchange and keeps
-    the P that `_assert_matrix_consistency` returns, or None where the
-    mutable entries repeat."""
-    if max_seeds <= 0 or max_depth <= 0:
-        raise ClusterError("limits must be positive")
+    free; their c-vector keys differ, so each runs its own exchange."""
     m = s.matrix.n_mutable
-    identity = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
-    key0 = s.key()
-    seeds = {key0: s}
-    graph: dict = {key0: {}}
-    order = [key0]
-    # sorted c-vectors -> (key, {c-vector: position in the stored seed} or None)
-    by_cvecs = {tuple(sorted(identity)): (key0, _positions(key0, identity))}
-    pending: dict = {}  # key -> {direction: key}, edges known from the other end
-    frontier = [(s, key0, identity)]
-    exhausted = True
-    depth = 0
-    while frontier:
-        if depth >= max_depth:
-            exhausted = False
-            break
-        next_frontier = []
-        for seed, skey, cvecs in frontier:
-            known = pending.pop(skey, {})
-            rows = seed.matrix.rows
-            for k in range(1, m + 1):
-                if k in known:
-                    graph[skey][k] = known[k]
-                    continue
-                kk = k - 1
-                new_cvecs = _mutate_cvecs(cvecs, rows[kk], kk)
-                ckey = tuple(sorted(new_cvecs))
-                met = by_cvecs.get(ckey)
-                if met is not None:
-                    nkey, positions = met
-                    if positions is not None:
-                        perm = [positions[c] for c in new_cvecs]
-                        _check_permuted(seeds[nkey].matrix.rows, _mutate_rows(rows, kk), perm)
-                        pending.setdefault(nkey, {})[perm[kk] + 1] = skey
-                else:
-                    neighbor = mutate_seed(seed, k)
-                    nkey = neighbor.key()
-                    stored = seeds.get(nkey)
-                    if stored is not None:
-                        perm = _assert_matrix_consistency(stored, neighbor)
-                        if perm is None:
-                            by_cvecs[ckey] = (nkey, None)
-                        else:
-                            by_cvecs[ckey] = (nkey, dict(zip(new_cvecs, perm)))
-                            pending.setdefault(nkey, {})[perm[kk] + 1] = skey
-                    else:
-                        if len(seeds) >= max_seeds:
-                            exhausted = False
-                            continue
-                        seeds[nkey] = neighbor
-                        graph[nkey] = {}
-                        order.append(nkey)
-                        by_cvecs[ckey] = (nkey, _positions(nkey, new_cvecs))
-                        next_frontier.append((neighbor, nkey, new_cvecs))
-                        pending[nkey] = {k: skey}
-                graph[skey][k] = nkey
-        frontier = next_frontier
-        depth += 1
-        if not exhausted:
-            break
-    return MutationClass(key0, seeds, graph, order, exhausted)
+    seeds: dict = {}
+
+    def node(seed: Seed) -> tuple:
+        key = seed.key()
+        stored = seeds.get(key)
+        mutable = key[0]  # sorted, so a repeat sits next to its copy
+        if stored is not None:
+            perm = _assert_matrix_consistency(stored, seed)
+        elif any(a == b for a, b in zip(mutable, mutable[1:])):
+            perm = None
+        else:
+            perm = range(m)
+        return key, seed, seed.matrix.rows, perm
+
+    def check(rows, kk, stored, perm):
+        _check_permuted(stored.matrix.rows, _mutate_rows(rows, kk), perm)
+
+    def laurent(seed, rows, kk, cvecs):
+        return node(mutate_seed(seed, kk + 1))
+
+    root = node(s)
+    graph, exhausted = _search(seeds, root, laurent, max_seeds, max_depth, check)
+    return MutationClass(root[0], seeds, graph, list(seeds), exhausted)
 
 
 def is_finite_type(s: Seed, max_seeds: int = 100000, max_depth: int = 64) -> dict:
     """Finite-type detection from the exchange matrix alone; inconclusive
     results carry finite=False, exhausted=False.
 
-    Each seed carries the principal part B and the c-vectors, the columns
-    of the bottom block C of the framed matrix [B; C], with C = I at s, so
-    that the coefficients are principal at s.  An edge mutates the
-    c-vectors by `_mutate_cvecs`, as `explore` does, and B only when the
-    edge finds a new seed.  A seed is keyed by its sorted c-vectors, and
-    each one must be sign-coherent (Derksen-Weyman-Zelevinsky), or
-    ClusterError is raised.
-    Cluster variables are counted as distinct g-vectors, which mutation in
+    The search is `_search`'s, with an integer layer: a node is the tuple
+    of g-vectors, keyed by its discovery number, with the principal part B
+    as its rows, mutated only for a new seed and not checked on a met
+    c-vector key.  Each new c-vector must be sign-coherent
+    (Derksen-Weyman-Zelevinsky), or ClusterError is raised.  Cluster
+    variables are counted as distinct g-vectors, which mutation in
     direction k changes by g'_k = -g_k + sum_i [-e b_ik]_+ g_i, with e the
-    sign of c_k (Nakanishi-Zelevinsky).  The frontier order, the limits,
-    the revisits recorded from the other end and the exhausted rule are
-    those of `explore`, so the counts are its counts whenever the cluster of
-    s is a free generating set: the class, its seeds and its variables then
-    depend on B only.  No cluster entry and no frozen row is read, so a
-    cluster that is not free, such as one with a repeated entry, can count
-    differently from `explore`.
+    sign of c_k (Nakanishi-Zelevinsky).  The counts are `explore`'s
+    whenever the cluster of s is a free generating set, as the class then
+    depends on B only; a cluster that is not free, such as one with a
+    repeated entry, can count differently.
 
     >>> from clusterforge.laurent import LaurentPoly
     >>> a2 = Seed(ExchangeMatrix(((0, 1), (-1, 0)), 0),
@@ -443,61 +464,30 @@ def is_finite_type(s: Seed, max_seeds: int = 100000, max_depth: int = 64) -> dic
     >>> is_finite_type(a2)
     {'finite': True, 'exhausted': True, 'cluster_variable_count': 5, 'cluster_count': 5}
     """
-    if max_seeds <= 0 or max_depth <= 0:
-        raise ClusterError("limits must be positive")
     m = s.matrix.n_mutable
     identity = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
-    key0 = tuple(sorted(identity))
-    index = {key0: {c: i for i, c in enumerate(identity)}}  # key -> {c-vector: position}
-    variables = set(identity)
-    pending: dict = {}  # key -> directions known from the other end
-    frontier = [(s.matrix.rows[:m], identity, identity, key0)]
-    exhausted = True
-    depth = 0
-    while frontier:
-        if depth >= max_depth:
-            exhausted = False
-            break
-        next_frontier = []
-        for rows, cvecs, gvecs, key in frontier:
-            known = pending.pop(key, ())
-            for kk in range(m):
-                if kk in known:
-                    continue
-                new_cvecs = _mutate_cvecs(cvecs, rows[kk], kk)
-                nkey = tuple(sorted(new_cvecs))
-                stored = index.get(nkey)
-                if stored is not None:
-                    pending.setdefault(nkey, set()).add(stored[new_cvecs[kk]])
-                    continue
-                if len(index) >= max_seeds:
-                    exhausted = False
-                    continue
-                for c in new_cvecs:
-                    if min(c) < 0 < max(c):
-                        raise ClusterError(f"c-vector {c} is not sign-coherent")
-                sign = 1 if max(cvecs[kk]) > 0 else -1
-                g = [-x for x in gvecs[kk]]
-                for row, gi in zip(rows, gvecs):
-                    b = -sign * row[kk]
-                    if b > 0:
-                        g = [x + b * y for x, y in zip(g, gi)]
-                new_g = tuple(g)
-                variables.add(new_g)
-                index[nkey] = {c: i for i, c in enumerate(new_cvecs)}
-                next_frontier.append(
-                    (_mutate_rows(rows, kk), new_cvecs, gvecs[:kk] + (new_g,) + gvecs[kk + 1 :], nkey)
-                )
-                pending[nkey] = {kk}
-        frontier = next_frontier
-        depth += 1
-        if not exhausted:
-            break
+    nodes: dict = {}
+
+    def integer(gvecs, rows, kk, cvecs):
+        for c in cvecs:
+            if min(c) < 0 < max(c):
+                raise ClusterError(f"c-vector {c} is not sign-coherent")
+        e = 1 if min(cvecs[kk]) < 0 else -1  # c_k before the mutation is -cvecs[kk]
+        g = [-x for x in gvecs[kk]]
+        for row, gi in zip(rows, gvecs):
+            b = -e * row[kk]
+            if b > 0:
+                g = [x + b * y for x, y in zip(g, gi)]
+        new_gvecs = gvecs[:kk] + (tuple(g),) + gvecs[kk + 1 :]
+        return len(nodes), new_gvecs, _mutate_rows(rows, kk), range(m)
+
+    root = (0, identity, s.matrix.rows[:m], range(m))
+    exhausted = _search(nodes, root, integer, max_seeds, max_depth)[1]
     return {
         "finite": exhausted,
         "exhausted": exhausted,
-        "cluster_variable_count": len(variables),
-        "cluster_count": len(index),
+        "cluster_variable_count": len({g for gvecs in nodes.values() for g in gvecs}),
+        "cluster_count": len(nodes),
     }
 
 

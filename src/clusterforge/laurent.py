@@ -418,14 +418,36 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "LaurentPoly":
-        names = data["vars"]
+        """Read the form written by to_json; raises LaurentError, naming the
+        field and a term by its index, on a malformed blob."""
+        if not isinstance(data, Mapping) or not {"vars", "terms"} <= data.keys():
+            raise LaurentError("a polynomial must be an object with the keys 'vars' and 'terms'")
+        names, blob = data["vars"], data["terms"]
         if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
             raise LaurentError(f"vars must be a list of strings, got {names!r}")
         if len(set(names)) != len(names):
             raise LaurentError(f"vars must be distinct, got {names}")
-        terms = {tuple(t["exponents"]): _json_coeff(t["coeff"]) for t in data["terms"]}
-        if len(terms) != len(data["terms"]):
-            raise LaurentError("two terms have the same exponent vector")
+        if not isinstance(blob, list):
+            raise LaurentError("terms must be a list of term objects")
+        terms = {}
+        for i, t in enumerate(blob):
+            if not isinstance(t, Mapping) or not {"exponents", "coeff"} <= t.keys():
+                raise LaurentError(
+                    f"term {i} must be an object with the keys 'exponents' and 'coeff'"
+                )
+            exps = t["exponents"]
+            if not (isinstance(exps, list) and len(exps) == len(names)
+                    and all(map(_is_int, exps))):
+                raise LaurentError(
+                    f"term {i} exponents must be a list of {len(names)} integers, got {exps!r}"
+                )
+            exps = tuple(exps)
+            if exps in terms:
+                raise LaurentError(f"term {i} has the same exponent vector as an earlier term")
+            try:
+                terms[exps] = _json_coeff(t["coeff"])
+            except LaurentError as exc:
+                raise LaurentError(f"term {i}: {exc}") from exc
         return cls(tuple(names), terms)
 
     def _term_str(self, exps: Monomial, coeff: int) -> str:

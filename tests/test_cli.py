@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import random
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -465,10 +466,12 @@ def test_rng_seed_is_reported(runner):
 
 
 def _assert_one_line_error(result, *codes):
+    """Returns the error line."""
     assert result.exit_code in codes, (result.exit_code, result.exception)
     assert isinstance(result.exception, SystemExit)
     errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
     assert len(errors) == 1
+    return errors[0]
 
 
 def test_resource_cap_exits_4(runner):
@@ -748,36 +751,48 @@ def malformed_modules(draw):
 
 @st.composite
 def malformed_seeds(draw):
+    """A2_SEED with one fault, and the field that the error must name."""
     blob = copy.deepcopy(A2_SEED)
     fault = draw(st.sampled_from(["drop", "swap", "shape", "skew", "bool", "d", "labels", "vars",
-                                  "exponents"]))
+                                  "exponents", "entry", "term", "coeff"]))
+    field = fault
     if fault == "drop":
-        del blob[draw(st.sampled_from(["matrix", "n", "cluster"]))]
+        field = draw(st.sampled_from(["matrix", "n", "cluster"]))
+        del blob[field]
     elif fault == "swap":
-        target = draw(st.sampled_from(["blob", "matrix", "n", "cluster"]))
-        if target == "blob":
+        field = draw(st.sampled_from(["object", "matrix", "n", "cluster"]))
+        if field == "object":
             blob = draw(st.sampled_from([[blob], "x", 3, None]))
-        elif target == "matrix":
+        elif field == "matrix":
             blob["matrix"] = draw(st.sampled_from(["x", 3, None, {}, [0, 1], [["0", "1"], ["-1", "0"]]]))
-        elif target == "n":
+        elif field == "n":
             blob["n"] = draw(st.sampled_from(["x", None, [], {}, -1, 3]))
         else:
             blob["cluster"] = draw(st.sampled_from(["x", 3, None, {}, []]))
     elif fault == "shape":
-        del blob[draw(st.sampled_from(["matrix", "cluster"]))][-1]
-    elif fault == "skew":
-        blob["matrix"][0][1] += draw(st.integers(1, 3))
-    elif fault == "bool":
-        blob["matrix"][0][1] = True
+        field = draw(st.sampled_from(["matrix", "cluster"]))
+        del blob[field][-1]
+    elif fault in ("skew", "bool"):
+        field = "matrix"
+        blob["matrix"][0][1] = True if fault == "bool" else 1 + draw(st.integers(1, 3))
     elif fault == "d":
         blob["d"] = draw(st.sampled_from([7, 1, 3, True, "2", None]))
     elif fault == "labels":
         blob["labels"] = draw(st.sampled_from([[1, 2], ["y1"], ["y1", None], "ab", []]))
     elif fault == "vars":
         blob["cluster"][0]["vars"] = ["z1", "z2"]
+    elif fault == "entry":
+        field = "cluster entry 1"
+        blob["cluster"][1] = draw(st.sampled_from([1, "x", None, [], {"vars": ["y1", "y2"]}]))
+    elif fault == "term":
+        field = "term 0"
+        blob["cluster"][1]["terms"] = [draw(st.sampled_from([1, "x", None, {"coeff": "1"}]))]
+    elif fault == "coeff":
+        blob["cluster"][1]["terms"][0]["coeff"] = draw(st.sampled_from([1.5, True, "x", None]))
+        field = "term 0"
     else:
-        blob["cluster"][0]["terms"][0]["exponents"] = ["1", "0"]
-    return blob
+        blob["cluster"][0]["terms"][0]["exponents"] = draw(st.sampled_from([["1", "0"], [1], 1]))
+    return blob, field
 
 
 @st.composite
@@ -814,7 +829,8 @@ def test_malformed_module_files_exit_with_one_line(blob):
 
 @PROPERTY_SETTINGS
 @given(malformed_seeds())
-def test_malformed_seed_files_exit_with_one_line(blob):
+def test_malformed_seed_files_exit_with_one_line(case):
+    blob, field = case
     runner = CliRunner()
     with tempfile.TemporaryDirectory() as tmp:
         seed = Path(tmp) / "seed.json"
@@ -824,7 +840,9 @@ def test_malformed_seed_files_exit_with_one_line(blob):
             ["cluster", "explore", "--seed", str(seed), "--max-depth", "3"],
             ["cluster", "finite-type", "--seed", str(seed), "--max-depth", "3"],
         ):
-            _assert_one_line_error(runner.invoke(main, argv), 2, 3, 4, 5)
+            line = _assert_one_line_error(runner.invoke(main, argv), 2)
+            # the message names the field, not a Python internal such as 'int'
+            assert re.search(rf"\b{field}\b", line.split(": ", 2)[-1]), (field, line)
 
 
 @PROPERTY_SETTINGS

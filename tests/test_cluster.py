@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -521,33 +522,40 @@ def test_repeated_mutable_entries_record_no_permutation(monkeypatch):
     """explore keys the initial seed by its c-vectors under the rule of
     every stored seed: repeated mutable entries give no permutation.  No
     edge reads that entry back, as each neighbour of the initial seed has
-    its edge back pending, so the test watches the entry being made."""
+    its edge back pending, so the test watches the root that the search
+    indexes, {c-vector: perm[i]} over the identity c-vectors, or None."""
     from clusterforge import cluster
 
-    made, positions = [], cluster._positions
+    roots, search = [], cluster._search
 
-    def recording_positions(key, cvecs):
-        made.append((key, positions(key, cvecs)))
-        return made[-1][1]
+    def recording_search(nodes, root, *args):
+        roots.append(root)
+        return search(nodes, root, *args)
 
-    monkeypatch.setattr(cluster, "_positions", recording_positions)
+    monkeypatch.setattr(cluster, "_search", recording_search)
     identity = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
     for s, expected in ((repeated_entry_seed(), None),
                         (plain_seed(D4_ROWS), {c: i for i, c in enumerate(identity)})):
-        made.clear()
+        roots.clear()
         explore(s)
-        assert made[0] == (s.key(), expected)
+        (key, seed, rows, perm), = roots
+        assert (key, seed, rows) == (s.key(), s, s.matrix.rows)
+        assert (perm if perm is None else dict(zip(identity, perm))) == expected
 
 
 # ----------------------------------------------------------------------
-# is_finite_type, a search over integer matrices, against Laurent explore
+# is_finite_type, a search over integer matrices, against the reference
+# Laurent search, which shares no code with the search that explore and
+# is_finite_type both run
 
 
 def explore_summary(s, **limits):
-    """What is_finite_type should report: the counts of Laurent explore."""
-    mc = explore(s, **limits)
-    return {"finite": mc.exhausted, "exhausted": mc.exhausted,
-            "cluster_variable_count": len(mc.variables()), "cluster_count": mc.cluster_count}
+    """What is_finite_type should report on a free cluster: the counts of
+    reference_explore."""
+    seeds, _, _, exhausted = reference_explore(s, **limits)
+    variables = {p for seed in seeds.values() for p in seed.mutable}
+    return {"finite": exhausted, "exhausted": exhausted,
+            "cluster_variable_count": len(variables), "cluster_count": len(seeds)}
 
 
 def dynkin_rows(letter, rank):
@@ -583,6 +591,28 @@ def test_is_finite_type_matches_explore(name):
         assert is_finite_type(s)["finite"]
         for limits in LIMIT_GRID:
             assert is_finite_type(s, **limits) == explore_summary(s, **limits), limits
+
+
+def symmetric_copies(rows):
+    """Every matrix e P B P^T for a sign e and a permutation P, once each."""
+    n = len(rows)
+    return sorted({tuple(tuple(e * rows[p[i]][p[j]] for j in range(n)) for i in range(n))
+                   for p in itertools.permutations(range(n)) for e in (1, -1)})
+
+
+@pytest.mark.parametrize("rows, depth, clusters, variables", [
+    (KRONECKER_ROWS, 12, 2 * 12 + 1, 2 * 12 + 2),  # the exchange graph is a line
+    (MARKOV_ROWS, 5, 1 + 3 * (2 ** 5 - 1), 3 * 2 ** 5),  # the trivalent tree
+], ids=["kronecker-depth12", "markov-depth5"])
+def test_is_finite_type_counts_infinite_classes_to_a_depth(rows, depth, clusters, variables):
+    expected = {"finite": False, "exhausted": False,
+                "cluster_variable_count": variables, "cluster_count": clusters}
+    copies = symmetric_copies(rows)
+    assert len(copies) == 2 and rows in copies
+    for b in copies:
+        s = plain_seed(b)
+        assert is_finite_type(s, max_depth=depth) == expected
+        assert explore_summary(s, max_depth=depth) == expected
 
 
 @st.composite

@@ -353,7 +353,14 @@ def long_division(p, q):
     )
 
 
-exponents3 = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
+def _centred_exponents(raw, bound):
+    """Bytes to exponents in +-bound: byte b gives d = b % (2 bound + 1) and
+    then d for d <= bound, else bound - d, so a byte shrinking to 0 gives
+    exponent 0.  A monomial is then one draw, not one per exponent."""
+    return tuple(d if d <= bound else bound - d for d in (b % (2 * bound + 1) for b in raw))
+
+
+exponents3 = st.binary(min_size=3, max_size=3).map(lambda raw: _centred_exponents(raw, 3))
 coeffs = st.integers(1, 9) | st.integers(-9, -1)
 polys3 = st.dictionaries(exponents3, coeffs, max_size=10).map(
     lambda terms: LaurentPoly(XYZ, terms)
@@ -369,14 +376,19 @@ def non_unit_lead_divisors(draw):
     return LaurentPoly(XYZ, terms)
 
 
+small_polys3 = st.dictionaries(exponents3, coeffs, max_size=2).map(lambda t: LaurentPoly(XYZ, t))
+
+
 @st.composite
 def division_cases(draw):
+    """A divisor over a random dividend or a near multiple p * q + r.  The
+    strategies are built once and a monomial is one draw: building them
+    per example, and drawing each exponent on its own, cost more than the
+    divisions under test."""
     q = draw(non_unit_lead_divisors())
-    near_multiples = st.builds(
-        lambda p, r: p * q + r, polys3,
-        st.dictionaries(exponents3, coeffs, max_size=2).map(lambda t: LaurentPoly(XYZ, t)),
-    )
-    return draw(st.one_of(polys3, near_multiples)), q
+    if draw(st.booleans()):
+        return draw(polys3), q
+    return draw(polys3) * q + draw(small_polys3), q
 
 
 def assert_matches_long_division(p, q):
@@ -403,12 +415,6 @@ def names_of(n):
     return tuple(f"x{i}" for i in range(1, n + 1))
 
 
-def _centred_exponents(raw):
-    """Bytes to exponents in +-30: byte b gives d = b % 61 and then d for
-    d <= 30, else 30 - d, so a byte shrinking to 0 gives exponent 0."""
-    return tuple(d if d <= 30 else 30 - d for d in (b % 61 for b in raw))
-
-
 @lru_cache(maxsize=None)
 def wide_polys(n, min_size, max_size):
     """Polynomials in n variables with exponents in +-30: digits of the
@@ -416,7 +422,7 @@ def wide_polys(n, min_size, max_size):
     is one draw of n bytes, and each strategy is built once: drawing the n
     exponents one by one, and building strategies per example, cost more
     than the divisions under test."""
-    exps = st.binary(min_size=n, max_size=n).map(_centred_exponents)
+    exps = st.binary(min_size=n, max_size=n).map(lambda raw: _centred_exponents(raw, 30))
     return st.dictionaries(exps, coeffs, min_size=min_size, max_size=max_size).map(
         lambda terms: LaurentPoly(names_of(n), terms)
     )
