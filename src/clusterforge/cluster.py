@@ -219,6 +219,11 @@ def mutate_seed(s: Seed, k: int) -> Seed:
         new_var = binomial.div_exact(s.cluster[k - 1])
     except InexactDivisionError as exc:
         raise LaurentPhenomenonError(s, k, str(exc)) from exc
+    return _exchanged(s, k, new_var)
+
+
+def _exchanged(s: Seed, k: int, new_var: LaurentPoly) -> Seed:
+    """The mutation of s in direction k, given the new variable y_k'."""
     cluster = list(s.cluster)
     cluster[k - 1] = new_var
     labels = list(s.labels)
@@ -301,6 +306,29 @@ def _mutate_cvecs(cvecs, row_k: tuple[int, ...], kk: int) -> tuple[tuple[int, ..
     return tuple(new)
 
 
+def _mutate_gvecs(gvecs, rows, kk: int, cvecs) -> tuple[tuple[int, ...], ...]:
+    """The g-vectors mutated in 0-based direction kk, given the rows of B
+    and the c-vectors after the mutation: only g_k changes, to
+    g'_k = -g_k + sum_i [-e b_ik]_+ g_i, with e the sign of c_k before it
+    (Nakanishi-Zelevinsky, "On tropical dualities in cluster algebras").
+    Raises ClusterError unless each c-vector is sign-coherent
+    (Derksen-Weyman-Zelevinsky), as e would otherwise be undefined."""
+    for c in cvecs:
+        if min(c) < 0 < max(c):
+            raise ClusterError(f"c-vector {c} is not sign-coherent")
+    e = 1 if min(cvecs[kk]) < 0 else -1  # c_k before the mutation is -cvecs[kk]
+    g = [-x for x in gvecs[kk]]
+    for row, gi in zip(rows, gvecs):  # gvecs has m entries, so frozen rows drop out
+        b = -e * row[kk]
+        if b > 0:
+            g = [x + b * y for x, y in zip(g, gi)]
+    return gvecs[:kk] + (tuple(g),) + gvecs[kk + 1 :]
+
+
+def _identity(m: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+
+
 def _search(nodes: dict, root: tuple, step, max_seeds: int, max_depth: int, check=None):
     """Breadth-first search of the mutation class of a seed, for `explore`
     and `is_finite_type`.  It stores each node found in nodes, {key: node}
@@ -316,13 +344,16 @@ def _search(nodes: dict, root: tuple, step, max_seeds: int, max_depth: int, chec
     abstract seed of the cluster pattern with principal coefficients
     (Fomin-Zelevinsky, "Cluster algebras IV"; sign-coherence by
     Derksen-Weyman-Zelevinsky), and so the abstract seed under any
-    coefficients.  Only a c-vector key not met before calls step(node,
-    rows, kk, cvecs), which mutates in 0-based direction kk and returns the
-    neighbour's (key, node, rows, perm): perm[i] is the position of its
-    i-th entry in the node stored under that key, range(m) for a new node,
-    or None where no permutation is unique.  The index keeps {c-vector:
-    perm[i]}, or None, for the c-vector key, and an edge to a met key calls
-    check(rows, kk, stored node, perm), if given, with the perm it gives.
+    coefficients.  Frontier nodes carry their g-vectors too, G = I at the
+    root: the g-vector of a cluster variable names it.  Only a c-vector key
+    not met before mutates them, by `_mutate_gvecs`, and calls step(node,
+    rows, kk, gvecs) with the neighbour's g-vectors; step mutates in
+    0-based direction kk and returns the neighbour's (key, node, rows,
+    perm): perm[i] is the position of its i-th entry in the node stored
+    under that key, range(m) for a new node, or None where no permutation
+    is unique.  The index keeps {c-vector: perm[i]}, or None, for the
+    c-vector key, and an edge to a met key calls check(rows, kk, stored
+    node, perm), if given, with the perm it gives.
 
     Each undirected edge is mutated once.  When s mutated in direction k
     gives t = P·mu_k(s), direction j = P(k) of t is recorded as pending
@@ -335,13 +366,13 @@ def _search(nodes: dict, root: tuple, step, max_seeds: int, max_depth: int, chec
         raise ClusterError("limits must be positive")
     key0, node0, rows0, perm0 = root
     m = len(rows0[0]) if rows0 else 0
-    identity = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+    identity = _identity(m)
     nodes[key0] = node0
     graph: dict = {key0: {}}
     # sorted c-vectors -> (key, {c-vector: position in the stored node} or None)
     index = {tuple(sorted(identity)): (key0, None if perm0 is None else dict(zip(identity, perm0)))}
     pending: dict = {}  # key -> {direction: key}, edges known from the other end
-    frontier = [(node0, key0, rows0, identity)]
+    frontier = [(node0, key0, rows0, identity, identity)]
     exhausted = True
     depth = 0
     while frontier:
@@ -349,7 +380,7 @@ def _search(nodes: dict, root: tuple, step, max_seeds: int, max_depth: int, chec
             exhausted = False
             break
         next_frontier = []
-        for node, key, rows, cvecs in frontier:
+        for node, key, rows, cvecs, gvecs in frontier:
             known = pending.pop(key, {})
             edges = graph[key]
             for kk in range(m):
@@ -367,14 +398,15 @@ def _search(nodes: dict, root: tuple, step, max_seeds: int, max_depth: int, chec
                             check(rows, kk, nodes[nkey], [positions[c] for c in new_cvecs])
                         pending.setdefault(nkey, {})[positions[new_cvecs[kk]] + 1] = key
                 else:
-                    nkey, new_node, new_rows, perm = step(node, rows, kk, new_cvecs)
+                    new_gvecs = _mutate_gvecs(gvecs, rows, kk, new_cvecs)
+                    nkey, new_node, new_rows, perm = step(node, rows, kk, new_gvecs)
                     if nkey not in nodes:
                         if len(nodes) >= max_seeds:
                             exhausted = False
                             continue
                         nodes[nkey] = new_node
                         graph[nkey] = {}
-                        next_frontier.append((new_node, nkey, new_rows, new_cvecs))
+                        next_frontier.append((new_node, nkey, new_rows, new_cvecs, new_gvecs))
                         pending[nkey] = {k: key}
                     elif perm is not None:
                         pending.setdefault(nkey, {})[perm[kk] + 1] = key
@@ -397,27 +429,40 @@ def explore(
     limit is hit.
 
     The search is `_search`'s, with a Laurent layer: a node is a Seed keyed
-    by `Seed.key`, and only a new c-vector key costs a Laurent exchange,
-    `mutate_seed`.  A new seed's permutation is the identity, or None when
-    its mutable entries repeat; an exchange that lands on a stored key, as
-    on a cluster that is not free, takes the one that
-    `_assert_matrix_consistency` checks.  An edge to a met c-vector key
-    mutates B alone and checks it against the stored matrix under P,
-    frozen rows included.
+    by `Seed.key`.  The step keeps {g-vector: cluster variable}, the
+    initial mutable entries first, and a new c-vector key costs a Laurent
+    exchange, `mutate_seed`, only when the neighbour's new variable has a
+    g-vector not stored; otherwise the neighbour is the stored variable in
+    place of entry k, with B mutated and label k toggled.  A new seed's
+    permutation is the identity, or None when its mutable entries repeat;
+    a neighbour that lands on a stored key, as on a cluster that is not
+    free, takes the one that `_assert_matrix_consistency` checks.  An edge
+    to a met c-vector key mutates B alone and checks it against the stored
+    matrix under P, frozen rows included.
 
-    Skipping the exchange is exact even when the cluster of s is not a free
-    generating set.  Send each initial variable x_i to the i-th entry of s,
-    a nonzero Laurent polynomial; by the Laurent phenomenon this maps every
-    abstract cluster variable into the fraction field of the Laurent
-    polynomials.  Exact division in a domain is unique, so each computed
-    variable is the image of its abstract variable, whatever path computed
-    it.  The same abstract seed thus gives the same cluster, and so the same
-    key, along every path, and a division is exact along one path exactly
-    when it is along any other: no LaurentPhenomenonError can be skipped.
-    Different abstract seeds can still give one key when the cluster is not
-    free; their c-vector keys differ, so each runs its own exchange."""
+    Reusing a variable is exact even when the cluster of s is not a free
+    generating set.  B is skew-symmetric, so different cluster variables
+    have different g-vectors (Derksen-Weyman-Zelevinsky, "Quivers with
+    potentials II", Thm 1.7), and with its F-polynomial the g-vector gives
+    the variable under any coefficients (the separation formula,
+    Fomin-Zelevinsky, "Cluster algebras IV"): a stored g-vector names the
+    abstract variable the exchange would compute.  Send each initial
+    variable x_i to the i-th entry of s, a nonzero Laurent polynomial; by
+    the Laurent phenomenon this maps every abstract cluster variable into
+    the fraction field of the Laurent polynomials.  Exact division in a
+    domain is unique, so each computed variable is the image of its
+    abstract variable, whatever path computed it, and the stored variable
+    is the quotient the division would give.  The same abstract seed thus
+    gives the same cluster, and so the same key, along every path.  A
+    division is exact along one path exactly when it is along any other,
+    so an inexact one is never the exchange of a stored variable: the
+    first LaurentPhenomenonError is raised at the same exchange as in a
+    search that divides on every edge.  Different abstract seeds can still
+    give one key when the cluster is not free; their c-vector keys differ,
+    so each runs the step."""
     m = s.matrix.n_mutable
     seeds: dict = {}
+    variables = dict(zip(_identity(m), s.mutable))
 
     def node(seed: Seed) -> tuple:
         key = seed.key()
@@ -434,8 +479,14 @@ def explore(
     def check(rows, kk, stored, perm):
         _check_permuted(stored.matrix.rows, _mutate_rows(rows, kk), perm)
 
-    def laurent(seed, rows, kk, cvecs):
-        return node(mutate_seed(seed, kk + 1))
+    def laurent(seed, rows, kk, gvecs):
+        g = gvecs[kk]
+        stored = variables.get(g)
+        if stored is not None:
+            return node(_exchanged(seed, kk + 1, stored))
+        neighbour = mutate_seed(seed, kk + 1)
+        variables[g] = neighbour.cluster[kk]
+        return node(neighbour)
 
     root = node(s)
     graph, exhausted = _search(seeds, root, laurent, max_seeds, max_depth, check)
@@ -447,16 +498,14 @@ def is_finite_type(s: Seed, max_seeds: int = 100000, max_depth: int = 64) -> dic
     results carry finite=False, exhausted=False.
 
     The search is `_search`'s, with an integer layer: a node is the tuple
-    of g-vectors, keyed by its discovery number, with the principal part B
-    as its rows, mutated only for a new seed and not checked on a met
-    c-vector key.  Each new c-vector must be sign-coherent
-    (Derksen-Weyman-Zelevinsky), or ClusterError is raised.  Cluster
-    variables are counted as distinct g-vectors, which mutation in
-    direction k changes by g'_k = -g_k + sum_i [-e b_ik]_+ g_i, with e the
-    sign of c_k (Nakanishi-Zelevinsky).  The counts are `explore`'s
-    whenever the cluster of s is a free generating set, as the class then
-    depends on B only; a cluster that is not free, such as one with a
-    repeated entry, can count differently.
+    of g-vectors that `_search` passes, keyed by its discovery number, with
+    the principal part B as its rows, mutated only for a new seed and not
+    checked on a met c-vector key.  `_search` runs the g-vector recursion
+    (`_mutate_gvecs`) and raises ClusterError for a c-vector that is not
+    sign-coherent.  Cluster variables are counted as distinct g-vectors.
+    The counts are `explore`'s whenever the cluster of s is a free
+    generating set, as the class then depends on B only; a cluster that is
+    not free, such as one with a repeated entry, can count differently.
 
     >>> from clusterforge.laurent import LaurentPoly
     >>> a2 = Seed(ExchangeMatrix(((0, 1), (-1, 0)), 0),
@@ -465,23 +514,12 @@ def is_finite_type(s: Seed, max_seeds: int = 100000, max_depth: int = 64) -> dic
     {'finite': True, 'exhausted': True, 'cluster_variable_count': 5, 'cluster_count': 5}
     """
     m = s.matrix.n_mutable
-    identity = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
     nodes: dict = {}
 
-    def integer(gvecs, rows, kk, cvecs):
-        for c in cvecs:
-            if min(c) < 0 < max(c):
-                raise ClusterError(f"c-vector {c} is not sign-coherent")
-        e = 1 if min(cvecs[kk]) < 0 else -1  # c_k before the mutation is -cvecs[kk]
-        g = [-x for x in gvecs[kk]]
-        for row, gi in zip(rows, gvecs):
-            b = -e * row[kk]
-            if b > 0:
-                g = [x + b * y for x, y in zip(g, gi)]
-        new_gvecs = gvecs[:kk] + (tuple(g),) + gvecs[kk + 1 :]
-        return len(nodes), new_gvecs, _mutate_rows(rows, kk), range(m)
+    def integer(node, rows, kk, gvecs):
+        return len(nodes), gvecs, _mutate_rows(rows, kk), range(m)
 
-    root = (0, identity, s.matrix.rows[:m], range(m))
+    root = (0, _identity(m), s.matrix.rows[:m], range(m))
     exhausted = _search(nodes, root, integer, max_seeds, max_depth)[1]
     return {
         "finite": exhausted,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from clusterforge.cluster import (
     ClusterError,
     ExchangeMatrix,
+    LaurentPhenomenonError,
     Seed,
     builtin_seed,
     cluster_monomials,
@@ -453,38 +454,52 @@ def assert_explore_matches_reference(s, **limits):
         assert list(mc.graph[key].items()) == list(graph[key].items())
 
 
-CLASS_SIZES = pytest.mark.parametrize("make, clusters", [
-    (lambda: plain_seed(A4_ROWS), comb(10, 5) // 6),  # Catalan number C_5
-    (lambda: plain_seed(D4_ROWS), (3 * 4 - 2) * comb(6, 3) // 4),  # FZ count for D_4
-    (lambda: builtin_seed("quadric", n=6), 2 ** (6 - 2)),
-    (lambda: builtin_seed("grassmannian_2_5"), comb(6, 3) // 4),  # A_2: C_3
-    (lambda: builtin_seed("d4_flag_extended"), 2 * 2),  # A_1 x A_1
-], ids=["A4", "D4", "quadric6", "gr25", "d4_flag_extended"])
-
-
-@CLASS_SIZES
-def test_explore_mutates_each_edge_once(monkeypatch, make, clusters):
-    """On a free cluster each edge mutates B once, and only the edges that
-    find a new seed make a Laurent exchange."""
+def counting_exchanges(monkeypatch):
+    """Patch cluster.mutate_seed to record each Laurent exchange's direction."""
     from clusterforge import cluster
 
-    exchanges, b_mutations = [], []
-    mutate_rows = cluster._mutate_rows
+    exchanges = []
 
     def counting_mutate_seed(s, k):
         exchanges.append(k)
         return mutate_seed(s, k)
+
+    monkeypatch.setattr(cluster, "mutate_seed", counting_mutate_seed)
+    return exchanges
+
+
+# Clusters and cluster variables (Fomin-Zelevinsky): type A_n has the
+# Catalan number C_{n+1} and n(n+3)/2, D_n has (3n-2)/n * C(2n-2, n-1)
+# and n^2, and (A_1)^r has 2^r and 2r.
+CLASS_SIZES = pytest.mark.parametrize("make, clusters, variables", [
+    (lambda: plain_seed(A4_ROWS), comb(10, 5) // 6, 4 * 7 // 2),
+    (lambda: plain_seed(D4_ROWS), (3 * 4 - 2) * comb(6, 3) // 4, 4 ** 2),
+    (lambda: builtin_seed("quadric", n=6), 2 ** (6 - 2), 2 * (6 - 2)),
+    (lambda: builtin_seed("grassmannian_2_5"), comb(6, 3) // 4, 2 * 5 // 2),  # A_2
+    (lambda: builtin_seed("d4_flag_extended"), 2 * 2, 2 * 2),  # A_1 x A_1
+], ids=["A4", "D4", "quadric6", "gr25", "d4_flag_extended"])
+
+
+@CLASS_SIZES
+def test_explore_mutates_each_edge_once(monkeypatch, make, clusters, variables):
+    """On a free cluster each edge mutates B once, and only the edges that
+    find a new cluster variable make a Laurent exchange: one per variable
+    outside the initial cluster."""
+    from clusterforge import cluster
+
+    b_mutations, mutate_rows = [], cluster._mutate_rows
 
     def counting_mutate_rows(rows, kk):
         b_mutations.append(kk)
         return mutate_rows(rows, kk)
 
     s = make()
-    monkeypatch.setattr(cluster, "mutate_seed", counting_mutate_seed)
+    exchanges = counting_exchanges(monkeypatch)
     monkeypatch.setattr(cluster, "_mutate_rows", counting_mutate_rows)
     mc = explore(s)
     assert mc.exhausted and mc.cluster_count == clusters
-    assert len(exchanges) == clusters - 1
+    assert len(mc.variables()) == variables
+    assert len(exchanges) == variables - s.matrix.n_mutable
     assert len(b_mutations) == clusters * s.matrix.n_mutable // 2
     assert mutation_class_to_dot(mc).count(" -- ") == clusters * s.matrix.n_mutable // 2
 
@@ -492,30 +507,61 @@ def test_explore_mutates_each_edge_once(monkeypatch, make, clusters):
 def test_explore_checks_a_stored_neighbour_in_integers(monkeypatch):
     """A neighbour found by its c-vectors makes no Laurent exchange, but its
     mutated B is still compared with the stored seed's, frozen rows
-    included."""
+    included.  The B mutation is corrupted only inside the check that the
+    search runs on such an edge: seeds built by the step, with or without
+    an exchange, keep their true matrices."""
     from clusterforge import cluster
 
-    mutate_rows, exchanging = cluster._mutate_rows, []
+    mutate_rows, search, checking = cluster._mutate_rows, cluster._search, []
 
-    def exchange(s, k):
-        exchanging.append(k)
-        try:
-            return mutate_seed(s, k)
-        finally:
-            exchanging.pop()
+    def search_with_watched_check(nodes, root, step, max_seeds, max_depth, check):
+        def watched_check(*args):
+            checking.append(True)
+            try:
+                return check(*args)
+            finally:
+                checking.pop()
 
-    def corrupt_last_row_on_hits(rows, kk):
+        return search(nodes, root, step, max_seeds, max_depth, watched_check)
+
+    def corrupt_last_row_in_checks(rows, kk):
         new_rows = mutate_rows(rows, kk)
-        if exchanging:
+        if not checking:
             return new_rows
         return new_rows[:-1] + (tuple(x + 1 for x in new_rows[-1]),)
 
     s = builtin_seed("grassmannian_2_5")
     assert s.matrix.n_frozen > 0
-    monkeypatch.setattr(cluster, "mutate_seed", exchange)
-    monkeypatch.setattr(cluster, "_mutate_rows", corrupt_last_row_on_hits)
+    monkeypatch.setattr(cluster, "_search", search_with_watched_check)
+    monkeypatch.setattr(cluster, "_mutate_rows", corrupt_last_row_in_checks)
     with pytest.raises(ClusterError, match="disagrees with the stored representative"):
         explore(s)
+
+
+@pytest.mark.parametrize("n, max_seeds", [(10, 50), (8, 10)])
+def test_explore_past_max_seeds_exchanges_once_per_variable(monkeypatch, n, max_seeds):
+    """The seeds refused past max_seeds cost no division when their new
+    variable is stored: quadric(n) has 2(n - 2) cluster variables, n - 2 of
+    them initial, so at most n - 2 exchanges run however many seeds are
+    refused."""
+    exchanges = counting_exchanges(monkeypatch)
+    mc = explore(builtin_seed("quadric", n=n), max_seeds=max_seeds)
+    assert not mc.exhausted and mc.cluster_count == max_seeds
+    assert len(exchanges) <= n - 2
+
+
+def test_explore_raises_at_the_first_inexact_exchange():
+    """A reused variable never hides an inexact division: over the cluster
+    (y1 + 1, y2), explore raises where the search that divides on every
+    edge first fails, in the same direction of the same seed."""
+    y1, y2 = LaurentPoly.variables(("y1", "y2"))
+    s = Seed(ExchangeMatrix(((0, 1), (-1, 0)), 0), (y1 + 1, y2), ("y1", "y2"))
+    with pytest.raises(LaurentPhenomenonError) as expected:
+        reference_explore(s)
+    with pytest.raises(LaurentPhenomenonError) as raised:
+        explore(s)
+    assert raised.value.direction == expected.value.direction
+    assert raised.value.seed.cluster == expected.value.seed.cluster
 
 
 def test_repeated_mutable_entries_record_no_permutation(monkeypatch):
@@ -559,10 +605,14 @@ def explore_summary(s, **limits):
 
 
 def dynkin_rows(letter, rank):
-    """A linear orientation of A_rank, or D_rank with node 3 joined to 1, 2 and 4."""
-    edges = [(i, i + 1) for i in range(1, rank)] if letter == "A" else (
-        [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, rank)]
-    )
+    """A linear orientation of A_rank, D_rank with node 3 joined to 1, 2
+    and 4, or E_rank with Bourbaki's numbering: the line 1-3-4-...-rank
+    with node 2 joined to 4."""
+    edges = {
+        "A": [(i, i + 1) for i in range(1, rank)],
+        "D": [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, rank)],
+        "E": [(1, 3), (2, 4)] + [(i, i + 1) for i in range(3, rank)],
+    }[letter]
     b = [[0] * rank for _ in range(rank)]
     for i, j in edges:
         b[i - 1][j - 1], b[j - 1][i - 1] = 1, -1
@@ -578,6 +628,24 @@ FINITE_CLASSES = {
     "d4_flag_extended": lambda: builtin_seed("d4_flag_extended"),
 }
 LIMIT_GRID = [{"max_seeds": s, "max_depth": d} for s in (1, 2, 7, 50) for d in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("rank, clusters, variables", [
+    (6, 833, 42),
+    (7, 4160, 70),
+], ids=["E6", "E7"])
+def test_explore_counts_e6_and_e7(monkeypatch, rank, clusters, variables):
+    """Fomin-Zelevinsky's counts for E6 and E7: the clusters, and the
+    cluster variables, one per almost positive root.  Each variable outside
+    the initial cluster costs one Laurent exchange."""
+    s = plain_seed(dynkin_rows("E", rank))
+    exchanges = counting_exchanges(monkeypatch)
+    mc = explore(s)
+    assert mc.exhausted
+    assert (mc.cluster_count, len(mc.variables())) == (clusters, variables)
+    assert len(exchanges) == variables - rank
+    assert is_finite_type(s) == {"finite": True, "exhausted": True,
+                                 "cluster_variable_count": variables, "cluster_count": clusters}
 
 
 @pytest.mark.parametrize("name", FINITE_CLASSES)
@@ -663,7 +731,7 @@ def test_is_finite_type_matches_explore_on_random_principal_parts(s, depth):
 
 
 @CLASS_SIZES
-def test_is_finite_type_mutates_each_edge_once(monkeypatch, make, clusters):
+def test_is_finite_type_mutates_each_edge_once(monkeypatch, make, clusters, variables):
     """Each edge mutates the c-vectors once, and only the edges that find a
     new seed mutate B."""
     from clusterforge import cluster
@@ -682,7 +750,8 @@ def test_is_finite_type_mutates_each_edge_once(monkeypatch, make, clusters):
     s = make()
     monkeypatch.setattr(cluster, "_mutate_cvecs", counting_mutate_cvecs)
     monkeypatch.setattr(cluster, "_mutate_rows", counting_mutate_rows)
-    assert is_finite_type(s)["cluster_count"] == clusters
+    result = is_finite_type(s)
+    assert (result["cluster_count"], result["cluster_variable_count"]) == (clusters, variables)
     assert len(c_mutations) == clusters * s.matrix.n_mutable // 2
     assert len(b_mutations) == clusters - 1
 
