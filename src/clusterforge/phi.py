@@ -15,8 +15,10 @@ an a-dimensional subspace of that part, quotients by it and moves to j+1.
 `chi` and `count_flags` are the same recursion with every a_j = 1.  The
 field fixes the mode: over QQ only the unique choices a = 0 and a = s are
 allowed, so the chain set is finite and field-independent and the exact
-backend returns its cardinality; over GF(p) every subspace of a
-Grassmannian Gr(a, s) is enumerated.  When the QQ recursion meets
+backend returns its cardinality; over GF(p) the points of a Grassmannian
+Gr(a, s) are counted by quotient class: one subspace stands for all whose
+quotients are isomorphic, and its count is weighted by their number.
+When the QQ recursion meets
 0 < a < s, the module is reduced mod increasing primes, skipping bad ones
 (a denominator vanishes or the socle/radical layers change); each prime
 counts every coefficient at once, and each coefficient's count polynomial
@@ -39,6 +41,7 @@ from typing import Iterable, Optional, Sequence
 
 from .fields import PrimeField, RationalField
 from .laurent import LaurentPoly
+from .linalg import rref
 from .prepmod import (
     QuiverRep,
     direct_sum,
@@ -122,23 +125,45 @@ def _word_matches_dims(rep: QuiverRep, word: Sequence[int]) -> bool:
     return all(counts[v] == rep.dim(v) for v in rep.quiver.vertices)
 
 
-def _subspaces(field: PrimeField, basis: list, a: int) -> Iterable[list]:
-    """The a-dimensional subspaces of a GF(p)-span, each once: the rows of
-    every a x s reduced row echelon coefficient matrix, mapped through the
-    basis."""
-    p, s = field.p, len(basis)
-    dim = len(basis[0])
+def _quotient_classes(rep: QuiverRep, v: int, soc: list, a: int) -> Iterable[tuple[int, list]]:
+    """(multiplicity, subspace) pairs over GF(p): for each class of
+    a-dimensional subspaces of the socle part span(soc) at v whose
+    quotients are isomorphic, one member and the size of the class.  The
+    sizes sum to the Gaussian binomial [s choose a]_p.  The members are
+    written in rep's coordinates, so their quotients have the presentations
+    that the memo already shares.
+
+    In a basis of M_v that starts with soc, the incoming maps have at socle
+    coordinate i the row R_i, their row at the free column of soc[i]
+    (`nullspace` gives soc[i] a 1 there, 0 at the other free columns, and
+    nonzero entries elsewhere only at pivot columns to its left).  The
+    quotient by the subspace with reduced row echelon coefficient matrix C
+    and pivots pi has arrows out of v that depend only on pi, and at each
+    kept socle coordinate c the incoming row R_c - sum_r C[r][c] R_{pi_r}.
+    Subspaces with equal pi and equal sums therefore have isomorphic
+    quotients.  The entries of C on a maximal linearly independent set of
+    the R_{pi_r} with pi_r < c tell the sums apart; the other entries stay
+    0, and each one left out multiplies the class size by p."""
+    field, p, s = rep.field, rep.field.p, len(soc)
+    arrows = rep.quiver.arrows_into(v)
+    incoming = []
+    for u in soc:
+        f = max(j for j, x in enumerate(u) if x)
+        incoming.append(tuple(x for arrow in arrows for x in rep.map_of(arrow)[f]))
     for pivots in combinations(range(s), a):
+        # The pivot columns of the matrix with columns R_{pi_0}, R_{pi_1}, ...
+        # are the rows r whose R_{pi_r} is independent of the rows above.
+        independent = rref(field, tuple(zip(*(incoming[pivot] for pivot in pivots))))[1]
         free = [(r, c) for r, pivot in enumerate(pivots)
                 for c in range(pivot + 1, s) if c not in pivots]
-        for values in product(range(p), repeat=len(free)):
-            rows = [list(basis[pivot]) for pivot in pivots]
-            for (r, c), x in zip(free, values):
+        varied = [(r, c) for r, c in free if r in independent]
+        multiplicity = p ** (len(free) - len(varied))
+        for values in product(range(p), repeat=len(varied)):
+            subspace = [soc[pivot] for pivot in pivots]
+            for (r, c), x in zip(varied, values):
                 if x:
-                    row, b = rows[r], basis[c]
-                    for idx in range(dim):
-                        row[idx] = (row[idx] + x * b[idx]) % p
-            yield rows
+                    subspace[r] = tuple((y + x * z) % p for y, z in zip(subspace[r], soc[c]))
+            yield multiplicity, subspace
 
 
 def _flags(rep: QuiverRep, letters: tuple[int, ...], full: bool,
@@ -146,7 +171,8 @@ def _flags(rep: QuiverRep, letters: tuple[int, ...], full: bool,
     """{a: number of chains of type (letters, a)} over rep's field, zero
     counts omitted.  `full` forces every a_j = 1, counting composition
     series.  Over QQ a proper nonzero subspace of a socle part raises
-    _SocleBranching.
+    _SocleBranching; over GF(p) one quotient is built for each class of
+    `_quotient_classes`, and its counts are multiplied by the class size.
 
     A letter's last occurrence quotients away all of M_v, so a support
     vertex missing from the letters still to come can only be missing on
@@ -166,17 +192,18 @@ def _flags(rep: QuiverRep, letters: tuple[int, ...], full: bool,
     result: dict[tuple[int, ...], int] = {}
     for a in choices:
         if a == 0:
-            quotients: Iterable[QuiverRep] = (rep,)
+            classes: Iterable[tuple[int, list]] = ((1, []),)
         elif a == s:
-            quotients = (quotient_rep(rep, {v: soc}),)
+            classes = ((1, soc),)
         elif isinstance(rep.field, RationalField):
             raise _SocleBranching(f"socle part of dimension {s} at vertex {v} over QQ")
         else:
-            quotients = (quotient_rep(rep, {v: w}) for w in _subspaces(rep.field, soc, a))
-        for quotient in quotients:
+            classes = _quotient_classes(rep, v, soc, a)
+        for multiplicity, subspace in classes:
+            quotient = quotient_rep(rep, {v: subspace}) if subspace else rep
             for tail, count in _flags(quotient, rest, full, counter).items():
                 avec = (a,) + tail
-                result[avec] = result.get(avec, 0) + count
+                result[avec] = result.get(avec, 0) + multiplicity * count
     counter.store(rep, key, result)
     return result
 

@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import math
@@ -28,13 +29,16 @@ from clusterforge.phi import (
 from clusterforge.prepmod import (
     QuiverRep,
     build_algebra_basis,
+    check_relation,
     direct_sum,
     dynkin_quiver,
     fingerprint,
     functor_E,
     is_isomorphic,
+    quotient_rep,
     random_module,
     simple_rep,
+    socle_basis_at,
     zero_rep,
 )
 
@@ -91,6 +95,149 @@ def test_count_flags_mod_p_rejects_a_second_prime_for_a_prime_field_module():
     assert count_flags_mod_p(ss, (1, 1), 3) == 3 + 1
     with pytest.raises(PhiError, match="GF\\(5\\)"):
         count_flags_mod_p(ss, (1, 1), 5)
+
+
+# ----------------------------------------------------------------------
+# socle subspaces by quotient class
+
+
+def _subspaces(field, basis, a):
+    """The a-dimensional subspaces of a GF(p)-span, each once: the rows of
+    every a x s reduced row echelon coefficient matrix, mapped through the
+    basis."""
+    p, s = field.p, len(basis)
+    for pivots in itertools.combinations(range(s), a):
+        free = [(r, c) for r, pivot in enumerate(pivots)
+                for c in range(pivot + 1, s) if c not in pivots]
+        for values in itertools.product(range(p), repeat=len(free)):
+            rows = [basis[pivot] for pivot in pivots]
+            for (r, c), x in zip(free, values):
+                rows[r] = tuple((y + x * z) % p for y, z in zip(rows[r], basis[c]))
+            yield rows
+
+
+def _reference_flags(rep, letters, memo):
+    """`_flags` in partial mode with one quotient per subspace of each
+    Grassmannian, memoised only on equal presentations."""
+    if not letters:
+        return {(): 1} if rep.is_zero else {}
+    key = (rep, letters)
+    if key not in memo:
+        v, rest = letters[0], letters[1:]
+        soc = socle_basis_at(rep, v)
+        result = {}
+        for a in range(rep.dim(v) if v not in rest else 0, len(soc) + 1):
+            for w in _subspaces(rep.field, soc, a):
+                for tail, count in _reference_flags(quotient_rep(rep, {v: w}), rest, memo).items():
+                    result[(a,) + tail] = result.get((a,) + tail, 0) + count
+        memo[key] = result
+    return memo[key]
+
+
+def _gaussian_binomial(s, a, p):
+    return math.prod(p ** (s - i) - 1 for i in range(a)) // math.prod(p ** (i + 1) - 1 for i in range(a))
+
+
+def _mixed(rep, rng):
+    """An isomorphic copy of a GF(p) module: random elementary changes of
+    basis at each vertex, so that socle vectors mix coordinates."""
+    p, q = rep.field.p, rep.quiver
+    maps = [[list(row) for row in m] for m in rep.maps]
+    for u in q.vertices:
+        for _ in range(2 * rep.dim(u) if rep.dim(u) > 1 else 0):
+            # new basis at u: coordinate i += x * coordinate j
+            i, j = rng.sample(range(rep.dim(u)), 2)
+            x = rng.randrange(1, p)
+            for arrow, m in zip(q.arrows, maps):
+                if arrow.target == u:
+                    m[i] = [(y + x * z) % p for y, z in zip(m[i], m[j])]
+                if arrow.source == u:
+                    for row in m:
+                        row[j] = (row[j] - x * row[i]) % p
+    return QuiverRep(q, rep.field, rep.dims, tuple(tuple(map(tuple, m)) for m in maps))
+
+
+A4_W0_LETTERS = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_quotient_classes_agree_with_every_subspace(p):
+    # Direct sums put part of a socle outside the image of the incoming
+    # arrows, where whole families of subspaces share one quotient class;
+    # elsewhere the free entries tell the classes of one pivot pattern apart.
+    rng = random.Random(p)
+    merged = varied = 0
+    for kind, word in (("A3", A3_W0_LETTERS), ("A4", A4_W0_LETTERS), ("D4", D4_W0_LETTERS)):
+        for _ in range(6):
+            m, n = random_module(kind, rng, 4), random_module(kind, rng, 4)
+            for reduced in (phi_module._reduce_mod_p(r, p, fingerprint(r)) for r in (m, n, direct_sum(m, n))):
+                if reduced is None:
+                    continue
+                mixed = _mixed(reduced, rng)
+                assert check_relation(mixed)[0]
+                for rep, v in itertools.product((reduced, mixed), reduced.quiver.vertices):
+                    soc = socle_basis_at(rep, v)
+                    if len(soc) < 2:
+                        continue
+                    for a in range(1, len(soc)):
+                        multiplicities = [k for k, _ in phi_module._quotient_classes(rep, v, soc, a)]
+                        assert sum(multiplicities) == _gaussian_binomial(len(soc), a, p)
+                        merged += max(multiplicities) > 1
+                        varied += len(multiplicities) > math.comb(len(soc), a)
+                    letters = (v,) + word
+                    assert (phi_module._flags(rep, letters, False, FlagCounter())
+                            == _reference_flags(rep, letters, {})), (kind, rep.dims, v)
+    assert merged > 0 and varied > 0
+
+
+def _counting(monkeypatch, name, key):
+    """Wrap phi_module.<name> to count its calls by key(first argument)."""
+    counts = collections.Counter()
+    real = getattr(phi_module, name)
+
+    def counted(rep, *args):
+        counts[key(rep)] += 1
+        return real(rep, *args)
+
+    monkeypatch.setattr(phi_module, name, counted)
+    return counts
+
+
+def test_socle_lines_of_a_semisimple_part_are_one_class_per_pivot(monkeypatch):
+    # S1^3 over GF(13) has [3]_13! = 183 * 14 full flags.  No arrow reaches
+    # its socle, so all subspaces with one pivot pattern share a quotient:
+    # the first step builds 3 quotients, not one for each of the 183 lines.
+    built = _counting(monkeypatch, "quotient_rep", lambda rep: rep.dims)
+    s1 = simple_rep(A2, 1, PrimeField(13))
+    assert count_flags(direct_sum(s1, s1, s1), (1, 1, 1)) == 183 * 14
+    assert built == {(3, 0): 3, (2, 0): 2, (1, 0): 1}
+
+
+def test_a_product_rule_pair_makes_fewer_flag_calls(monkeypatch):
+    # The third A3 pair of the benchmark's product-rule pool (random.Random(0),
+    # two random_module("A3", rng, 4) per pair).  One quotient per subspace
+    # made 881 `_flags` calls here.
+    rng = random.Random(0)
+    for _ in range(3):
+        m, n = random_module("A3", rng, 4), random_module("A3", rng, 4)
+    assert (m.dims, n.dims) == ((2, 2, 0), (1, 1, 2))
+    calls = _counting(monkeypatch, "_flags", lambda rep: rep.field.name)
+    assert verify_multiplication(m, n, A3_W0_LETTERS)["product_rule"]["holds"]
+    assert sum(calls.values()) <= 580
+
+
+def test_d6_q4_keeps_its_memo_sharing(monkeypatch):
+    # Q4 of D6 merges no quotient classes on this word, so its quotients
+    # and memo keys are those of one quotient per subspace: a change of
+    # their presentation would show as more `_flags` calls.
+    calls = _counting(monkeypatch, "_flags", lambda rep: rep.field.name)
+    report = phi_eval(build_algebra_basis("D6").injective(4), (1, 2, 4, 6, 3, 5) * 5)
+    limits = {"QQ": 158, "GF(2)": 3095, "GF(3)": 3627, "GF(5)": 4691}
+    assert set(calls) == set(limits)
+    assert all(calls[name] <= limit for name, limit in limits.items()), dict(calls)
+    assert report.backend == INTERPOLATED and report.primes == (2, 3, 5)
+    exps = (0, 0, 1, 0, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 2, 0, 2, 1, 1, 1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0)
+    assert report.poly.terms == {exps: 1}
 
 
 # ----------------------------------------------------------------------
