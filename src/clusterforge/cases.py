@@ -60,8 +60,8 @@ def d4_nonrigid_module(c1: int = 1, c2: int = 1):
         raise ValueError("family members need nonzero scalars")
     quiver = dynkin_quiver("D4")
     c4 = c1 + c2
-    into3 = lambda c: ((Fraction(0),), (Fraction(c),))
-    outof3 = ((Fraction(1), Fraction(0)),)
+    into3 = lambda c: ((0,), (QQ.coerce(c),))
+    outof3 = ((1, 0),)
     maps = {
         "1->3": into3(c1),
         "3->1": outof3,

@@ -1,12 +1,13 @@
 """Exact working fields: the rationals and prime fields.
 
 Structural computations run over the rationals; flag counting runs over
-prime fields.  Elements are plain numbers written with Python operators: a
-QQ element is a Fraction or an int, a GF(p) element an int in [0, p).  A
-field holds only what the operators cannot do: `coerce` a value into it,
+prime fields.  Elements are plain numbers written with Python operators,
+each in one canonical form: a QQ element is an int when it is integral and
+a Fraction otherwise, a GF(p) element an int in [0, p).  A field holds only
+what the operators cannot do: `coerce` a value into its canonical form,
 `inv` exactly, and `reduce` a computed row to canonical elements, which
-over GF(p) takes every entry mod p and over QQ does nothing.  Matrices are
-tuples of row tuples.
+over GF(p) takes every entry mod p and over QQ turns every integral
+Fraction into its numerator.  Matrices are tuples of row tuples.
 """
 
 from __future__ import annotations
@@ -15,18 +16,25 @@ from fractions import Fraction
 
 
 class RationalField:
-    """Field of exact rationals; elements are Fractions or ints."""
+    """Field of exact rationals; an element is an int when it is integral
+    and a Fraction otherwise."""
 
     name = "QQ"
 
     def coerce(self, x):
-        return Fraction(x)
+        """An int, Fraction or rational string as a canonical element."""
+        if type(x) is int:
+            return x
+        x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
 
     def inv(self, a):
+        if a == 1 or a == -1:
+            return int(a)
         return 1 / Fraction(a)
 
     def reduce(self, row):
-        return row
+        return [x.numerator if type(x) is Fraction and x.denominator == 1 else x for x in row]
 
     def __repr__(self):
         return "QQ"

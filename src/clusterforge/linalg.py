@@ -6,8 +6,8 @@ does not record its column count, so a routine that needs the ambient
 dimension n takes it from its caller.  Entries are plain numbers (see
 `fields`) combined with Python operators; a routine that computes takes
 the field as its first argument and passes each row it computes through
-`field.reduce` once, so over GF(p) it returns canonical residues when
-given them.
+`field.reduce` once, so it returns canonical elements when given them:
+residues over GF(p), and over QQ ints wherever the value is integral.
 """
 
 from __future__ import annotations

@@ -262,11 +262,12 @@ def _reduce_mod_p(rep: QuiverRep, p: int, invariants: tuple) -> Optional[QuiverR
 def _lagrange_eval(points: Sequence[tuple[int, int]], x: int) -> Fraction:
     total = Fraction(0)
     for i, (xi, yi) in enumerate(points):
-        term = Fraction(yi)
+        num, den = yi, 1
         for j, (xj, _) in enumerate(points):
             if i != j:
-                term *= Fraction(x - xj, xi - xj)
-        total += term
+                num *= x - xj
+                den *= xi - xj
+        total += Fraction(num, den)
     return total
 
 

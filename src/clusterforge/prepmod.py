@@ -33,7 +33,6 @@ from .linalg import (
     mat_mul,
     mat_vec,
     nullspace,
-    rank,
     rref,
     zero_matrix,
 )
@@ -195,9 +194,9 @@ def positive_root_count(quiver: DoubleQuiver, vertices: Sequence[int]) -> int:
 # representations
 
 
-def _map_entry(arrow: str, x) -> Fraction:
+def _map_entry(arrow: str, x):
     try:
-        return Fraction(x)
+        return QQ.coerce(x)
     except (ValueError, ZeroDivisionError):
         raise PrepmodError(f"map {arrow} entry {x!r} is not a rational number") from None
 
@@ -284,7 +283,7 @@ class QuiverRep:
                 continue
             if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
                 raise PrepmodError(f"map {a.name} must be a list of rows")
-            # Fraction() would read a float as its binary expansion and a bool as 0 or 1
+            # QQ.coerce would read a float as its binary expansion and a bool as 0 or 1
             bad = [x for row in rows for x in row
                    if isinstance(x, bool) or not isinstance(x, (int, str))]
             if bad:
@@ -952,13 +951,27 @@ def exchange_matrix_from_sequences(
 
 def span_sub_rep(rep: QuiverRep, vectors: Mapping[int, Sequence[Sequence]]) -> QuiverRep:
     """Submodule generated by the given per-vertex vectors: close the span
-    under all arrow maps, then restrict."""
+    under all arrow maps, then restrict.
+
+    spans[v] keeps the accepted vectors themselves.  Beside it, echelon[v]
+    keeps one (pivot, row) pair per accepted vector, the row 1 at its pivot
+    and 0 at every earlier pair's pivot; a candidate reduced against the
+    pairs in order vanishes exactly when it lies in the span."""
     q, F = rep.quiver, rep.field
     spans: dict[int, list] = {v: [] for v in q.vertices}
+    echelon: dict[int, list] = {v: [] for v in q.vertices}
 
     def add_vector(v, vec):
-        if rank(F, tuple(spans[v]) + (vec,)) == len(spans[v]):
+        rest = vec
+        for pc, row in echelon[v]:
+            c = rest[pc]
+            if c:
+                rest = F.reduce([x - c * y for x, y in zip(rest, row)])
+        pivot = next((i for i, x in enumerate(rest) if x), None)
+        if pivot is None:
             return False
+        inv = F.inv(rest[pivot])
+        echelon[v].append((pivot, F.reduce([inv * x for x in rest])))
         spans[v].append(vec)
         return True
 

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from clusterforge import prepmod
+from clusterforge import linalg, prepmod
 from clusterforge.cases import d4_nonrigid_module
 from clusterforge.fields import QQ, PrimeField
-from clusterforge.linalg import mat_mul, mat_vec, rref
+from clusterforge.linalg import mat_mul, mat_vec, rank, rref
 from clusterforge.prepmod import (
     D4_RIGID_WORD,
     PrepmodError,
@@ -638,6 +638,92 @@ def test_span_sub_rep_is_submodule(d4_algebra):
     sub = span_sub_rep(q3, {3: [[1, 0, 0, 0]]})
     assert check_relation(sub) == (True, None)
     assert 0 < sub.total_dim <= q3.total_dim
+
+
+def reference_span_sub_rep(rep, vectors):
+    """span_sub_rep by ranks: a candidate is kept when it raises the rank of
+    the vectors kept so far at its vertex."""
+    q, F = rep.quiver, rep.field
+    spans = {v: [] for v in q.vertices}
+
+    def add_vector(v, vec):
+        if rank(F, tuple(spans[v]) + (vec,)) == len(spans[v]):
+            return False
+        spans[v].append(vec)
+        return True
+
+    frontier = []
+    for v, vecs in vectors.items():
+        for vec in vecs:
+            coerced = tuple(F.coerce(x) for x in vec)
+            if add_vector(v, coerced):
+                frontier.append((v, coerced))
+    while frontier:
+        v, vec = frontier.pop()
+        for a in q.arrows_from(v):
+            image = mat_vec(F, rep.map_of(a), vec)
+            if add_vector(a.target, image):
+                frontier.append((a.target, image))
+    return prepmod.sub_rep(rep, spans)
+
+
+def random_span_inputs(kind, field, rng):
+    """An injective sum of kind over field and random generating vectors;
+    some vertices also get a sum of two earlier vectors, which is dependent."""
+    alg = build_algebra_basis(kind)
+    ambient = direct_sum(*[alg.injective(rng.choice(alg.quiver.vertices))
+                           for _ in range(rng.randint(1, 2))])
+    if field != QQ:
+        maps = tuple(tuple(tuple(field.coerce(x) for x in row) for row in m)
+                     for m in ambient.maps)
+        ambient = QuiverRep(ambient.quiver, field, ambient.dims, maps)
+    vectors = {}
+    for v in rng.sample(alg.quiver.vertices, rng.randint(1, 3)):
+        if ambient.dim(v):
+            vecs = [[rng.randint(-2, 2) for _ in range(ambient.dim(v))]
+                    for _ in range(rng.randint(1, 3))]
+            if len(vecs) >= 2:
+                vecs.append([x + y for x, y in zip(vecs[0], vecs[1])])
+            vectors[v] = vecs
+    return ambient, vectors
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "GF3"])
+@pytest.mark.parametrize("kind", ["A3", "A4", "D4", "D5"])
+def test_span_sub_rep_matches_the_rank_oracle(kind, field):
+    rng = random.Random(f"{kind}-{field}")
+    for _ in range(12):
+        ambient, vectors = random_span_inputs(kind, field, rng)
+        assert span_sub_rep(ambient, vectors) == reference_span_sub_rep(ambient, vectors)
+
+
+@pytest.mark.parametrize("kind", ["A3", "A4", "D4"])
+def test_random_module_matches_the_rank_oracle(kind, monkeypatch):
+    drawn = [random_module(kind, random.Random(s), 8) for s in range(20)]
+    monkeypatch.setattr(prepmod, "span_sub_rep", reference_span_sub_rep)
+    assert drawn == [random_module(kind, random.Random(s), 8) for s in range(20)]
+
+
+def test_span_sub_rep_adds_candidates_without_rref(d4_algebra, monkeypatch):
+    calls = []
+    real_rref = linalg.rref
+
+    def counted(field, a):
+        calls.append(len(a))
+        return real_rref(field, a)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    monkeypatch.setattr(prepmod, "rref", counted)
+    spans = []
+    monkeypatch.setattr(prepmod, "sub_rep", lambda rep, kept: spans.append(kept))
+    ambient = direct_sum(d4_algebra.injective(4), d4_algebra.injective(3))
+    # the third vector is the sum of the first two
+    vectors = {3: [[1, 0, 2, 0, 0, 1], [0, 1, 0, 0, 1, 0], [1, 1, 2, 0, 1, 1]]}
+    reference_span_sub_rep(ambient, vectors)
+    assert len(calls) > 3  # one rank per candidate, the first three included
+    calls.clear()
+    span_sub_rep(ambient, vectors)
+    assert calls == [] and spans[0] == spans[1]
 
 
 def test_sub_rep_rejects_a_span_that_is_not_arrow_stable(a2_algebra):
