@@ -83,21 +83,24 @@ def mutate_matrix(b: ExchangeMatrix, k: int) -> ExchangeMatrix:
 def _mutate_rows(rows: tuple[tuple[int, ...], ...], kk: int) -> tuple[tuple[int, ...], ...]:
     """The rows of a matrix mutated in 0-based direction kk:
     b'_ij = -b_ij when i = k or j = k, and otherwise
-    b'_ij = b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2."""
+    b'_ij = b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2,
+    which is b_ij + b_ik [sign(b_ik) b_kj]_+.  So a row with b_ik = 0 is
+    shared unchanged, and a row with b_ik > 0 (< 0) changes only at the
+    positions j with b_kj > 0 (< 0), listed once from row k."""
     row_k = rows[kk]
-    new_rows = []
+    # b_kk = 0, so position k is in neither list, and row k is negated after
+    pos = [(j, b) for j, b in enumerate(row_k) if b > 0]
+    neg = [(j, -b) for j, b in enumerate(row_k) if b < 0]
+    new_rows = list(rows)
     for i, row in enumerate(rows):
         bik = row[kk]
-        if i == kk:
-            row = tuple(-x for x in row)
-        elif bik:
-            # b_kk = 0, so entry k comes out as b_ik and is negated after
-            a = abs(bik)
-            new_row = [bij + (a * bkj + bik * abs(bkj)) // 2 for bij, bkj in zip(row, row_k)]
+        if bik:
+            new_row = list(row)
+            for j, b in pos if bik > 0 else neg:
+                new_row[j] += bik * b
             new_row[kk] = -bik
-            row = tuple(new_row)
-        # a row with b_ik = 0 is unchanged
-        new_rows.append(row)
+            new_rows[i] = tuple(new_row)
+    new_rows[kk] = tuple([-x for x in row_k])
     return tuple(new_rows)
 
 
@@ -294,14 +297,20 @@ def _check_permuted(stored_rows, rows, perm: list[int]) -> None:
 def _mutate_cvecs(cvecs, row_k: tuple[int, ...], kk: int) -> tuple[tuple[int, ...], ...]:
     """The c-vectors, the columns of the bottom block C of the framed matrix
     [B; C], mutated in 0-based direction kk, given row k of B: c'_ik = -c_ik,
-    and otherwise c'_ij = c_ij + (|c_ik| b_kj + c_ik |b_kj|) / 2, which
-    leaves column j as it is when b_kj = 0."""
+    and otherwise c'_ij = c_ij + (|c_ik| b_kj + c_ik |b_kj|) / 2.
+
+    c_k must be sign-coherent, with sign e, so that |c_ik| = e c_ik; the
+    update is then c'_j = c_j + [e b_kj]_+ c_k, and only the columns j with
+    e b_kj > 0 change.  In `_search` this always holds: a frontier node's
+    c-vectors are the identity at the root, and `_mutate_gvecs` has checked
+    them sign-coherent before any other node is admitted."""
     ck = cvecs[kk]
+    e = 1 if max(ck) > 0 else -1
     new = list(cvecs)
     for j, bkj in enumerate(row_k):
-        if bkj:  # b_kk = 0, so column k is not touched here
-            a = abs(bkj)
-            new[j] = tuple([c + (abs(cik) * bkj + cik * a) // 2 for c, cik in zip(cvecs[j], ck)])
+        b = e * bkj
+        if b > 0:  # b_kk = 0, so column k is not touched here
+            new[j] = tuple([c + b * x for c, x in zip(cvecs[j], ck)])
     new[kk] = tuple([-c for c in ck])
     return tuple(new)
 
@@ -336,11 +345,15 @@ def _search(nodes: dict, root: tuple, step, max_seeds: int, max_depth: int, chec
     {direction k: key}, and exhausted is False when a new node past
     max_seeds, or a frontier left at max_depth, cut the search short.
 
-    A node is what the caller's layer keeps for a seed; root is (key, node,
-    rows, perm) for the initial seed, rows being its matrix rows.  Frontier
-    nodes carry their c-vectors, the columns of the bottom block C of the
-    framed matrix [B; C], with C = I at the root, mutated by `_mutate_cvecs`
-    on every edge.  Their sorted tuple, the c-vector key, determines the
+    A node is what the caller's layer keeps for a seed, and its key is a
+    small int id in both callers, so the dicts here hash no seed key;
+    root is (key, node, rows, perm) for the initial seed, rows being its
+    matrix rows.  Frontier nodes carry their c-vectors, the columns of the
+    bottom block C of the framed matrix [B; C], with C = I at the root,
+    mutated by `_mutate_cvecs` on every edge.  That mutation needs c_k
+    sign-coherent, which holds: C = I at the root, and `_mutate_gvecs`
+    checks every c-vector of a node before the node is admitted to the
+    frontier.  Their sorted tuple, the c-vector key, determines the
     abstract seed of the cluster pattern with principal coefficients
     (Fomin-Zelevinsky, "Cluster algebras IV"; sign-coherence by
     Derksen-Weyman-Zelevinsky), and so the abstract seed under any
@@ -429,16 +442,18 @@ def explore(
     limit is hit.
 
     The search is `_search`'s, with a Laurent layer: a node is a Seed keyed
-    by `Seed.key`.  The step keeps {g-vector: cluster variable}, the
-    initial mutable entries first, and a new c-vector key costs a Laurent
-    exchange, `mutate_seed`, only when the neighbour's new variable has a
-    g-vector not stored; otherwise the neighbour is the stored variable in
-    place of entry k, with B mutated and label k toggled.  A new seed's
-    permutation is the identity, or None when its mutable entries repeat;
-    a neighbour that lands on a stored key, as on a cluster that is not
-    free, takes the one that `_assert_matrix_consistency` checks.  An edge
-    to a met c-vector key mutates B alone and checks it against the stored
-    matrix under P, frozen rows included.
+    by an int id, interned once per step from its `Seed.key`, and the class
+    is returned keyed by `Seed.key`.  The step keeps {g-vector: cluster
+    variable}, the initial mutable entries first, and a new c-vector key
+    costs a Laurent exchange, `mutate_seed`, only when the neighbour's new
+    variable has a g-vector not stored; otherwise the neighbour is the
+    stored variable in place of entry k, with B mutated and label k
+    toggled.  A new seed's permutation is the identity, or None when its
+    mutable entries repeat; a neighbour that lands on a stored key, as on
+    a cluster that is not free, takes the one that
+    `_assert_matrix_consistency` checks.  An edge to a met c-vector key
+    mutates B alone and checks it against the stored matrix under P,
+    frozen rows included.
 
     Reusing a variable is exact even when the cluster of s is not a free
     generating set.  B is skew-symmetric, so different cluster variables
@@ -461,12 +476,14 @@ def explore(
     give one key when the cluster is not free; their c-vector keys differ,
     so each runs the step."""
     m = s.matrix.n_mutable
-    seeds: dict = {}
+    seeds: dict = {}  # id -> Seed
+    ids: dict = {}  # Seed.key() -> id, numbered in the order first met
     variables = dict(zip(_identity(m), s.mutable))
 
     def node(seed: Seed) -> tuple:
         key = seed.key()
-        stored = seeds.get(key)
+        nid = ids.setdefault(key, len(ids))
+        stored = seeds.get(nid)
         mutable = key[0]  # sorted, so a repeat sits next to its copy
         if stored is not None:
             perm = _assert_matrix_consistency(stored, seed)
@@ -474,7 +491,7 @@ def explore(
             perm = None
         else:
             perm = range(m)
-        return key, seed, seed.matrix.rows, perm
+        return nid, seed, seed.matrix.rows, perm
 
     def check(rows, kk, stored, perm):
         _check_permuted(stored.matrix.rows, _mutate_rows(rows, kk), perm)
@@ -488,9 +505,16 @@ def explore(
         variables[g] = neighbour.cluster[kk]
         return node(neighbour)
 
-    root = node(s)
-    graph, exhausted = _search(seeds, root, laurent, max_seeds, max_depth, check)
-    return MutationClass(root[0], seeds, graph, list(seeds), exhausted)
+    graph, exhausted = _search(seeds, node(s), laurent, max_seeds, max_depth, check)
+    keys = list(ids)  # keys[nid] is the Seed.key() of id nid
+    order = [keys[nid] for nid in seeds]
+    return MutationClass(
+        keys[0],
+        dict(zip(order, seeds.values())),
+        {keys[nid]: {k: keys[dst] for k, dst in edges.items()} for nid, edges in graph.items()},
+        order,
+        exhausted,
+    )
 
 
 def is_finite_type(s: Seed, max_seeds: int = 100000, max_depth: int = 64) -> dict:

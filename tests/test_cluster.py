@@ -274,9 +274,23 @@ def test_dot_export_escapes_labels():
         assert re.fullmatch(r' *s\d+( -- s\d+)? \[label="(?:[^"\\]|\\.)*"\];', line), line
 
 
+# (rows, frozen rows, direction) where matrix mutation leaves rows or
+# positions alone: a rank-1 principal part, so only frozen rows change; a
+# zero principal column k with a frozen row that meets it; row k with no
+# positive entry (direction 1) and with no negative one (direction 2),
+# each beside a frozen row with b_ik = 0.
+SPARSE_MUTATION_CASES = [
+    (((0,), (2,), (-1,), (0,)), 3, 1),
+    (((0, 0, 0), (0, 0, -2), (0, 2, 0), (0, 1, -1), (3, 0, 0)), 2, 1),
+    (((0, -1, -2), (1, 0, 3), (2, -3, 0), (1, 2, -1), (-2, 0, 1), (0, 5, 5)), 3, 1),
+    (((0, -1, -2), (1, 0, 3), (2, -3, 0), (1, 2, -1), (-2, 0, 1), (0, 5, 5)), 3, 2),
+]
+
+
 def random_exchange_matrices(count=100):
     """Random matrices with skew-symmetric principal part and up to three
-    frozen rows, with a random mutable direction for each."""
+    frozen rows, with a random mutable direction for each, followed by the
+    SPARSE_MUTATION_CASES."""
     rng = random.Random(0)
     for _ in range(count):
         m = rng.randint(1, 4)
@@ -290,6 +304,8 @@ def random_exchange_matrices(count=100):
         rows = [tuple(r) for r in principal]
         rows += [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(extra)]
         yield ExchangeMatrix(tuple(rows), extra), rng.randint(1, m)
+    for rows, n_frozen, k in SPARSE_MUTATION_CASES:
+        yield ExchangeMatrix(rows, n_frozen), k
 
 
 def test_random_matrix_mutation_properties():
@@ -314,10 +330,56 @@ def dense_mutation(rows, k):
 
 def test_matrix_mutation_matches_dense_formula():
     frozen_rows = 0
+    seen = set()
     for b, k in random_exchange_matrices():
         frozen_rows += b.n_frozen
         assert mutate_matrix(b, k).rows == dense_mutation(b.rows, k)
+        row_k = b.rows[k - 1]
+        seen.update(name for name, hit in (
+            ("rank 1", b.n_mutable == 1 and b.n_frozen > 0),
+            ("zero column", not any(row_k) and any(row[k - 1] for row in b.rows)),
+            ("no positive", min(row_k) < 0 and max(row_k) == 0),
+            ("no negative", max(row_k) > 0 and min(row_k) == 0),
+            ("frozen b_ik = 0", any(row[k - 1] == 0 for row in b.rows[b.n_mutable:])),
+        ) if hit)
     assert frozen_rows > 0
+    assert len(seen) == 5, seen
+
+
+@st.composite
+def skew_symmetric_rows(draw):
+    """The principal part of a principal_seeds() seed, or a random
+    skew-symmetric matrix of rank at most 4 with entries in -3..3."""
+    if draw(st.booleans()):
+        s = draw(principal_seeds())
+        return s.matrix.rows[: s.matrix.n_mutable]
+    m = draw(st.integers(1, 4))
+    b = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            b[i][j] = draw(st.integers(-3, 3))
+            b[j][i] = -b[i][j]
+    return tuple(map(tuple, b))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(skew_symmetric_rows(), st.lists(st.integers(0, 3), max_size=6))
+def test_cvector_mutation_matches_the_framed_matrix(rows, path):
+    """_mutate_cvecs along a path against the textbook mutation of the
+    framed matrix [B; C], C = I at the start: the c-vectors are the columns
+    of C, and each is sign-coherent (Derksen-Weyman-Zelevinsky)."""
+    from clusterforge import cluster
+
+    m = len(rows)
+    framed = tuple(rows) + tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+    cvecs = tuple(zip(*framed[m:]))
+    for step in path:
+        kk = step % m
+        cvecs = cluster._mutate_cvecs(cvecs, framed[kk], kk)
+        framed = dense_mutation(framed, kk + 1)
+        assert cvecs == tuple(zip(*framed[m:]))
+        for c in cvecs:
+            assert min(c) >= 0 or max(c) <= 0, c
 
 
 # ----------------------------------------------------------------------
@@ -569,7 +631,9 @@ def test_repeated_mutable_entries_record_no_permutation(monkeypatch):
     every stored seed: repeated mutable entries give no permutation.  No
     edge reads that entry back, as each neighbour of the initial seed has
     its edge back pending, so the test watches the root that the search
-    indexes, {c-vector: perm[i]} over the identity c-vectors, or None."""
+    indexes, {c-vector: perm[i]} over the identity c-vectors, or None.
+    The search keys nodes by int ids, so the class explore returns is
+    checked to carry the initial seed under its own key."""
     from clusterforge import cluster
 
     roots, search = [], cluster._search
@@ -583,10 +647,12 @@ def test_repeated_mutable_entries_record_no_permutation(monkeypatch):
     for s, expected in ((repeated_entry_seed(), None),
                         (plain_seed(D4_ROWS), {c: i for i, c in enumerate(identity)})):
         roots.clear()
-        explore(s)
-        (key, seed, rows, perm), = roots
-        assert (key, seed, rows) == (s.key(), s, s.matrix.rows)
+        mc = explore(s)
+        (_, seed, rows, perm), = roots
+        assert (seed, rows) == (s, s.matrix.rows)
         assert (perm if perm is None else dict(zip(identity, perm))) == expected
+        assert mc.initial_key == s.key() and mc.order[0] == s.key()
+        assert mc.seeds[s.key()] is s
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,20 @@ def test_additive_inverse_is_zero():
     assert x - x == LaurentPoly.zero(XY)
 
 
+def test_int_minus_poly():
+    x = var("x")
+    assert 3 - x == -(x - 3)
+    assert (3 - x).terms == {(0, 0): 3, (1, 0): -1}
+    assert (1 - LaurentPoly.one(XY)).is_zero
+
+
+def test_poly_is_immutable():
+    x = var("x")
+    with pytest.raises(AttributeError):
+        x.terms = {}
+    assert x == var("x")
+
+
 def test_like_term_collection():
     x, y = LaurentPoly.variables(XY)
     assert (x + y) + y == x + 2 * y
