@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping, Optional
 
-from .laurent import InexactDivisionError, LaurentError, LaurentPoly, _is_int, product_of
+from .laurent import InexactDivisionError, LaurentError, LaurentPoly, _is_int, exchange, product_of
 
 
 class ClusterError(Exception):
@@ -73,11 +73,23 @@ class ExchangeMatrix:
         return [list(r) for r in self.rows]
 
 
+def _unchecked(cls, **fields):
+    """An instance of a frozen dataclass whose fields mutation made from a
+    checked instance, built without the checks of its __post_init__:
+    mutation keeps the row lengths, the zero diagonal and the
+    skew-symmetry of a matrix, and the shared variable names of a
+    cluster."""
+    self = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(self, name, value)
+    return self
+
+
 def mutate_matrix(b: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Matrix mutation in direction k (1-based)."""
     if not 1 <= k <= b.n_mutable:
         raise ClusterError(f"direction {k} out of range [1, {b.n_mutable}]")
-    return ExchangeMatrix(_mutate_rows(b.rows, k - 1), b.n_frozen)
+    return _unchecked(ExchangeMatrix, rows=_mutate_rows(b.rows, k - 1), n_frozen=b.n_frozen)
 
 
 def _mutate_rows(rows: tuple[tuple[int, ...], ...], kk: int) -> tuple[tuple[int, ...], ...]:
@@ -147,14 +159,15 @@ class Seed:
 
     def exchange_binomial(self, k: int) -> LaurentPoly:
         """The two-term numerator prod_{b_ik>0} y_i^{b_ik} + prod_{b_ik<0} y_i^{-b_ik}."""
-        col = self.matrix.column(k)
-        pos = product_of(
-            (y if b == 1 else y ** b for y, b in zip(self.cluster, col) if b > 0), self.varnames
-        )
-        neg = product_of(
-            (y if b == -1 else y ** -b for y, b in zip(self.cluster, col) if b < 0), self.varnames
-        )
-        return pos + neg
+        pos, neg = self._exchange_factors(k)
+        return (product_of((y ** b for y, b in pos), self.varnames)
+                + product_of((y ** b for y, b in neg), self.varnames))
+
+    def _exchange_factors(self, k: int) -> tuple[list, list]:
+        """The (y_i, b_ik) pairs with b_ik > 0 and the (y_i, -b_ik) pairs
+        with b_ik < 0, in cluster order."""
+        pairs = list(zip(self.cluster, self.matrix.column(k)))
+        return [(y, b) for y, b in pairs if b > 0], [(y, -b) for y, b in pairs if b < 0]
 
     def to_json(self) -> dict:
         return {
@@ -214,12 +227,18 @@ def _toggle_star(label: str) -> str:
 
 
 def mutate_seed(s: Seed, k: int) -> Seed:
-    """Seed mutation in direction k: replace y_k by the exchange binomial / y_k."""
+    """Seed mutation in direction k: replace y_k by the exchange binomial / y_k.
+
+    The new variable is `laurent.exchange` of y_k and the two factor lists
+    of `exchange_binomial`: both products, their sum and the division run
+    on packed monomials, and only the quotient is unpacked.  It equals
+    s.exchange_binomial(k).div_exact(y_k), and an inexact division raises
+    LaurentPhenomenonError with div_exact's message."""
     if not 1 <= k <= s.matrix.n_mutable:
         raise ClusterError(f"direction {k} out of range [1, {s.matrix.n_mutable}]")
-    binomial = s.exchange_binomial(k)
+    pos, neg = s._exchange_factors(k)
     try:
-        new_var = binomial.div_exact(s.cluster[k - 1])
+        new_var = exchange(s.cluster[k - 1], pos, neg)
     except InexactDivisionError as exc:
         raise LaurentPhenomenonError(s, k, str(exc)) from exc
     return _exchanged(s, k, new_var)
@@ -231,7 +250,8 @@ def _exchanged(s: Seed, k: int, new_var: LaurentPoly) -> Seed:
     cluster[k - 1] = new_var
     labels = list(s.labels)
     labels[k - 1] = _toggle_star(labels[k - 1])
-    return Seed(mutate_matrix(s.matrix, k), tuple(cluster), tuple(labels))
+    return _unchecked(Seed, matrix=mutate_matrix(s.matrix, k), cluster=tuple(cluster),
+                      labels=tuple(labels))
 
 
 @dataclass

@@ -51,7 +51,7 @@ class LaurentPoly:
     'x'
     """
 
-    __slots__ = ("varnames", "terms", "_hash", "_key")
+    __slots__ = ("varnames", "terms", "_hash", "_key", "_span")
 
     def __init__(self, varnames: Sequence[str], terms: Mapping[Monomial, int]):
         names = tuple(varnames)
@@ -84,6 +84,7 @@ class LaurentPoly:
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_span", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -270,42 +271,10 @@ class LaurentPoly:
         A monomial divisor shifts the exponents and divides each
         coefficient.  Otherwise monomial content is cleared from both
         operands first; the remaining honest polynomials are divided by
-        multivariate long division in graded-lex order.  A nonzero remainder
-        is an error, never a truncation, and the error names the
+        multivariate long division in graded-lex order, on monomials packed
+        relative to each operand's shift (`_Packing.divide`).  A nonzero
+        remainder is an error, never a truncation, and the error names the
         remainder's leading term in the dividend's own exponents.
-
-        Each step cancels the remainder's graded-lex largest term, and the
-        divisor's leading term is left out of the update because it cancels
-        by construction.
-
-        The steps run on monomials packed into single ints.  Taken relative
-        to its operand's shift (the componentwise minimum of its exponents),
-        a monomial has the digits, from the most significant down, degree,
-        e1, ..., en.  Each digit is w bits wide and its top bit is a guard,
-        left clear; w is one more than the bit length of the largest
-        relative degree over both operands, so every digit of both operands
-        fits below its guard.  Packing is linear: e_i contributes e_i times
-        2^(n*w) + 2^offset_i, less the same sum over the shift.  Packed ints
-        compare like the tuples (degree, e1, ..., en), so the largest packed
-        monomial is the graded-lex largest.
-
-        The remainder's monomials sit in a heap of negated ints: pushed when
-        they enter the remainder, skipped when popped after they have
-        cancelled.  Graded lex is a monomial order, so every term a step
-        adds lies below the one it cancels, and the heap's smallest live
-        entry is the remainder's largest term, negated.  The steps run in
-        the order that rescanning the whole remainder for its maximum gives:
-        each quotient monomial is written once, in that order, and a failing
-        step names the same term with the same coefficient.
-
-        With G the int whose set bits are all the guards, a step's quotient
-        monomial is (lead | G) - lead_q: each digit lead_i + 2^(w-1) - q_i
-        lies in [1, 2^w), so no borrow crosses a digit, and its guard
-        survives iff lead_i >= q_i.  So lead is a multiple of lead_q iff
-        every guard survives.  A term the step adds has degree at most the
-        leading term's, which is at most the dividend's, so its digits stay
-        below their guards, and it costs one int add.  Only quotient terms
-        and the error's leading term are unpacked, by a shift and a mask.
         """
         self._check_compatible(divisor)
         if divisor.is_zero:
@@ -323,54 +292,11 @@ class LaurentPoly:
                     )
                 out[tuple(map(sub, e, exps_q))] = q
             return LaurentPoly._build(self.varnames, out)
-        n = len(self.varnames)
-        shift_p = tuple(map(min, zip(*self.terms)))
-        shift_q = tuple(map(min, zip(*divisor.terms)))
-        top = max(max(map(sum, self.terms)) - sum(shift_p),
-                  max(map(sum, divisor.terms)) - sum(shift_q))
-        w = top.bit_length() + 1
-        offsets = range((n - 1) * w, -1, -w)
-        weights = [(1 << n * w) + (1 << o) for o in offsets]
-        guards = sum(1 << o + w - 1 for o in range(0, (n + 1) * w, w))
-        mask = (1 << w - 1) - 1
-        base_p = sum(map(mul, shift_p, weights))
-        base_q = sum(map(mul, shift_q, weights))
-        current = {sum(map(mul, e, weights)) - base_p: c for e, c in self.terms.items()}
-        divis = {sum(map(mul, e, weights)) - base_q: c for e, c in divisor.terms.items()}
-        lead_q = max(divis)
-        lc_q = divis.pop(lead_q)
-        rest = list(divis.items())
-        unshift = list(zip(offsets, map(sub, shift_p, shift_q)))
-        heap = [-m for m in current]
-        heapq.heapify(heap)
-        pop, push, get = heapq.heappop, heapq.heappush, current.get
-        quotient: dict[Monomial, int] = {}
-        while heap:
-            lead = -pop(heap)
-            lc_c = current.pop(lead, 0)
-            if not lc_c:
-                continue
-            q = (lead | guards) - lead_q
-            if q & guards != guards or lc_c % lc_q:
-                lead_e = tuple([(lead >> o & mask) + s for o, s in zip(offsets, shift_p)])
-                raise InexactDivisionError(
-                    f"inexact division: remainder has leading term {lead_e} -> {lc_c}"
-                )
-            q ^= guards
-            coeff = lc_c // lc_q
-            quotient[tuple([(q >> o & mask) + s for o, s in unshift])] = coeff
-            for e, c in rest:
-                m = q + e
-                old = get(m)
-                if old is None:
-                    current[m] = -coeff * c
-                    push(heap, -m)
-                else:
-                    nc = old - coeff * c
-                    if nc:
-                        current[m] = nc
-                    else:
-                        del current[m]
+        shift_p, top_p = _span_of(self)
+        shift_q, top_q = _span_of(divisor)
+        packing = _Packing(len(self.varnames), max(top_p, top_q))
+        quotient = packing.divide(packing.pack(self.terms, shift_p), shift_p,
+                                  packing.pack(divisor.terms, shift_q), shift_q)
         return LaurentPoly._build(self.varnames, quotient)
 
     def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:
@@ -506,3 +432,252 @@ def product_of(polys: Iterable[LaurentPoly], varnames: Sequence[str]) -> Laurent
     for p in polys:
         result = p if result is None else result * p
     return LaurentPoly.one(varnames) if result is None else result
+
+
+def exchange(
+    divisor: LaurentPoly,
+    pos: Sequence[tuple[LaurentPoly, int]],
+    neg: Sequence[tuple[LaurentPoly, int]],
+) -> LaurentPoly:
+    """(prod f^e over pos + prod f^e over neg).div_exact(divisor), formed
+    and divided in one packing: the exchange relation of a cluster algebra
+    solved for the new variable.  pos and neg list (polynomial, power)
+    pairs with positive int powers, an empty list being the product 1.  The
+    quotient, and the InexactDivisionError an inexact division raises, are
+    those of div_exact on the binomial that `product_of` and `+` give.
+
+    Each distinct factor is packed once, relative to its own shift (the
+    componentwise minimum of its exponents).  Powers are formed by
+    square-and-multiply and each side factor by factor, on packed ints and
+    in the order that `__pow__` and `product_of` multiply in; a factor
+    times itself forms each unordered pair of terms once, as `__mul__`
+    does.  So the two products and their sum hold their terms in the order
+    of the binomial's, and a monomial divisor's error names the same first
+    coefficient that is not a multiple.  Only the quotient is unpacked.
+
+    The digit width is fixed before anything is multiplied.  In the domain
+    Z[x^±1], the terms of a product that are lowest in e_i are the product
+    of its factors' lowest terms in e_i, which is nonzero; so a product's
+    shift is the sum of its factors' shifts, and its largest degree
+    relative to that shift the sum of theirs, each times its power.  Let
+    smin be the componentwise minimum of the two products' shifts.  Every
+    term of the binomial, even where the two products cancel, has
+    exponents at least smin, and relative to smin a degree at most top, the
+    larger over both products of its relative degree plus the excess of
+    its shift's degree over smin's.  With the divisor's relative degree
+    that bounds every digit the products, their sum and the division form
+    (`_Packing.divide`), and an exact quotient's exponents are at least
+    smin - shift(divisor).  Where no term cancels, smin is the binomial's
+    own shift, the one div_exact packs it relative to; where one does, the
+    binomial is repacked relative to its own shift.  So each division step
+    is div_exact's, with the same test, and a failing step names the same
+    term with the same coefficient."""
+    for f, e in (*pos, *neg):
+        divisor._check_compatible(f)
+        if not _is_int(e) or e < 1:
+            raise LaurentError(f"exchange powers must be positive integers, got {e!r}")
+    if divisor.is_zero:
+        raise InexactDivisionError("division by the zero polynomial")
+    n = len(divisor.varnames)
+    sides = []  # (side, shift, relative degree) of each product that is not zero
+    for side in (pos, neg):
+        if all(f.terms for f, _ in side):
+            spans = [(e, *_span_of(f)) for f, e in side]
+            shift = tuple(map(sum, zip((0,) * n, *([e * x for x in s] for e, s, _ in spans))))
+            sides.append((side, shift, sum(e * t for e, _, t in spans)))
+    if not sides:
+        return LaurentPoly._build(divisor.varnames, {})
+    smin = tuple(map(min, zip(*(shift for _, shift, _ in sides))))
+    top = max(t + sum(shift) - sum(smin) for _, shift, t in sides)
+    if not divisor.is_monomial:
+        shift_q, top_q = _span_of(divisor)
+        top = max(top, top_q)
+    packing = _Packing(n, top)
+    packed = {}  # id(factor) -> its packed terms, a repeated factor packed once
+    for side, _, _ in sides:
+        for f, _ in side:
+            if id(f) not in packed:
+                packed[id(f)] = packing.pack(f.terms, _span_of(f)[0])
+    dividend: dict[int, int] = {}
+    cancelled = False
+    for side, shift, _ in sides:
+        product = None
+        for f, e in side:
+            term = _power(packed[id(f)], e)
+            product = term if product is None else _times(product, term)
+        base = packing.value(map(sub, shift, smin))
+        for m, c in ({0: 1} if product is None else product).items():
+            m += base
+            c += dividend.get(m, 0)
+            if c:
+                dividend[m] = c
+            else:
+                del dividend[m]
+                cancelled = True
+    if not dividend:
+        return LaurentPoly._build(divisor.varnames, {})
+    if divisor.is_monomial:
+        (exps_q, c_q), = divisor.terms.items()
+        offsets, mask = packing.offsets, packing.mask
+        unshift = list(zip(offsets, map(sub, smin, exps_q)))
+        quotient = {}
+        for m, c in dividend.items():
+            q, r = divmod(c, c_q)
+            if r:
+                raise InexactDivisionError(
+                    f"inexact division: coefficient {c} is not a multiple of {c_q}"
+                )
+            quotient[tuple([(m >> o & mask) + s for o, s in unshift])] = q
+        return LaurentPoly._build(divisor.varnames, quotient)
+    if cancelled:
+        low = [min(m >> o & packing.mask for m in dividend) for o in packing.offsets]
+        base = packing.value(low)
+        if base:
+            dividend = {m - base: c for m, c in dividend.items()}
+            smin = tuple(map(add, smin, low))
+    quotient = packing.divide(dividend, smin, packing.pack(divisor.terms, shift_q), shift_q)
+    return LaurentPoly._build(divisor.varnames, quotient)
+
+
+def _span_of(p: LaurentPoly) -> tuple[Monomial, int]:
+    """The shift of a nonzero polynomial, the componentwise minimum of its
+    exponents, and its largest degree relative to that shift, computed once
+    per polynomial as `sort_key` is."""
+    span = p._span
+    if span is None:
+        shift = tuple(map(min, zip(*p.terms)))
+        span = shift, max(map(sum, p.terms)) - sum(shift)
+        object.__setattr__(p, "_span", span)
+    return span
+
+
+def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two packed polynomials, formed as `__mul__` forms it
+    on tuples: for a square (b is a), each unordered pair of terms once."""
+    if b is a:
+        items = list(a.items())
+        out = {m + m: c * c for m, c in items}
+        rows = ((m1, 2 * c1, islice(items, i)) for i, (m1, c1) in enumerate(items))
+    else:
+        out = {}
+        rows = ((m1, c1, b.items()) for m1, c1 in a.items())
+    get = out.get
+    for m1, c1, row in rows:
+        for m2, c2 in row:
+            m = m1 + m2
+            c = get(m, 0) + c1 * c2
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+    return out
+
+
+def _power(a: dict[int, int], n: int) -> dict[int, int]:
+    """a^n for n >= 1 by square-and-multiply, as `__pow__` forms it."""
+    result = None
+    while True:
+        if n & 1:
+            result = a if result is None else _times(result, a)
+        n >>= 1
+        if not n:
+            return result
+        a = _times(a, a)
+
+
+class _Packing:
+    """Monomials in n variables packed into single ints.
+
+    Taken relative to a shift, a componentwise lower bound on the exponents
+    of the polynomial it belongs to, a monomial has the digits, from the
+    most significant down, degree, e1, ..., en.  Each digit is w bits wide
+    and its top bit is a guard, left clear; w is one more than the bit
+    length of top, the largest relative degree in play, so every digit fits
+    below its guard.  Packing is linear: e_i contributes e_i times
+    2^(n*w) + 2^offset_i, less the same sum over the shift, so monomials
+    multiply by adding their packed ints (and their shifts).  Packed ints
+    compare like the tuples (degree, e1, ..., en), so the largest packed
+    monomial is the graded-lex largest.  A monomial is unpacked by a shift
+    and a mask per digit."""
+
+    __slots__ = ("offsets", "weights", "guards", "mask")
+
+    def __init__(self, n: int, top: int):
+        w = top.bit_length() + 1
+        self.offsets = range((n - 1) * w, -1, -w)
+        self.weights = [(1 << n * w) + (1 << o) for o in self.offsets]
+        self.guards = sum(1 << o + w - 1 for o in range(0, (n + 1) * w, w))
+        self.mask = (1 << w - 1) - 1
+
+    def value(self, exps: Iterable[int]) -> int:
+        """The packed int of an exponent vector relative to the zero shift."""
+        return sum(map(mul, exps, self.weights))
+
+    def pack(self, terms: Mapping[Monomial, int], shift: Monomial) -> dict[int, int]:
+        weights = self.weights
+        base = sum(map(mul, shift, weights))
+        return {sum(map(mul, e, weights)) - base: c for e, c in terms.items()}
+
+    def divide(self, current: dict[int, int], shift_p: Monomial,
+               divisor: dict[int, int], shift_q: Monomial) -> dict[Monomial, int]:
+        """The quotient of a packed dividend by a packed divisor of several
+        terms, each relative to its shift, by multivariate long division in
+        graded-lex order; current is consumed.  The quotient is unpacked
+        relative to shift_p - shift_q, and an exact one is written once per
+        monomial, in step order.  Raises InexactDivisionError naming the
+        remainder's leading term in absolute exponents.
+
+        Each step cancels the remainder's graded-lex largest term, and the
+        divisor's leading term is left out of the update because it cancels
+        by construction.  The remainder's monomials sit in a heap of
+        negated ints: pushed when they enter the remainder, skipped when
+        popped after they have cancelled.  Graded lex is a monomial order,
+        so every term a step adds lies below the one it cancels, and the
+        heap's smallest live entry is the remainder's largest term, negated.
+        The steps run in the order that rescanning the whole remainder for
+        its maximum gives, so a failing step names the same term with the
+        same coefficient.
+
+        With G the int whose set bits are all the guards, a step's quotient
+        monomial is (lead | G) - lead_q: each digit lead_i + 2^(w-1) - q_i
+        lies in [1, 2^w), so no borrow crosses a digit, and its guard
+        survives iff lead_i >= q_i.  So lead is a multiple of lead_q iff
+        every guard survives.  A term the step adds has degree at most the
+        leading term's, which is at most the dividend's, so its digits stay
+        below their guards, and it costs one int add."""
+        offsets, guards, mask = self.offsets, self.guards, self.mask
+        lead_q = max(divisor)
+        lc_q = divisor[lead_q]
+        rest = [(e, c) for e, c in divisor.items() if e != lead_q]
+        unshift = list(zip(offsets, map(sub, shift_p, shift_q)))
+        heap = [-m for m in current]
+        heapq.heapify(heap)
+        pop, push, get = heapq.heappop, heapq.heappush, current.get
+        quotient: dict[Monomial, int] = {}
+        while heap:
+            lead = -pop(heap)
+            lc_c = current.pop(lead, 0)
+            if not lc_c:
+                continue
+            q = (lead | guards) - lead_q
+            if q & guards != guards or lc_c % lc_q:
+                lead_e = tuple([(lead >> o & mask) + s for o, s in zip(offsets, shift_p)])
+                raise InexactDivisionError(
+                    f"inexact division: remainder has leading term {lead_e} -> {lc_c}"
+                )
+            q ^= guards
+            coeff = lc_c // lc_q
+            quotient[tuple([(q >> o & mask) + s for o, s in unshift])] = coeff
+            for e, c in rest:
+                m = q + e
+                old = get(m)
+                if old is None:
+                    current[m] = -coeff * c
+                    push(heap, -m)
+                else:
+                    nc = old - coeff * c
+                    if nc:
+                        current[m] = nc
+                    else:
+                        del current[m]
+        return quotient

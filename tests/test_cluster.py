@@ -21,7 +21,7 @@ from clusterforge.cluster import (
     mutate_seed,
     mutation_class_to_dot,
 )
-from clusterforge.laurent import LaurentPoly
+from clusterforge.laurent import InexactDivisionError, LaurentPoly
 
 GR25_ROWS = ((0, -1), (1, 0), (-1, 0), (1, 0), (-1, 1), (0, -1), (0, 1))
 GR25_MU1 = ((0, 1), (-1, 0), (1, -1), (-1, 0), (1, 0), (0, -1), (0, 1))
@@ -310,7 +310,9 @@ def random_exchange_matrices(count=100):
 
 def test_random_matrix_mutation_properties():
     for b, k in random_exchange_matrices():
-        mutated = mutate_matrix(b, k)  # constructor re-checks skew-symmetry
+        mutated = mutate_matrix(b, k)
+        # built without the constructor's checks, which it passes
+        assert ExchangeMatrix(mutated.rows, mutated.n_frozen) == mutated
         assert mutate_matrix(mutated, k).rows == b.rows
 
 
@@ -614,16 +616,28 @@ def test_explore_past_max_seeds_exchanges_once_per_variable(monkeypatch, n, max_
 
 def test_explore_raises_at_the_first_inexact_exchange():
     """A reused variable never hides an inexact division: over the cluster
-    (y1 + 1, y2), explore raises where the search that divides on every
-    edge first fails, in the same direction of the same seed."""
+    (y1 + 1, y2), a polynomial divisor, or (2 y1, y2), a monomial one,
+    explore raises where the search that divides on every edge first
+    fails, in the same direction of the same seed, with the message that
+    div_exact gives on the exchange binomial."""
     y1, y2 = LaurentPoly.variables(("y1", "y2"))
-    s = Seed(ExchangeMatrix(((0, 1), (-1, 0)), 0), (y1 + 1, y2), ("y1", "y2"))
-    with pytest.raises(LaurentPhenomenonError) as expected:
-        reference_explore(s)
-    with pytest.raises(LaurentPhenomenonError) as raised:
-        explore(s)
-    assert raised.value.direction == expected.value.direction
-    assert raised.value.seed.cluster == expected.value.seed.cluster
+    for first, message in (
+        (y1 + 1, "inexact division: remainder has leading term (0, 1) -> 1"),
+        (2 * y1, "inexact division: coefficient 1 is not a multiple of 2"),
+    ):
+        s = Seed(ExchangeMatrix(((0, 1), (-1, 0)), 0), (first, y2), ("y1", "y2"))
+        with pytest.raises(LaurentPhenomenonError) as expected:
+            reference_explore(s)
+        with pytest.raises(LaurentPhenomenonError) as raised:
+            explore(s)
+        assert raised.value.direction == expected.value.direction
+        assert raised.value.seed.cluster == expected.value.seed.cluster
+        assert str(raised.value) == str(expected.value)
+        seed, k = raised.value.seed, raised.value.direction
+        with pytest.raises(InexactDivisionError) as detail:
+            seed.exchange_binomial(k).div_exact(seed.cluster[k - 1])
+        assert str(detail.value) == message
+        assert str(raised.value) == str(LaurentPhenomenonError(seed, k, message))
 
 
 def test_repeated_mutable_entries_record_no_permutation(monkeypatch):
@@ -794,6 +808,91 @@ def test_explore_matches_reference_search_on_random_seeds(s, depth):
 @given(principal_seeds(), st.integers(1, 3))
 def test_is_finite_type_matches_explore_on_random_principal_parts(s, depth):
     assert is_finite_type(s, max_depth=depth) == explore_summary(s, max_depth=depth)
+
+
+# ----------------------------------------------------------------------
+# mutate_seed's exchange against exchange_binomial(k).div_exact(y_k)
+
+
+def assert_mutation_matches_binomial(s, k):
+    """mutate_seed's new variable is exchange_binomial(k).div_exact(y_k),
+    with its terms in the same order, or the exchange raises
+    LaurentPhenomenonError with div_exact's message; returns the mutated
+    seed, or None."""
+    y = s.cluster[k - 1]
+    try:
+        expected = s.exchange_binomial(k).div_exact(y)
+    except InexactDivisionError as exc:
+        with pytest.raises(LaurentPhenomenonError) as raised:
+            mutate_seed(s, k)
+        assert str(raised.value) == str(LaurentPhenomenonError(s, k, str(exc)))
+        return None
+    t = mutate_seed(s, k)
+    assert list(t.cluster[k - 1].terms.items()) == list(expected.terms.items())
+    return t
+
+
+@st.composite
+def laurent_entry_seeds(draw):
+    """A principal_seeds() seed whose entries are replaced, each with
+    probability one half, by a Laurent polynomial of one or two terms with
+    exponents in -2..2 and coefficients in +-1..3: monomial and polynomial
+    divisors, negative exponents and non-unit coefficients."""
+    s = draw(principal_seeds())
+    d = s.matrix.d
+    exps = st.lists(st.integers(-2, 2), min_size=d, max_size=d).map(tuple)
+    entry = st.dictionaries(exps, st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=1, max_size=2)
+    cluster = tuple(LaurentPoly(s.varnames, draw(entry)) if draw(st.booleans()) else p
+                    for p in s.cluster)
+    return Seed(s.matrix, cluster, s.labels)
+
+
+@st.composite
+def exchange_seeds(draw):
+    """Rank 2 with b = +-1..4 (cubes and odd powers), Markov, a random
+    skew-symmetric B with up to two frozen rows, or such a seed over
+    Laurent polynomials other than the initial variables."""
+    kind = draw(st.sampled_from(["rank2", "markov", "principal", "laurent"]))
+    if kind == "rank2":
+        b = draw(st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4]))
+        return plain_seed(((0, b), (-b, 0)))
+    if kind == "markov":
+        return plain_seed(MARKOV_ROWS)
+    return draw(principal_seeds() if kind == "principal" else laurent_entry_seeds())
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(exchange_seeds(), st.lists(st.integers(0, 3), max_size=3))
+def test_exchange_matches_the_binomial_along_mutation_paths(s, path):
+    """Every direction of every seed along a random mutation path."""
+    for step in [*path, None]:
+        m = s.matrix.n_mutable
+        mutated = [assert_mutation_matches_binomial(s, k) for k in range(1, m + 1)]
+        if step is None or mutated[step % m] is None:
+            break
+        s = mutated[step % m]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.one_of(principal_seeds(), unfree_seeds()), st.lists(st.integers(0, 3), max_size=6))
+def test_mutation_results_pass_the_public_checks(s, path):
+    """mutate_matrix and _exchanged build their results without the
+    constructors' checks; the public constructors accept each one.  Where
+    the exchange is inexact, _exchanged takes the old variable, as explore
+    takes a stored one."""
+    from clusterforge import cluster
+
+    for step in path:
+        k = step % s.matrix.n_mutable + 1
+        b = mutate_matrix(s.matrix, k)
+        assert ExchangeMatrix(b.rows, b.n_frozen) == b
+        try:
+            t = mutate_seed(s, k)
+        except LaurentPhenomenonError:
+            t = cluster._exchanged(s, k, s.cluster[k - 1])
+        assert t.matrix == b
+        assert Seed(ExchangeMatrix(b.rows, b.n_frozen), t.cluster, t.labels) == t
+        s = t
 
 
 @CLASS_SIZES

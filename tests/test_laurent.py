@@ -13,6 +13,8 @@ from clusterforge.laurent import (
     LaurentError,
     LaurentPoly,
     VariableMismatchError,
+    exchange,
+    product_of,
 )
 
 XY = ("x", "y")
@@ -501,3 +503,103 @@ def test_square_matches_schoolbook(p):
     for n in range(7):
         assert (p ** n).terms == power
         power = schoolbook(power, p.terms)
+
+
+# ----------------------------------------------------------------------
+# exchange against the binomial it forms, divided by div_exact
+
+
+def assert_exchange_matches_binomial(divisor, pos, neg):
+    """exchange(divisor, pos, neg) is div_exact's quotient of the binomial
+    that product_of and + form, with its terms in the same order, or
+    raises div_exact's message."""
+    names = divisor.varnames
+    binomial = (product_of((f ** e for f, e in pos), names)
+                + product_of((f ** e for f, e in neg), names))
+    try:
+        expected = binomial.div_exact(divisor)
+    except InexactDivisionError as exc:
+        with pytest.raises(InexactDivisionError) as raised:
+            exchange(divisor, pos, neg)
+        assert str(raised.value) == str(exc)
+        return None
+    got = exchange(divisor, pos, neg)
+    assert got.varnames == names
+    assert list(got.terms.items()) == list(expected.terms.items())
+    return got
+
+
+@st.composite
+def exchange_cases(draw):
+    """Factors in 1-6 variables with exponents in +-30 and coefficients up
+    to +-9, drawn from a pool so that a factor can repeat as one object,
+    with powers 1-3 on each side; the divisor is a pool factor or a fresh
+    polynomial (either may be a monomial).  Half the time the divisor is
+    also a factor of both sides, so the division is exact."""
+    n = draw(st.integers(1, 6))
+    pool = draw(st.lists(wide_polys(n, 1, 3), min_size=1, max_size=3))
+    side = st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 3)), max_size=2)
+    pos, neg = draw(side), draw(side)
+    divisor = draw(st.one_of(st.sampled_from(pool), wide_polys(n, 1, 3)))
+    if draw(st.booleans()):
+        pos, neg = pos + [(divisor, 1)], neg + [(divisor, 1)]
+    return divisor, pos, neg
+
+
+@given(exchange_cases())
+@settings(max_examples=200, deadline=None)
+def test_exchange_matches_the_binomial_divided(case):
+    assert_exchange_matches_binomial(*case)
+
+
+def test_exchange_on_cancelling_products():
+    """Products that cancel, wholly or in part.  Where a term cancels, the
+    binomial's shift can exceed the componentwise minimum of the products'
+    shifts, and the division must test divisibility against the former."""
+    names = ("x1", "x2", "x3")
+    x1, x2, x3 = LaurentPoly.variables(names)
+    f = x2 + 2 * x3 ** -1
+    # f^2 - f * f is zero: the quotient is zero, as div_exact gives it
+    assert exchange(x1 + x2, [(f, 2)], [(-f, 1), (f, 1)]).is_zero
+    assert exchange(2 * x1, [(f, 1)], [(-f, 1)]).is_zero
+    # x1 + x2 - x2 = x1 has shift (1, 0, 0), above the minimum (0, 0, 0):
+    # divided by x1 + 1 it fails at its one term, not at a later one
+    with pytest.raises(InexactDivisionError, match=re.escape("(1, 0, 0) -> 1")):
+        exchange(x1 + 1, [(x1 + x2, 1)], [(-x2, 1)])
+    cases = [
+        (x1 + 1, [(x1 + x2, 1)], [(-x2, 1)]),
+        # x1 (x1 + x3) + x2 - x2 + x1 (x1 + x3) = 2 x1 (x1 + x3)
+        (x1 + x3, [(x1 * (x1 + x3) + x2, 1)], [(x1 * (x1 + x3) - x2, 1)]),
+        (x1 + x3, [(x1 + x3, 2), (x2 ** -1, 1)], [(x1 * x3 + 5, 1), (x2 + x1, 1)]),
+        (x1 ** -2, [(x1 + x2 * x3, 3)], [(-x1 - x2 * x3, 2), (x1 + x2 * x3, 1)]),
+        (3 * x2, [(x2 + 3 * x1, 2)], [(-x2, 2)]),
+    ]
+    assert assert_exchange_matches_binomial(*cases[1]) == 2 * x1
+    for case in cases:
+        assert_exchange_matches_binomial(*case)
+
+
+def test_exchange_monomial_divisor():
+    """A monomial divisor shifts each term; a non-unit coefficient names the
+    first term, in the binomial's order, whose coefficient is not a
+    multiple."""
+    x, y = LaurentPoly.variables(XY)
+    assert exchange(x, [], [(y, 1)]) == (1 + y) * x ** -1
+    assert exchange(-x * y ** -2, [(x + y, 2)], [(y, 3)]) == -((x + y) ** 2 + y ** 3) * x ** -1 * y ** 2
+    with pytest.raises(InexactDivisionError, match="coefficient 3 is not a multiple of 2"):
+        exchange(2 * x, [(2 * y + 3, 1)], [(5 * x, 1)])
+    with pytest.raises(InexactDivisionError, match="coefficient 1 is not a multiple of 2"):
+        exchange(2 * x, [], [(y, 1)])
+    with pytest.raises(InexactDivisionError, match="coefficient 9 is not a multiple of 2"):
+        exchange(2 * x, [(3 * y + 2, 2)], [])
+
+
+def test_exchange_rejects_bad_input():
+    x, y = LaurentPoly.variables(XY)
+    with pytest.raises(InexactDivisionError, match="zero polynomial"):
+        exchange(LaurentPoly.zero(XY), [(x, 1)], [])
+    with pytest.raises(VariableMismatchError):
+        exchange(x, [(var("x", XYZ), 1)], [])
+    for power in (0, -1, 1.0, True):
+        with pytest.raises(LaurentError, match="positive integers"):
+            exchange(x, [(y, power)], [])
