@@ -16,9 +16,14 @@ an a-dimensional subspace of that part, quotients by it and moves to j+1.
 field fixes the mode: over QQ only the unique choices a = 0 and a = s are
 allowed, so the chain set is finite and field-independent and the exact
 backend returns its cardinality; over GF(p) the points of a Grassmannian
-Gr(a, s) are counted by quotient class: one subspace stands for all whose
-quotients are isomorphic, and its count is weighted by their number.
-When the QQ recursion meets
+Gr(a, s) are counted by orbit: one subspace stands for all whose quotients
+it shows isomorphic, either by equal incoming rows (a quotient class) or
+because an automorphism that scales the components of the module's
+support graph moves one onto the other (an orbit of classes), and its
+count is weighted by their number.  The p - 1 lines [1:x] between two
+summands S_v of a direct sum are one orbit, so they cost one quotient at
+every prime, not one each.  Every point is still counted, so this is no
+torus fixed-point count.  When the QQ recursion meets
 0 < a < s, the module is reduced mod increasing primes, skipping bad ones
 (a denominator vanishes or the socle/radical layers change); each prime
 counts every coefficient at once, and each coefficient's count polynomial
@@ -34,6 +39,7 @@ call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
@@ -125,13 +131,60 @@ def _word_matches_dims(rep: QuiverRep, word: Sequence[int]) -> bool:
     return all(counts[v] == rep.dim(v) for v in rep.quiver.vertices)
 
 
-def _quotient_classes(rep: QuiverRep, v: int, soc: list, a: int) -> Iterable[tuple[int, list]]:
-    """(multiplicity, subspace) pairs over GF(p): for each class of
-    a-dimensional subspaces of the socle part span(soc) at v whose
-    quotients are isomorphic, one member and the size of the class.  The
-    sizes sum to the Gaussian binomial [s choose a]_p.  The members are
-    written in rep's coordinates, so their quotients have the presentations
-    that the memo already shares.
+def _socle_components(rep: QuiverRep, v: int, soc: list) -> list[int]:
+    """For each vector of the socle basis soc at v, a label of its
+    component of rep's torus.
+
+    The support graph of rep has a node for each coordinate of each vertex
+    and an edge for each nonzero map entry.  Its connected components, with
+    those that a single socle vector touches merged, are the components:
+    scaling every coordinate of one of them by its own nonzero constant
+    commutes with every map, so it is an automorphism of rep, and each
+    socle vector is an eigenvector of it.  The search stops once every
+    socle vector is in one component, as in a connected module."""
+    q = rep.quiver
+    start, n = {}, 0
+    for u, d in zip(q.vertices, rep.dims):
+        start[u], n = n, n + d
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    supports = [[start[v] + j for j, x in enumerate(u) if x] for u in soc]
+    for support in supports:
+        for j in support[1:]:
+            parent[find(j)] = find(support[0])
+    # The roots whose components hold a socle vector.
+    marked = {find(support[0]) for support in supports}
+    for arrow, m in zip(q.arrows, rep.maps):
+        source = start[arrow.source]
+        for i, row in enumerate(m, start[arrow.target]):
+            for j, x in enumerate(row, source):
+                if x:
+                    i, j = find(i), find(j)
+                    if i != j:
+                        parent[j] = i
+                        if j in marked:
+                            marked.remove(j)
+                            marked.add(i)
+                            if len(marked) == 1:
+                                return [i] * len(soc)
+    return [find(support[0]) for support in supports]
+
+
+def _quotient_classes(rep: QuiverRep, v: int, soc: list, a: int,
+                      labels: Optional[list[int]] = None) -> Iterable[tuple[int, list]]:
+    """(weight, subspace) pairs over GF(p): for each orbit of the torus of
+    rep on the classes of a-dimensional subspaces of the socle part
+    span(soc) at v whose quotients are isomorphic, one member and the
+    number of subspaces that the orbit's classes hold.  The weights sum to
+    the Gaussian binomial [s choose a]_p.  The members are written in
+    rep's coordinates, so their quotients have the presentations that the
+    memo already shares.  labels are `_socle_components(rep, v, soc)`,
+    computed here when not given.
 
     In a basis of M_v that starts with soc, the incoming maps have at socle
     coordinate i the row R_i, their row at the free column of soc[i]
@@ -142,9 +195,37 @@ def _quotient_classes(rep: QuiverRep, v: int, soc: list, a: int) -> Iterable[tup
     kept socle coordinate c the incoming row R_c - sum_r C[r][c] R_{pi_r}.
     Subspaces with equal pi and equal sums therefore have isomorphic
     quotients.  The entries of C on a maximal linearly independent set of
-    the R_{pi_r} with pi_r < c tell the sums apart; the other entries stay
-    0, and each one left out multiplies the class size by p."""
+    the R_{pi_r} with pi_r < c (the varied entries) tell the sums apart;
+    the other entries stay 0, and each one left out multiplies the class
+    size by p.
+
+    Scaling each component of the torus by its own lambda is an
+    automorphism g of rep, so the quotients by U and gU are isomorphic.  g
+    scales soc[i] by the lambda of its component, so it keeps pi, keeps the
+    entries that are 0 at 0, and maps the varied entry (r, c) of C to
+    C[r][c] lambda_c / lambda_{pi_r}: it permutes the classes' members.
+    Within one support S (the nonzero varied entries), read each entry of
+    S in order as an edge between the components of pi_r and c, and let F
+    be the entries that join two components no earlier entry has joined
+    (a spanning forest).  Each orbit has exactly one member with the
+    entries of F equal to 1, and (p - 1)^|F| members: the torus moves F's
+    entries freely, and the elements that fix them are constant on each
+    tree, so they fix the other entries of S too.  Those entries (one that
+    joins a component to itself among them) stay free in 1..p-1, and the
+    member's weight is the class size times (p - 1)^|F|.  Over GF(2) the
+    torus is trivial and every orbit is one class.
+
+    Every subspace is still counted once, with the count of its own
+    quotient: orbits only group subspaces whose quotients are isomorphic,
+    as the classes do, and the total at each prime is the number of
+    points.  This is no torus fixed-point count (chi(F) = chi(F^T), which
+    keeps only the subspaces that the torus fixes): for M + N that would
+    drop the subspaces mixing the summands and make phi_{M+N} =
+    phi_M phi_N hold by construction, where counting every point keeps it
+    a check of independent computations."""
     field, p, s = rep.field, rep.field.p, len(soc)
+    if labels is None:
+        labels = _socle_components(rep, v, soc)
     arrows = rep.quiver.arrows_into(v)
     incoming = []
     for u in soc:
@@ -158,12 +239,26 @@ def _quotient_classes(rep: QuiverRep, v: int, soc: list, a: int) -> Iterable[tup
                 for c in range(pivot + 1, s) if c not in pivots]
         varied = [(r, c) for r, c in free if r in independent]
         multiplicity = p ** (len(free) - len(varied))
-        for values in product(range(p), repeat=len(varied)):
-            subspace = [soc[pivot] for pivot in pivots]
-            for (r, c), x in zip(varied, values):
-                if x:
-                    subspace[r] = tuple((y + x * z) % p for y, z in zip(subspace[r], soc[c]))
-            yield multiplicity, subspace
+        for size in range(len(varied) + 1):
+            for support in combinations(varied, size):
+                forest, loose, joined = [], [], {}
+                for r, c in support:
+                    left, right = labels[pivots[r]], labels[c]
+                    while left in joined:
+                        left = joined[left]
+                    while right in joined:
+                        right = joined[right]
+                    if left == right:
+                        loose.append((r, c))
+                    else:
+                        joined[left] = right
+                        forest.append((r, c))
+                weight = multiplicity * (p - 1) ** len(forest)
+                for values in product(range(1, p), repeat=len(loose)):
+                    subspace = [soc[pivot] for pivot in pivots]
+                    for (r, c), x in zip(forest + loose, (1,) * len(forest) + values):
+                        subspace[r] = tuple((y + x * z) % p for y, z in zip(subspace[r], soc[c]))
+                    yield weight, subspace
 
 
 def _flags(rep: QuiverRep, letters: tuple[int, ...], full: bool,
@@ -171,8 +266,9 @@ def _flags(rep: QuiverRep, letters: tuple[int, ...], full: bool,
     """{a: number of chains of type (letters, a)} over rep's field, zero
     counts omitted.  `full` forces every a_j = 1, counting composition
     series.  Over QQ a proper nonzero subspace of a socle part raises
-    _SocleBranching; over GF(p) one quotient is built for each class of
-    `_quotient_classes`, and its counts are multiplied by the class size.
+    _SocleBranching; over GF(p) one quotient is built for each orbit of
+    `_quotient_classes`, and its counts are multiplied by the orbit's
+    weight.  The torus components are found once per state.
 
     A letter's last occurrence quotients away all of M_v, so a support
     vertex missing from the letters still to come can only be missing on
@@ -190,6 +286,7 @@ def _flags(rep: QuiverRep, letters: tuple[int, ...], full: bool,
     least = rep.dim(v) if v not in rest else 0
     choices = [a for a in ((1,) if full else range(s + 1)) if least <= a <= s]
     result: dict[tuple[int, ...], int] = {}
+    labels = None
     for a in choices:
         if a == 0:
             classes: Iterable[tuple[int, list]] = ((1, []),)
@@ -198,12 +295,15 @@ def _flags(rep: QuiverRep, letters: tuple[int, ...], full: bool,
         elif isinstance(rep.field, RationalField):
             raise _SocleBranching(f"socle part of dimension {s} at vertex {v} over QQ")
         else:
-            classes = _quotient_classes(rep, v, soc, a)
-        for multiplicity, subspace in classes:
+            if labels is None:
+                # Over GF(2) the torus is trivial: one label serves.
+                labels = _socle_components(rep, v, soc) if rep.field.p > 2 else [0] * s
+            classes = _quotient_classes(rep, v, soc, a, labels)
+        for weight, subspace in classes:
             quotient = quotient_rep(rep, {v: subspace}) if subspace else rep
             for tail, count in _flags(quotient, rest, full, counter).items():
                 avec = (a,) + tail
-                result[avec] = result.get(avec, 0) + multiplicity * count
+                result[avec] = result.get(avec, 0) + weight * count
     counter.store(rep, key, result)
     return result
 
@@ -259,16 +359,15 @@ def _reduce_mod_p(rep: QuiverRep, p: int, invariants: tuple) -> Optional[QuiverR
     return rep_p if fingerprint(rep_p) == invariants else None
 
 
-def _lagrange_eval(points: Sequence[tuple[int, int]], x: int) -> Fraction:
-    total = Fraction(0)
-    for i, (xi, yi) in enumerate(points):
-        num, den = yi, 1
-        for j, (xj, _) in enumerate(points):
-            if i != j:
-                num *= x - xj
-                den *= xi - xj
-        total += Fraction(num, den)
-    return total
+def _lagrange_weights(nodes: Sequence[int], xs: Sequence[int]) -> tuple[list[list[int]], int]:
+    """Integer weights and one common denominator d for interpolation
+    through the distinct nodes: for each x in xs a list w with
+    sum_i w[i] y_i / d the value at x of the polynomial of degree below
+    len(nodes) through the points (nodes[i], y_i).  d is positive."""
+    dens = [math.prod(xi - xj for xj in nodes if xj != xi) for xi in nodes]
+    d = math.lcm(*dens)
+    return [[math.prod(x - xj for xj in nodes if xj != xi) * (d // den)
+             for xi, den in zip(nodes, dens)] for x in xs], d
 
 
 def _solve(rep: QuiverRep, letters: tuple[int, ...], full: bool,
@@ -301,16 +400,18 @@ def _solve(rep: QuiverRep, letters: tuple[int, ...], full: bool,
         if len(counts) < 3:
             continue
         primes = tuple(q for q, _ in counts)
+        # A shorter head primes[:m] is confirmed only by primes[m:m+2], a
+        # test that already failed when those two were the newest primes.
+        (*confirm, at_one), d = _lagrange_weights(primes[:-2], primes[-2:] + (1,))
         for a in sorted(tracked - results.keys()):
-            points = [(q, table.get(a, 0)) for q, table in counts]
-            # A shorter head points[:m] is confirmed only by points[m:m+2], a
-            # test that already failed when those two were the newest points.
-            head = points[:-2]
-            if all(_lagrange_eval(head, q) == c for q, c in points[-2:]):
-                value = _lagrange_eval(head, 1)
-                if value.denominator != 1:
-                    raise PhiError(f"interpolated chi {value} is not an integer")
-                results[a] = ChiResult(int(value), INTERPOLATED, primes)
+            ys = [table.get(a, 0) for _, table in counts]
+            # zip stops at the head: the weights cover all but the last two.
+            if all(sum(w * y for w, y in zip(weights, ys)) == c * d
+                   for weights, c in zip(confirm, ys[-2:])):
+                total = sum(w * y for w, y in zip(at_one, ys))
+                if total % d:
+                    raise PhiError(f"interpolated chi {Fraction(total, d)} is not an integer")
+                results[a] = ChiResult(total // d, INTERPOLATED, primes)
         if tracked <= results.keys():
             return results, primes
     a = min(tracked - results.keys(), default=None)

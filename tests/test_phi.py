@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterforge import phi as phi_module
 from clusterforge.cli import main
@@ -160,13 +162,20 @@ def _mixed(rep, rng):
 A4_W0_LETTERS = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+def _without_p(k, p):
+    while k % p == 0:
+        k //= p
+    return k
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_quotient_classes_agree_with_every_subspace(p):
     # Direct sums put part of a socle outside the image of the incoming
-    # arrows, where whole families of subspaces share one quotient class;
+    # arrows, where whole families of subspaces share one quotient class,
+    # and scaling one summand joins classes into one orbit of the torus;
     # elsewhere the free entries tell the classes of one pivot pattern apart.
     rng = random.Random(p)
-    merged = varied = 0
+    merged = varied = joined = 0
     for kind, word in (("A3", A3_W0_LETTERS), ("A4", A4_W0_LETTERS), ("D4", D4_W0_LETTERS)):
         for _ in range(6):
             m, n = random_module(kind, rng, 4), random_module(kind, rng, 4)
@@ -180,14 +189,18 @@ def test_quotient_classes_agree_with_every_subspace(p):
                     if len(soc) < 2:
                         continue
                     for a in range(1, len(soc)):
-                        multiplicities = [k for k, _ in phi_module._quotient_classes(rep, v, soc, a)]
-                        assert sum(multiplicities) == _gaussian_binomial(len(soc), a, p)
-                        merged += max(multiplicities) > 1
-                        varied += len(multiplicities) > math.comb(len(soc), a)
+                        weights = [k for k, _ in phi_module._quotient_classes(rep, v, soc, a)]
+                        assert sum(weights) == _gaussian_binomial(len(soc), a, p)
+                        merged += max(weights) > 1
+                        varied += len(weights) > math.comb(len(soc), a)
+                        # An orbit of more than one class weighs a multiple
+                        # of p - 1: a factor that is not a power of p.
+                        joined += any(_without_p(k, p) > 1 for k in weights)
                     letters = (v,) + word
                     assert (phi_module._flags(rep, letters, False, FlagCounter())
                             == _reference_flags(rep, letters, {})), (kind, rep.dims, v)
     assert merged > 0 and varied > 0
+    assert joined > 0 if p > 2 else joined == 0
 
 
 def _counting(monkeypatch, name, key):
@@ -216,14 +229,47 @@ def test_socle_lines_of_a_semisimple_part_are_one_class_per_pivot(monkeypatch):
 def test_a_product_rule_pair_makes_fewer_flag_calls(monkeypatch):
     # The third A3 pair of the benchmark's product-rule pool (random.Random(0),
     # two random_module("A3", rng, 4) per pair).  One quotient per subspace
-    # made 881 `_flags` calls here.
+    # made 881 `_flags` calls here, and one per quotient class 580.
     rng = random.Random(0)
     for _ in range(3):
         m, n = random_module("A3", rng, 4), random_module("A3", rng, 4)
     assert (m.dims, n.dims) == ((2, 2, 0), (1, 1, 2))
     calls = _counting(monkeypatch, "_flags", lambda rep: rep.field.name)
     assert verify_multiplication(m, n, A3_W0_LETTERS)["product_rule"]["holds"]
-    assert sum(calls.values()) <= 580
+    assert sum(calls.values()) <= 424
+
+
+def test_lines_between_two_summands_are_one_orbit(monkeypatch):
+    # I1 + I1 of A2 over GF(13): of the 14 lines in its socle S1 + S1, the
+    # 12 lines [1:x] off the two summands are one orbit, as scaling the
+    # second summand by x is an automorphism.  So GF(13) builds GF(2)'s 17
+    # quotients; one per quotient class built 50.
+    i1 = build_algebra_basis("A2").injective(1)
+    doubled = direct_sum(i1, i1)
+    reps = {p: phi_module._reduce_mod_p(doubled, p, fingerprint(doubled)) for p in (2, 13)}
+    soc = socle_basis_at(reps[13], 1)
+    weights = [k for k, _ in phi_module._quotient_classes(reps[13], 1, soc, 1)]
+    assert weights == [1, 12, 1] and sum(weights) == _gaussian_binomial(2, 1, 13)
+    built = _counting(monkeypatch, "quotient_rep", lambda rep: rep.field.name)
+    for rep in reps.values():
+        assert (phi_module._flags(rep, (1, 2, 1, 2), False, FlagCounter())
+                == _reference_flags(rep, (1, 2, 1, 2), {}))
+    assert built == {"GF(2)": 17, "GF(13)": 17}
+
+
+def test_a_direct_sum_builds_as_many_quotients_at_every_prime(monkeypatch):
+    # M + N of the first D4 pair of the benchmark's product-rule pool
+    # (random.Random(0), after its 8 A3 pairs).  One quotient per quotient
+    # class built 121, 143, 187, 231 and 319 at p = 2, 3, 5, 7 and 11: the
+    # lines between the two summands grew with p.
+    rng = random.Random(0)
+    for _ in range(8):
+        random_module("A3", rng, 4), random_module("A3", rng, 4)
+    m, n = random_module("D4", rng, 3), random_module("D4", rng, 3)
+    built = _counting(monkeypatch, "quotient_rep", lambda rep: rep.field.name)
+    report = phi_eval(direct_sum(m, n), D4_W0_LETTERS)
+    assert report.primes == (2, 3, 5, 7, 11)
+    assert {name: built[name] for name in built if name != "QQ"} == {f"GF({p})": 121 for p in report.primes}
 
 
 def test_d6_q4_keeps_its_memo_sharing(monkeypatch):
@@ -261,6 +307,47 @@ def test_chi_full_flag_variety_is_factorial():
     result = chi(triple, (1, 1, 1))
     assert result.value == 6 and result.backend == INTERPOLATED
     assert result.primes == (2, 3, 5, 7, 11, 13)
+
+
+def _lagrange_eval(points, x):
+    """The value at x of the polynomial through the points, one Fraction
+    per point."""
+    total = Fraction(0)
+    for i, (xi, yi) in enumerate(points):
+        num, den = yi, 1
+        for j, (xj, _) in enumerate(points):
+            if i != j:
+                num *= x - xj
+                den *= xi - xj
+        total += Fraction(num, den)
+    return total
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=8, unique=True), st.data())
+def test_lagrange_weights_match_fraction_interpolation(nodes, data):
+    values = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=len(nodes), max_size=len(nodes)))
+    xs = data.draw(st.lists(st.integers(-50, 50), min_size=1, max_size=3))
+    weights, d = phi_module._lagrange_weights(nodes, xs)
+    assert d > 0 and len(weights) == len(xs)
+    for x, w in zip(xs, weights):
+        assert len(w) == len(nodes)
+        assert Fraction(sum(wi * y for wi, y in zip(w, values)), d) == _lagrange_eval(list(zip(nodes, values)), x)
+
+
+@pytest.mark.parametrize("count, value", [(lambda q: q // 2, "1/2"), (lambda q: -q // 2, "-1/2")])
+def test_a_fit_that_is_not_an_integer_at_one_fails(monkeypatch, count, value):
+    # Counts q/2 at the even nodes 2, 4, 6, ... fit q/2, which is 1/2 at 1.
+    def flags(rep, letters, full, counter):
+        if not isinstance(rep, int):
+            raise phi_module._SocleBranching("branch")
+        return {(1,): count(rep)}
+
+    monkeypatch.setattr(phi_module, "PRIMES", (2, 4, 6, 8, 10))
+    monkeypatch.setattr(phi_module, "_reduce_mod_p", lambda rep, p, invariants: p)
+    monkeypatch.setattr(phi_module, "_flags", flags)
+    with pytest.raises(PhiError, match=f"^interpolated chi {value} is not an integer$"):
+        chi(simple_rep(A2, 1), (1,))
 
 
 def _halves_module():
