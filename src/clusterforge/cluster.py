@@ -283,20 +283,6 @@ class MutationClass:
         return out
 
 
-def _assert_matrix_consistency(stored: Seed, candidate: Seed) -> Optional[list[int]]:
-    """Check the candidate's matrix agrees with the stored seed's up to the
-    unique cluster permutation, and return that permutation: entry i is the
-    stored position of the candidate's i-th mutable entry.  Returns None, and
-    checks nothing, when the mutable entries repeat, as no unique
-    permutation exists then."""
-    if len(set(candidate.mutable)) != len(candidate.mutable):
-        return None
-    index = {p: i for i, p in enumerate(stored.mutable)}
-    perm = [index[p] for p in candidate.mutable]
-    _check_permuted(stored.matrix.rows, candidate.matrix.rows, perm)
-    return perm
-
-
 def _check_permuted(stored_rows, rows, perm: list[int]) -> None:
     """Raise ClusterError unless rows[i][j] = stored_rows[P(i)][perm[j]] for
     every row i, frozen rows included, where P(i) is perm[i] for a mutable
@@ -468,12 +454,13 @@ def explore(
     costs a Laurent exchange, `mutate_seed`, only when the neighbour's new
     variable has a g-vector not stored; otherwise the neighbour is the
     stored variable in place of entry k, with B mutated and label k
-    toggled.  A new seed's permutation is the identity, or None when its
-    mutable entries repeat; a neighbour that lands on a stored key, as on
-    a cluster that is not free, takes the one that
-    `_assert_matrix_consistency` checks.  An edge to a met c-vector key
-    mutates B alone and checks it against the stored matrix under P,
-    frozen rows included.
+    toggled.  A seed whose mutable entries repeat has no unique
+    permutation, None; otherwise a new seed's permutation is the identity,
+    and a neighbour that lands on a stored key, as on a cluster that is not
+    free, takes the one that matches its entries to the stored seed's,
+    with its matrix checked against the stored one under it by
+    `_check_permuted`.  An edge to a met c-vector key mutates B alone and
+    checks it against the stored matrix under P, frozen rows included.
 
     Reusing a variable is exact even when the cluster of s is not a free
     generating set.  B is skew-symmetric, so different cluster variables
@@ -505,12 +492,14 @@ def explore(
         nid = ids.setdefault(key, len(ids))
         stored = seeds.get(nid)
         mutable = key[0]  # sorted, so a repeat sits next to its copy
-        if stored is not None:
-            perm = _assert_matrix_consistency(stored, seed)
-        elif any(a == b for a, b in zip(mutable, mutable[1:])):
+        if any(a == b for a, b in zip(mutable, mutable[1:])):
             perm = None
-        else:
+        elif stored is None:
             perm = range(m)
+        else:
+            index = {p: i for i, p in enumerate(stored.mutable)}
+            perm = [index[p] for p in seed.mutable]
+            _check_permuted(stored.matrix.rows, seed.matrix.rows, perm)
         return nid, seed, seed.matrix.rows, perm
 
     def check(rows, kk, stored, perm):

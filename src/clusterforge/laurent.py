@@ -220,6 +220,9 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
+        """self^n: 1 for n = 0, `_power`'s square-and-multiply on `__mul__`
+        for n >= 1, and for n < 0 the power of the inverse of a monomial
+        whose coefficient is a unit."""
         if not isinstance(n, int):
             raise TypeError("exponent must be an int")
         if n < 0:
@@ -232,16 +235,7 @@ class LaurentPoly:
             return inv ** (-n)
         if n == 0:
             return LaurentPoly.one(self.varnames)
-        # square only while exponent bits remain
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return _power(self, n, LaurentPoly.__mul__)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -268,36 +262,17 @@ class LaurentPoly:
     def div_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Return r with r * divisor == self, or raise InexactDivisionError.
 
-        A monomial divisor shifts the exponents and divides each
-        coefficient.  Otherwise monomial content is cleared from both
-        operands first; the remaining honest polynomials are divided by
-        multivariate long division in graded-lex order, on monomials packed
-        relative to each operand's shift (`_Packing.divide`).  A nonzero
-        remainder is an error, never a truncation, and the error names the
+        self is the one-product case of `exchange`'s division
+        (`_divide_sum`): packed relative to its shift, it is divided by a
+        monomial divisor term by term, shifting the exponents and dividing
+        each coefficient in self's term order, and otherwise by
+        multivariate long division in graded-lex order (`_Packing.divide`).
+        A nonzero remainder is an error, never a truncation, and the error
+        names the first coefficient that is not a multiple, or the
         remainder's leading term in the dividend's own exponents.
         """
         self._check_compatible(divisor)
-        if divisor.is_zero:
-            raise InexactDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return self
-        if divisor.is_monomial:
-            (exps_q, c_q), = divisor.terms.items()
-            out = {}
-            for e, c in self.terms.items():
-                q, r = divmod(c, c_q)
-                if r:
-                    raise InexactDivisionError(
-                        f"inexact division: coefficient {c} is not a multiple of {c_q}"
-                    )
-                out[tuple(map(sub, e, exps_q))] = q
-            return LaurentPoly._build(self.varnames, out)
-        shift_p, top_p = _span_of(self)
-        shift_q, top_q = _span_of(divisor)
-        packing = _Packing(len(self.varnames), max(top_p, top_q))
-        quotient = packing.divide(packing.pack(self.terms, shift_p), shift_p,
-                                  packing.pack(divisor.terms, shift_q), shift_q)
-        return LaurentPoly._build(self.varnames, quotient)
+        return _divide_sum(divisor, ([(self, 1)],))
 
     def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:
         """Exact rational value of the polynomial at the given point.
@@ -439,48 +414,64 @@ def exchange(
     pos: Sequence[tuple[LaurentPoly, int]],
     neg: Sequence[tuple[LaurentPoly, int]],
 ) -> LaurentPoly:
-    """(prod f^e over pos + prod f^e over neg).div_exact(divisor), formed
-    and divided in one packing: the exchange relation of a cluster algebra
-    solved for the new variable.  pos and neg list (polynomial, power)
-    pairs with positive int powers, an empty list being the product 1.  The
-    quotient, and the InexactDivisionError an inexact division raises, are
-    those of div_exact on the binomial that `product_of` and `+` give.
+    """(prod f^e over pos + prod f^e over neg).div_exact(divisor): the
+    exchange relation of a cluster algebra solved for the new variable.
+    pos and neg list (polynomial, power) pairs with positive int powers, an
+    empty list being the product 1.  The binomial is formed and divided in
+    one packing by `_divide_sum`, the division div_exact makes too, so the
+    quotient, its term order and the InexactDivisionError an inexact
+    division raises are those of div_exact on the binomial that
+    `product_of` and `+` give."""
+    for f, e in (*pos, *neg):
+        divisor._check_compatible(f)
+        if not _is_int(e) or e < 1:
+            raise LaurentError(f"exchange powers must be positive integers, got {e!r}")
+    return _divide_sum(divisor, (pos, neg))
+
+
+def _divide_sum(
+    divisor: LaurentPoly, products: Sequence[Sequence[tuple[LaurentPoly, int]]]
+) -> LaurentPoly:
+    """The sum of the products divided exactly by divisor, formed and
+    divided in one packing.  Each product lists (polynomial, power) pairs
+    with positive int powers, an empty list being the product 1; div_exact
+    passes the one product [(self, 1)] and `exchange` its two sides.  Raises
+    InexactDivisionError on a zero divisor or an inexact division.
 
     Each distinct factor is packed once, relative to its own shift (the
     componentwise minimum of its exponents).  Powers are formed by
-    square-and-multiply and each side factor by factor, on packed ints and
-    in the order that `__pow__` and `product_of` multiply in; a factor
-    times itself forms each unordered pair of terms once, as `__mul__`
-    does.  So the two products and their sum hold their terms in the order
-    of the binomial's, and a monomial divisor's error names the same first
-    coefficient that is not a multiple.  Only the quotient is unpacked.
+    `_power` and each product factor by factor, on packed ints and in the
+    order that `__pow__` and `product_of` multiply in; a factor times
+    itself forms each unordered pair of terms once, as `__mul__` does.  So
+    the products and their sum hold their terms in the order of the sum
+    that `product_of` and `+` give.  A monomial divisor shifts each term
+    and divides its coefficient, in that order, so an error names the first
+    coefficient that is not a multiple; any other divisor goes to
+    `_Packing.divide`.  Only the quotient is unpacked.
 
     The digit width is fixed before anything is multiplied.  In the domain
     Z[x^±1], the terms of a product that are lowest in e_i are the product
     of its factors' lowest terms in e_i, which is nonzero; so a product's
     shift is the sum of its factors' shifts, and its largest degree
     relative to that shift the sum of theirs, each times its power.  Let
-    smin be the componentwise minimum of the two products' shifts.  Every
-    term of the binomial, even where the two products cancel, has
-    exponents at least smin, and relative to smin a degree at most top, the
-    larger over both products of its relative degree plus the excess of
-    its shift's degree over smin's.  With the divisor's relative degree
-    that bounds every digit the products, their sum and the division form
-    (`_Packing.divide`), and an exact quotient's exponents are at least
-    smin - shift(divisor).  Where no term cancels, smin is the binomial's
-    own shift, the one div_exact packs it relative to; where one does, the
-    binomial is repacked relative to its own shift.  So each division step
-    is div_exact's, with the same test, and a failing step names the same
-    term with the same coefficient."""
-    for f, e in (*pos, *neg):
-        divisor._check_compatible(f)
-        if not _is_int(e) or e < 1:
-            raise LaurentError(f"exchange powers must be positive integers, got {e!r}")
+    smin be the componentwise minimum of the products' shifts.  Every term
+    of the sum, even where the products cancel, has exponents at least
+    smin, and relative to smin a degree at most top, the larger over the
+    products of its relative degree plus the excess of its shift's degree
+    over smin's.  With the divisor's relative degree that bounds every
+    digit the products, their sum and the division form, and an exact
+    quotient's exponents are at least smin - shift(divisor).  Where no term
+    cancels, smin is the sum's own shift; where one does, the sum is
+    repacked relative to its own shift.  Packed ints compare like the
+    tuples (degree, e1, ..., en) at any width that holds the digits, so
+    each division step is that of the sum packed on its own, with the same
+    test, and a failing step names the same term with the same
+    coefficient."""
     if divisor.is_zero:
         raise InexactDivisionError("division by the zero polynomial")
     n = len(divisor.varnames)
-    sides = []  # (side, shift, relative degree) of each product that is not zero
-    for side in (pos, neg):
+    sides = []  # (product, shift, relative degree) of each product that is not zero
+    for side in products:
         if all(f.terms for f, _ in side):
             spans = [(e, *_span_of(f)) for f, e in side]
             shift = tuple(map(sum, zip((0,) * n, *([e * x for x in s] for e, s, _ in spans))))
@@ -573,16 +564,18 @@ def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _power(a: dict[int, int], n: int) -> dict[int, int]:
-    """a^n for n >= 1 by square-and-multiply, as `__pow__` forms it."""
+def _power(a, n: int, times=_times):
+    """a^n for n >= 1 by square-and-multiply, squaring only while exponent
+    bits remain: the one loop behind `__pow__` (times `LaurentPoly.__mul__`)
+    and `_divide_sum`'s packed powers (times `_times`)."""
     result = None
     while True:
         if n & 1:
-            result = a if result is None else _times(result, a)
+            result = a if result is None else times(result, a)
         n >>= 1
         if not n:
             return result
-        a = _times(a, a)
+        a = times(a, a)
 
 
 class _Packing:

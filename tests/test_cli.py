@@ -660,6 +660,34 @@ def test_exit_code_follows_the_most_specific_error_class(runner, monkeypatch, tm
     _assert_one_line_error(result, code)
 
 
+@pytest.mark.parametrize("first, entry, message", [
+    ([{"exponents": [1, 0], "coeff": "2"}], "2*x1", "coefficient 1 is not a multiple of 2"),
+    ([{"exponents": [1, 0], "coeff": "1"}, {"exponents": [0, 0], "coeff": "1"}], "x1 + 1",
+     "remainder has leading term (0, 1) -> 1"),
+], ids=["2*x1", "x1+1"])
+@pytest.mark.parametrize("command", [["mutate", "-k", "1"], ["explore"]], ids=["mutate", "explore"])
+def test_inexact_exchange_from_a_seed_file_exits_3(runner, tmp_path, first, entry, message,
+                                                    command):
+    """A2's exchange in direction 1 divides x2 + 1 by the first cluster
+    entry: by 2*x1 it fails on a coefficient, by x1 + 1 on a remainder.
+    Both commands report the library's error, the cluster and the matrix."""
+    seed_file = tmp_path / "seed.json"
+    seed_file.write_text(json.dumps({
+        "n": 0, "matrix": [[0, 1], [-1, 0]],
+        "cluster": [{"vars": ["x1", "x2"], "terms": first},
+                    {"vars": ["x1", "x2"], "terms": [{"exponents": [0, 1], "coeff": "1"}]}],
+    }))
+    result = runner.invoke(main, ["cluster", *command, "--seed", str(seed_file)])
+    _assert_one_line_error(result, 3)
+    assert result.stdout == ""
+    assert result.stderr == (
+        "rng-seed: 0\n"
+        f"Error: inexact exchange division in direction 1: inexact division: {message}\n"
+        f"seed cluster: ['{entry}', 'x2']\n"
+        "matrix rows: ((0, 1), (-1, 0))\n"
+    )
+
+
 def test_errors_outside_the_table_are_not_reported_as_input_errors(runner, monkeypatch, tmp_path):
     def fail(*args, **kwargs):
         raise ValueError("a bug")

@@ -477,14 +477,19 @@ def test_explore_matches_reference_search(make, limits):
 def test_explore_keeps_no_permutation_where_mutable_entries_repeat(monkeypatch):
     from clusterforge import cluster
 
-    found = []
-    check = cluster._assert_matrix_consistency
+    found = []  # the perm of each step that lands on a stored key
+    search = cluster._search
 
-    def recording_check(stored, candidate):
-        found.append(check(stored, candidate))
-        return found[-1]
+    def recording_search(nodes, root, step, *args):
+        def recording_step(*step_args):
+            nkey, new_node, new_rows, perm = step(*step_args)
+            if nkey in nodes:
+                found.append(perm)
+            return nkey, new_node, new_rows, perm
 
-    monkeypatch.setattr(cluster, "_assert_matrix_consistency", recording_check)
+        return search(nodes, root, recording_step, *args)
+
+    monkeypatch.setattr(cluster, "_search", recording_search)
     explore(repeated_mutable_seed(), max_depth=2)
     assert found == [None, None]
 

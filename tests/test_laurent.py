@@ -315,8 +315,9 @@ def test_evaluate_is_ring_homomorphism(p, q, point):
 
 
 # ----------------------------------------------------------------------
-# oracles for the Laurent kernel: schoolbook products and max-scan long
-# division, both over plain terms dicts
+# oracles for the Laurent kernel: schoolbook products, term-by-term
+# division by a monomial and max-scan long division, all over plain terms
+# dicts
 
 
 def schoolbook(t1, t2):
@@ -331,6 +332,22 @@ def schoolbook(t1, t2):
 
 def grlex(e):
     return (sum(e), e)
+
+
+def monomial_division(p, q):
+    """div_exact by a monomial: each exponent shifted and each coefficient
+    divmod-ed, in the dividend's term order; the error names the first
+    coefficient that is not a multiple."""
+    (exps_q, c_q), = q.terms.items()
+    quotient = {}
+    for e, c in p.terms.items():
+        coeff, r = divmod(c, c_q)
+        if r:
+            raise InexactDivisionError(
+                f"inexact division: coefficient {c} is not a multiple of {c_q}"
+            )
+        quotient[tuple(a - b for a, b in zip(e, exps_q))] = coeff
+    return LaurentPoly(p.varnames, quotient)
 
 
 def long_division(p, q):
@@ -407,11 +424,16 @@ def division_cases(draw):
     return draw(polys3) * q + draw(small_polys3), q
 
 
-def assert_matches_long_division(p, q):
-    """div_exact gives long division's quotient, with its terms in the same
+def oracle_division(p, q):
+    """p divided by a nonzero q on the oracle for q's shape."""
+    return (monomial_division if len(q.terms) == 1 else long_division)(p, q)
+
+
+def assert_matches_oracle_division(p, q):
+    """div_exact gives the oracle's quotient, with its terms in the same
     order, or raises the same error text."""
     try:
-        expected = long_division(p, q)
+        expected = oracle_division(p, q)
     except InexactDivisionError as exc:
         with pytest.raises(InexactDivisionError) as raised:
             p.div_exact(q)
@@ -424,7 +446,7 @@ def assert_matches_long_division(p, q):
 @given(division_cases())
 @settings(max_examples=300)
 def test_div_exact_matches_long_division(case):
-    assert_matches_long_division(*case)
+    assert_matches_oracle_division(*case)
 
 
 def names_of(n):
@@ -479,7 +501,34 @@ X2 = names_of(2)
           poly({(2, 0): -2, (0, 1): 1}, X2)))
 @example((poly({(3, 0): 1, (0, 0): 1}, X2), poly({(2, 0): -2, (0, 1): 1}, X2)))
 def test_div_exact_matches_long_division_in_many_variables(case):
-    assert_matches_long_division(*case)
+    assert_matches_oracle_division(*case)
+
+
+@st.composite
+def monomial_division_cases(draw):
+    """A monomial divisor in 0-20 variables, exponents in +-30 and
+    coefficient +-1..+-9, over a random dividend, a multiple of it plus a
+    remainder that may be empty, or a constant that may be zero."""
+    n = draw(st.integers(0, 20))
+    q = draw(wide_polys(n, 1, 1))
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return draw(wide_polys(n, 0, 5)), q
+    if kind == 1:
+        return draw(wide_polys(n, 0, 4)) * q + draw(wide_polys(n, 0, 1)), q
+    return LaurentPoly.constant(names_of(n), draw(st.integers(-20, 20))), q
+
+
+@given(monomial_division_cases())
+@settings(max_examples=300)
+@example((LaurentPoly.zero(()), poly({(): 3}, ())))
+@example((poly({(): 6}, ()), poly({(): -4}, ())))
+@example((poly({(): -8}, ()), poly({(): -4}, ())))
+# 4, then 3: the error names 3, the first coefficient in the dividend's
+# order that is not a multiple of 2, though the graded-lex largest is 5
+@example((poly({(0, 0): 4, (1, 0): 3, (2, 1): 5}), poly({(1, -1): 2})))
+def test_div_exact_matches_monomial_division(case):
+    assert_matches_oracle_division(*case)
 
 
 @given(polys3, non_unit_lead_divisors())
@@ -506,18 +555,19 @@ def test_square_matches_schoolbook(p):
 
 
 # ----------------------------------------------------------------------
-# exchange against the binomial it forms, divided by div_exact
+# exchange against the binomial it forms, divided by the oracles
 
 
 def assert_exchange_matches_binomial(divisor, pos, neg):
-    """exchange(divisor, pos, neg) is div_exact's quotient of the binomial
+    """exchange(divisor, pos, neg) is the oracles' quotient of the binomial
     that product_of and + form, with its terms in the same order, or
-    raises div_exact's message."""
+    raises their message.  div_exact shares exchange's division, so it
+    cannot stand in for them here."""
     names = divisor.varnames
     binomial = (product_of((f ** e for f, e in pos), names)
                 + product_of((f ** e for f, e in neg), names))
     try:
-        expected = binomial.div_exact(divisor)
+        expected = oracle_division(binomial, divisor)
     except InexactDivisionError as exc:
         with pytest.raises(InexactDivisionError) as raised:
             exchange(divisor, pos, neg)
@@ -559,7 +609,7 @@ def test_exchange_on_cancelling_products():
     names = ("x1", "x2", "x3")
     x1, x2, x3 = LaurentPoly.variables(names)
     f = x2 + 2 * x3 ** -1
-    # f^2 - f * f is zero: the quotient is zero, as div_exact gives it
+    # f^2 - f * f is zero: the quotient is zero
     assert exchange(x1 + x2, [(f, 2)], [(-f, 1), (f, 1)]).is_zero
     assert exchange(2 * x1, [(f, 1)], [(-f, 1)]).is_zero
     # x1 + x2 - x2 = x1 has shift (1, 0, 0), above the minimum (0, 0, 0):
