@@ -10,6 +10,7 @@ Direction indices are 1-based throughout, matching the usual convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from operator import itemgetter
 from typing import Mapping, Optional
 
@@ -256,12 +257,14 @@ def _exchanged(s: Seed, k: int, new_var: LaurentPoly) -> Seed:
 
 @dataclass
 class MutationClass:
-    """The seeds reachable from an initial seed, up to cluster permutation."""
+    """The seeds reachable from an initial seed, up to cluster permutation,
+    each under an int id: 0 for the initial seed, the rest numbered in
+    discovery order."""
 
-    initial_key: tuple
-    seeds: dict  # canonical key -> Seed (first representative found)
-    graph: dict  # canonical key -> {direction k: canonical key}
-    order: list  # canonical keys in BFS discovery order
+    initial_key: int  # 0
+    seeds: dict  # id -> Seed (first representative found)
+    graph: dict  # id -> {direction k: id}
+    order: list  # ids in BFS discovery order, 0 to n - 1
     exhausted: bool
 
     @property
@@ -275,7 +278,7 @@ class MutationClass:
             out.update(seed.mutable)
         return out
 
-    def edges(self) -> list[tuple[tuple, int, tuple]]:
+    def edges(self) -> list[tuple[int, int, int]]:
         out = []
         for src in self.order:
             for k, dst in sorted(self.graph[src].items()):
@@ -449,12 +452,12 @@ def explore(
 
     The search is `_search`'s, with a Laurent layer: a node is a Seed keyed
     by an int id, interned once per step from its `Seed.key`, and the class
-    is returned keyed by `Seed.key`.  The step keeps {g-vector: cluster
-    variable}, the initial mutable entries first, and a new c-vector key
-    costs a Laurent exchange, `mutate_seed`, only when the neighbour's new
-    variable has a g-vector not stored; otherwise the neighbour is the
-    stored variable in place of entry k, with B mutated and label k
-    toggled.  A seed whose mutable entries repeat has no unique
+    is returned under those ids, the initial seed as 0.  The step keeps
+    {g-vector: cluster variable}, the initial mutable entries first, and a
+    new c-vector key costs a Laurent exchange, `mutate_seed`, only when the
+    neighbour's new variable has a g-vector not stored; otherwise the
+    neighbour is the stored variable in place of entry k, with B mutated
+    and label k toggled.  A seed whose mutable entries repeat has no unique
     permutation, None; otherwise a new seed's permutation is the identity,
     and a neighbour that lands on a stored key, as on a cluster that is not
     free, takes the one that matches its entries to the stored seed's,
@@ -515,15 +518,7 @@ def explore(
         return node(neighbour)
 
     graph, exhausted = _search(seeds, node(s), laurent, max_seeds, max_depth, check)
-    keys = list(ids)  # keys[nid] is the Seed.key() of id nid
-    order = [keys[nid] for nid in seeds]
-    return MutationClass(
-        keys[0],
-        dict(zip(order, seeds.values())),
-        {keys[nid]: {k: keys[dst] for k, dst in edges.items()} for nid, edges in graph.items()},
-        order,
-        exhausted,
-    )
+    return MutationClass(0, seeds, graph, list(seeds), exhausted)
 
 
 def is_finite_type(s: Seed, max_seeds: int = 100000, max_depth: int = 64) -> dict:
@@ -570,35 +565,16 @@ def cluster_monomials(mc: MutationClass, total_degree_bound: int) -> list[dict]:
     if total_degree_bound < 0:
         raise ClusterError("degree bound must be nonnegative")
     found: dict[LaurentPoly, dict] = {}
-    for idx, key in enumerate(mc.order):
-        seed = mc.seeds[key]
-        d = len(seed.cluster)
+    for idx, seed in mc.seeds.items():
         for total in range(total_degree_bound + 1):
-            for exps in _compositions(total, d):
-                poly = product_of(
-                    (seed.cluster[i] ** e for i, e in enumerate(exps) if e),
-                    seed.varnames,
-                )
+            for factors in combinations_with_replacement(seed.cluster, total):
+                poly = product_of(factors, seed.varnames)
                 rec = found.get(poly)
                 if rec is None:
-                    found[poly] = {
-                        "monomial": poly,
-                        "degree": total,
-                        "clusters": [idx],
-                    }
+                    found[poly] = {"monomial": poly, "degree": total, "clusters": [idx]}
                 elif idx not in rec["clusters"]:
                     rec["clusters"].append(idx)
     return sorted(found.values(), key=lambda r: (r["degree"], r["monomial"].sort_key()))
-
-
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 # ----------------------------------------------------------------------
@@ -714,21 +690,19 @@ def builtin_seed(name: str, n: Optional[int] = None) -> Seed:
 
 
 def mutation_class_to_dot(mc: MutationClass) -> str:
-    """DOT export; nodes are canonical seed keys in discovery order, edges
-    are labelled by the mutation direction.  Each unordered pair of seeds is
-    emitted once, with the direction first recorded at either end: the
-    cluster permutation can number the same edge differently at its two
+    """DOT export; node s<i> is the seed with id i, in discovery order, and
+    edges are labelled by the mutation direction.  Each unordered pair of
+    seeds is emitted once, with the direction first recorded at either end:
+    the cluster permutation can number the same edge differently at its two
     ends."""
-    index = {key: i for i, key in enumerate(mc.order)}
     lines = ["graph mutation_class {"]
     for key in mc.order:
         seed = mc.seeds[key]
         label = ", ".join(seed.labels[: seed.matrix.n_mutable])
         label = label.replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  s{index[key]} [label="{label}"];')
+        lines.append(f'  s{key} [label="{label}"];')
     seen = set()
-    for src, k, dst in mc.edges():
-        a, b = index[src], index[dst]
+    for a, k, b in mc.edges():
         edge_id = (min(a, b), max(a, b))
         if edge_id in seen:
             continue

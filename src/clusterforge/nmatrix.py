@@ -193,11 +193,11 @@ def _det_cofactor(rows: list[list[LaurentPoly]], varnames) -> LaurentPoly:
 
 
 def _det_bareiss(rows: list[list[LaurentPoly]], varnames) -> LaurentPoly:
-    """Fraction-free Bareiss elimination; every division here is exact."""
+    """Fraction-free Bareiss elimination; every division here is exact.
+    The first step's divisor is 1, so that step divides nothing."""
     n = len(rows)
     a = [row[:] for row in rows]
     sign = 1
-    prev = LaurentPoly.one(varnames)
     for k in range(n - 1):
         if a[k][k].is_zero:
             pivot = next((i for i in range(k + 1, n) if not a[i][k].is_zero), None)
@@ -208,7 +208,7 @@ def _det_bareiss(rows: list[list[LaurentPoly]], varnames) -> LaurentPoly:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.div_exact(prev)
+                a[i][j] = num.div_exact(prev) if k else num
             a[i][k] = LaurentPoly.zero(varnames)
         prev = a[k][k]
     det = a[n - 1][n - 1]

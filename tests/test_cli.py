@@ -642,6 +642,22 @@ def test_exchange_matrix_input_keeps_the_builtin_rows(runner, tmp_path):
     assert json.loads(result.stdout)["extended_rows"] == {"4": [1, 0]}
 
 
+def test_exchange_matrix_input_without_coefficient_vertices(runner, tmp_path):
+    """Exchange data with no coeff_vertices key adds no coefficient rows: the
+    extended matrix is B(T) itself."""
+    data = d4_example152_data([])
+    del data["coeff_vertices"]
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(data))
+    result = invoke(runner, "prepmod", "exchange-matrix", "--input", str(path), "--json")
+    payload = json.loads(result.stdout)
+    assert payload["extended_rows"] == {}
+    assert payload["extended_matrix"] == payload["matrix"]
+    assert payload["matrix"] == [[0, 0], [0, 0], [0, -1], [-1, 1], [0, -1], [1, 0]]
+    result = invoke(runner, "prepmod", "exchange-matrix", "--input", str(path))
+    assert result.stdout == f"B(T) rows: {payload['matrix']}\n"
+
+
 @pytest.mark.parametrize("exc, code", [
     (ChiUndeterminedError("point counts never stabilized"), 5),
     (ResourceCapError("no vanishing by degree 40"), 4),

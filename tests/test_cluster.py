@@ -515,12 +515,17 @@ def assert_explore_matches_reference(s, **limits):
             explore(s, **limits)
         return
     mc = explore(s, **limits)
-    assert mc.order == order
+    # explore keys its seeds by ids 0..n-1 in discovery order, and the
+    # reference by Seed.key(): the ids are mapped to keys here
+    assert mc.initial_key == 0 and mc.order == list(mc.seeds) == list(range(mc.cluster_count))
+    keys = [mc.seeds[i].key() for i in mc.order]
+    assert len(set(keys)) == mc.cluster_count
+    assert keys == order
     assert mc.exhausted == exhausted
-    for key in order:
-        assert mc.seeds[key].cluster == seeds[key].cluster
-        assert mc.seeds[key].matrix.rows == seeds[key].matrix.rows
-        assert list(mc.graph[key].items()) == list(graph[key].items())
+    for i, key in zip(mc.order, keys):
+        assert mc.seeds[i].cluster == seeds[key].cluster
+        assert mc.seeds[i].matrix.rows == seeds[key].matrix.rows
+        assert [(k, keys[dst]) for k, dst in mc.graph[i].items()] == list(graph[key].items())
 
 
 def counting_exchanges(monkeypatch):
@@ -651,8 +656,8 @@ def test_repeated_mutable_entries_record_no_permutation(monkeypatch):
     edge reads that entry back, as each neighbour of the initial seed has
     its edge back pending, so the test watches the root that the search
     indexes, {c-vector: perm[i]} over the identity c-vectors, or None.
-    The search keys nodes by int ids, so the class explore returns is
-    checked to carry the initial seed under its own key."""
+    The class explore returns is checked to carry the initial seed itself
+    under id 0."""
     from clusterforge import cluster
 
     roots, search = [], cluster._search
@@ -670,8 +675,8 @@ def test_repeated_mutable_entries_record_no_permutation(monkeypatch):
         (_, seed, rows, perm), = roots
         assert (seed, rows) == (s, s.matrix.rows)
         assert (perm if perm is None else dict(zip(identity, perm))) == expected
-        assert mc.initial_key == s.key() and mc.order[0] == s.key()
-        assert mc.seeds[s.key()] is s
+        assert mc.initial_key == 0 and mc.order[0] == 0
+        assert mc.seeds[0] is s
 
 
 # ----------------------------------------------------------------------

@@ -629,6 +629,28 @@ def test_exchange_on_cancelling_products():
         assert_exchange_matches_binomial(*case)
 
 
+def test_exchange_on_products_whose_own_terms_cancel():
+    """Packed products that cancel terms as they are formed: (x + y)(x - y)
+    loses its xy terms, and (1 + 2x - 2x^2)^2, a square that forms each
+    unordered pair of terms once, its x^2 term."""
+    x, y = LaurentPoly.variables(XY)
+    f = 1 + 2 * x - 2 * x ** 2
+    assert f ** 2 == 1 + 4 * x - 8 * x ** 3 + 4 * x ** 4
+    difference = [(x + y, 1), (x - y, 1)]  # (x + y)(x - y) + y^2 = x^2
+    assert assert_exchange_matches_binomial(y, difference, [(y, 2)]) == x ** 2 * y ** -1
+    assert assert_exchange_matches_binomial(x, difference, [(y, 2)]) == x
+    assert assert_exchange_matches_binomial(f, [(f, 2)], [(f, 1), (x, 1)]) == f + x
+    for divisor, pos, neg, message in (
+        (x + y, difference, [(y, 2)], "remainder has leading term (2, 0) -> 1"),
+        (2 * x, difference, [(y, 2)], "coefficient 1 is not a multiple of 2"),
+        (x - 1, [(f, 2)], [(y, 1)], "remainder has leading term (0, 1) -> 1"),
+        (2 * y, [(f, 2)], [(y, 1)], "coefficient 1 is not a multiple of 2"),
+    ):
+        assert assert_exchange_matches_binomial(divisor, pos, neg) is None
+        with pytest.raises(InexactDivisionError, match=re.escape(message)):
+            exchange(divisor, pos, neg)
+
+
 def test_exchange_monomial_divisor():
     """A monomial divisor shifts each term; a non-unit coefficient names the
     first term, in the binomial's order, whose coefficient is not a

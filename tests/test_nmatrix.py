@@ -195,6 +195,25 @@ def test_bareiss_agrees_with_cofactor_on_d5_minors():
     assert nonzero >= 9
 
 
+def test_bareiss_divides_by_no_constant_one(monkeypatch):
+    # The first elimination step's divisor would be 1, so only the steps
+    # after it divide: 3^2 + 2^2 + 1^2 divisions for n = 5, each by a pivot.
+    divisors = []
+    div_exact = LaurentPoly.div_exact
+
+    def recording_div_exact(self, other):
+        divisors.append(other)
+        return div_exact(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "div_exact", recording_div_exact)
+    names = tuple(f"a{i}" for i in range(25))
+    dense = [[LaurentPoly.variable(names[5 * i + j], names) for j in range(5)] for i in range(5)]
+    det = _det_bareiss([list(r) for r in dense], names)
+    assert len(divisors) == 3**2 + 2**2 + 1**2
+    assert not any(d.is_one for d in divisors)
+    assert det == _det_cofactor([list(r) for r in dense], names)
+
+
 def test_determinant_chooses_by_nonzero_leibniz_terms(monkeypatch):
     from clusterforge import nmatrix
 
