@@ -564,15 +564,22 @@ def cluster_monomials(mc: MutationClass, total_degree_bound: int) -> list[dict]:
         raise ClusterError("cluster_monomials requires an exhausted mutation class")
     if total_degree_bound < 0:
         raise ClusterError("degree bound must be nonnegative")
+    # A product is keyed by the sorted ids of its factors, so it is formed
+    # once however many clusters hold it; found de-duplicates the products.
+    ids: dict[LaurentPoly, int] = {}
+    by_factors: dict[tuple[int, ...], dict] = {}
     found: dict[LaurentPoly, dict] = {}
     for idx, seed in mc.seeds.items():
+        cluster_ids = [ids.setdefault(x, len(ids)) for x in seed.cluster]
         for total in range(total_degree_bound + 1):
-            for factors in combinations_with_replacement(seed.cluster, total):
-                poly = product_of(factors, seed.varnames)
-                rec = found.get(poly)
+            for positions in combinations_with_replacement(range(len(cluster_ids)), total):
+                key = tuple(sorted(cluster_ids[p] for p in positions))
+                rec = by_factors.get(key)
                 if rec is None:
-                    found[poly] = {"monomial": poly, "degree": total, "clusters": [idx]}
-                elif idx not in rec["clusters"]:
+                    poly = product_of([seed.cluster[p] for p in positions], seed.varnames)
+                    rec = found.setdefault(poly, {"monomial": poly, "degree": total, "clusters": [idx]})
+                    by_factors[key] = rec
+                if rec["clusters"][-1] != idx:
                     rec["clusters"].append(idx)
     return sorted(found.values(), key=lambda r: (r["degree"], r["monomial"].sort_key()))
 

@@ -226,7 +226,7 @@ def _quotient_classes(rep: QuiverRep, v: int, soc: list, a: int,
     field, p, s = rep.field, rep.field.p, len(soc)
     if labels is None:
         labels = _socle_components(rep, v, soc)
-    arrows = rep.quiver.arrows_into(v)
+    arrows = rep.quiver.arrows_into[v]
     incoming = []
     for u in soc:
         f = max(j for j, x in enumerate(u) if x)

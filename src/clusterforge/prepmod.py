@@ -55,63 +55,44 @@ class Arrow:
     name: str
     source: int
     target: int
+    index: int  # position in quiver.arrows and in a module's maps
 
 
 @dataclass(frozen=True)
 class DoubleQuiver:
-    """Double quiver of a simply-laced Dynkin diagram."""
+    """Double quiver of a simply-laced Dynkin diagram.
+
+    It compares and hashes by (kind, vertices, edges); __post_init__ derives
+    the tables `arrows`, `vertex_index`, `arrows_from`, `arrows_into` and
+    `relation` from them."""
 
     kind: str
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        arrows = []
-        relation = {v: [] for v in self.vertices}
+        # Edge e = {i, j}, i < j, puts i->j at position 2e and j->i at 2e + 1,
+        # so the reverse of arrow k is arrow k ^ 1.  relation[v] holds the
+        # preprojective relation at v as (sign, outer, inner) terms, which
+        # read sum sign * M(outer) M(inner) = 0 with outer and inner positions
+        # in arrows.  Edge {i, j} gives (+1, j->i, i->j) at i and
+        # (-1, i->j, j->i) at j: back-and-forth composites through
+        # higher-numbered neighbours count +1, through lower-numbered ones -1.
+        arrows, relation = [], {v: [] for v in self.vertices}
         for i, j in self.edges:
-            fwd, back = len(arrows), len(arrows) + 1
-            arrows.append(Arrow(f"{i}->{j}", i, j))
-            arrows.append(Arrow(f"{j}->{i}", j, i))
-            relation[i].append((1, back, fwd))
-            relation[j].append((-1, fwd, back))
-        table = {
-            "_arrows": tuple(arrows),
-            "_arrow_index": {a.name: k for k, a in enumerate(arrows)},
-            "_vertex_index": {v: k for k, v in enumerate(self.vertices)},
-            "_from": {v: tuple(a for a in arrows if a.source == v) for v in self.vertices},
-            "_into": {v: tuple(a for a in arrows if a.target == v) for v in self.vertices},
-            "_relation": {v: tuple(terms) for v, terms in relation.items()},
+            fwd = len(arrows)
+            arrows += [Arrow(f"{i}->{j}", i, j, fwd), Arrow(f"{j}->{i}", j, i, fwd + 1)]
+            relation[i].append((1, fwd + 1, fwd))
+            relation[j].append((-1, fwd, fwd + 1))
+        tables = {
+            "arrows": tuple(arrows),
+            "vertex_index": {v: k for k, v in enumerate(self.vertices)},
+            "arrows_from": {v: tuple(a for a in arrows if a.source == v) for v in self.vertices},
+            "arrows_into": {v: tuple(a for a in arrows if a.target == v) for v in self.vertices},
+            "relation": {v: tuple(terms) for v, terms in relation.items()},
         }
-        for name, value in table.items():
+        for name, value in tables.items():
             object.__setattr__(self, name, value)
-
-    @property
-    def arrows(self) -> tuple[Arrow, ...]:
-        return self._arrows
-
-    def arrow_position(self, name: str) -> int:
-        return self._arrow_index[name]
-
-    def vertex_index(self, v: int) -> int:
-        return self._vertex_index[v]
-
-    def arrows_from(self, v: int) -> tuple[Arrow, ...]:
-        return self._from[v]
-
-    def arrows_into(self, v: int) -> tuple[Arrow, ...]:
-        return self._into[v]
-
-    def relation(self, v: int) -> tuple[tuple[int, int, int], ...]:
-        """The preprojective relation at v as (sign, outer, inner) terms:
-        the relation reads sum sign * M(outer) M(inner) = 0, with outer and
-        inner positions in `arrows`.  An edge {i,j}, i < j, gives the term
-        (+1, j->i, i->j) at i and (-1, i->j, j->i) at j, i.e. back-and-forth
-        composites through higher-numbered neighbours count +1 and through
-        lower-numbered ones -1."""
-        return self._relation[v]
-
-    def adjacent(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
 
 
 def dynkin_edges(letter: str, rank: int) -> tuple[tuple[int, int], ...]:
@@ -152,42 +133,34 @@ def cartan_pairing(quiver: DoubleQuiver, d: Sequence[int], e: Sequence[int]) -> 
     """Symmetrized Cartan form: (e_i,e_i)=2, (e_i,e_j)=-1 on edges, else 0."""
     total = sum(2 * a * b for a, b in zip(d, e))
     for i, j in quiver.edges:
-        ii, jj = quiver.vertex_index(i), quiver.vertex_index(j)
+        ii, jj = quiver.vertex_index[i], quiver.vertex_index[j]
         total -= d[ii] * e[jj] + d[jj] * e[ii]
     return total
 
 
 def positive_root_count(quiver: DoubleQuiver, vertices: Sequence[int]) -> int:
     """Number of positive roots of the sub-diagram induced on the given
-    vertices, by reflection closure of the simple roots."""
-    verts = sorted(set(vertices))
-    if not verts:
-        return 0
-    index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i, j in quiver.edges:
-        if i in index and j in index:
-            cartan[index[i]][index[j]] = -1
-            cartan[index[j]][index[i]] = -1
-    simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for alpha in frontier:
-            for j in range(n):
-                pairing = sum(cartan[j][k] * alpha[k] for k in range(n))
-                beta = tuple(
-                    a - (pairing if k == j else 0) for k, a in enumerate(alpha)
-                )
-                if beta not in roots:
-                    roots.add(beta)
-                    nxt.append(beta)
-        frontier = nxt
-        if len(roots) > 10000:
-            raise ResourceCapError("root-system closure did not terminate")
-    return sum(1 for r in roots if all(c >= 0 for c in r) and any(r))
+    vertices.  In simply-laced type a positive root of height h > 1 is
+    beta + alpha_j for a root beta of height h - 1 with (beta, alpha_j) = -1,
+    so the roots are counted one height at a time from the simple ones.
+
+    A diagram not of Dynkin type holds an affine one, and the walk reaches
+    the highest root delta - alpha_0 of its Dynkin part, which pairs to -2
+    with alpha_0; a pairing below -1 raises ResourceCapError."""
+    simple = [tuple(int(u == v) for u in quiver.vertices) for v in sorted(set(vertices))]
+    count, level = 0, set(simple)
+    while level:
+        count += len(level)
+        grown = set()
+        for beta in level:
+            for alpha in simple:
+                pairing = cartan_pairing(quiver, beta, alpha)
+                if pairing < -1:
+                    raise ResourceCapError(f"{quiver.kind} on {sorted(set(vertices))} is not of Dynkin type")
+                if pairing == -1:
+                    grown.add(tuple(x + y for x, y in zip(beta, alpha)))
+        level = grown
+    return count
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +192,7 @@ class QuiverRep:
     maps: tuple[Matrix, ...]
 
     def dim(self, v: int) -> int:
-        return self.dims[self.quiver.vertex_index(v)]
+        return self.dims[self.quiver.vertex_index[v]]
 
     @property
     def total_dim(self) -> int:
@@ -230,7 +203,7 @@ class QuiverRep:
         return self.total_dim == 0
 
     def map_of(self, arrow: Arrow) -> Matrix:
-        return self.maps[self.quiver.arrow_position(arrow.name)]
+        return self.maps[arrow.index]
 
     def to_json(self) -> dict:
         return {
@@ -276,8 +249,8 @@ class QuiverRep:
         maps = []
         for a in quiver.arrows:
             rows = maps_blob.get(a.name)
-            tdim = dims[quiver.vertex_index(a.target)]
-            sdim = dims[quiver.vertex_index(a.source)]
+            tdim = dims[quiver.vertex_index[a.target]]
+            sdim = dims[quiver.vertex_index[a.source]]
             if rows is None:
                 maps.append(zero_matrix(tdim, sdim))
                 continue
@@ -312,7 +285,7 @@ def zero_rep(quiver: DoubleQuiver, field=QQ) -> QuiverRep:
 def simple_rep(quiver: DoubleQuiver, i: int, field=QQ) -> QuiverRep:
     dims = tuple(1 if v == i else 0 for v in quiver.vertices)
     maps = tuple(
-        zero_matrix(dims[quiver.vertex_index(a.target)], dims[quiver.vertex_index(a.source)])
+        zero_matrix(dims[quiver.vertex_index[a.target]], dims[quiver.vertex_index[a.source]])
         for a in quiver.arrows
     )
     return QuiverRep(quiver, field, dims, maps)
@@ -329,13 +302,13 @@ def direct_sum(*reps: QuiverRep) -> QuiverRep:
             raise PrepmodError(f"direct sum over different fields {field!r} and {r.field!r}")
     dims = tuple(sum(r.dims[i] for r in reps) for i in range(len(quiver.vertices)))
     maps = []
-    for ai, a in enumerate(quiver.arrows):
-        ti = quiver.vertex_index(a.target)
-        si = quiver.vertex_index(a.source)
+    for a in quiver.arrows:
+        ti = quiver.vertex_index[a.target]
+        si = quiver.vertex_index[a.source]
         block = [[0] * dims[si] for _ in range(dims[ti])]
         roff = coff = 0
         for r in reps:
-            m = r.maps[ai]
+            m = r.maps[a.index]
             for x in range(r.dims[ti]):
                 for y in range(r.dims[si]):
                     block[roff + x][coff + y] = m[x][y]
@@ -353,7 +326,7 @@ def check_relation(rep: QuiverRep) -> tuple[bool, Optional[int]]:
         dv = rep.dim(v)
         # a term through a zero-dimensional vertex is zero, and () hides its column count
         terms = [(sign, mat_mul(F, rep.maps[outer], rep.maps[inner]))
-                 for sign, outer, inner in q.relation(v) if rep.dim(q.arrows[inner].target)]
+                 for sign, outer, inner in q.relation[v] if rep.dim(q.arrows[inner].target)]
         for x in range(dv):
             if any(F.reduce([sum(sign * t[x][y] for sign, t in terms) for y in range(dv)])):
                 return False, v
@@ -375,7 +348,7 @@ def dual(rep: QuiverRep) -> QuiverRep:
     maps = []
     for a in q.arrows:
         # a map with no rows is (), which hides its column count
-        m = rep.maps[q.arrow_position(f"{a.target}->{a.source}")]
+        m = rep.maps[a.index ^ 1]
         maps.append(tuple(zip(*m)) if m else ((),) * rep.dim(a.target))
     return QuiverRep(q, rep.field, rep.dims, tuple(maps))
 
@@ -393,14 +366,14 @@ def is_nilpotent(rep: QuiverRep) -> bool:
 def socle_basis_at(rep: QuiverRep, v: int) -> list:
     """Basis vectors of the S_v-isotypic socle part: the joint kernel of the
     outgoing arrow maps at v."""
-    rows = tuple(row for a in rep.quiver.arrows_from(v) for row in rep.map_of(a))
+    rows = tuple(row for a in rep.quiver.arrows_from[v] for row in rep.map_of(a))
     return nullspace(rep.field, rows, rep.dim(v))
 
 
 def radical_basis_at(rep: QuiverRep, v: int) -> list:
     """Basis vectors of the image of the incoming arrow maps at v: the first
     linearly independent columns of those maps, in arrow order."""
-    maps = (rep.map_of(a) for a in rep.quiver.arrows_into(v))
+    maps = (rep.map_of(a) for a in rep.quiver.arrows_into[v])
     stacked = tuple(sum(rows, ()) for rows in zip(*maps))
     columns = tuple(zip(*stacked))
     return [columns[c] for c in rref(rep.field, stacked)[1]]
@@ -670,15 +643,15 @@ MAX_DIM = 20000
 class BasisPath:
     source: int
     target: int
-    arrows: tuple[str, ...]  # in application order; empty for trivial paths
-    prefix: Optional[int] = None  # index of arrows[:-1] among the paths one degree lower
+    last: Optional[int] = None  # position of the last arrow; None for trivial paths
+    prefix: Optional[int] = None  # index of the path without its last arrow, one degree lower
 
 
 class PreprojectiveAlgebra:
     """Linear basis of the preprojective algebra, one append table per degree.
 
     basis_by_degree[d] lists the basis paths of degree d; table[d] maps
-    (k, a), basis path k of degree d followed by arrow name a, to its class
+    (k, a), basis path k of degree d followed by arrow position a, to its class
     in degree d + 1 as {basis index: coefficient}.  The relation rows of a
     (source, target) block of these candidates are the relation at v applied
     to each degree d - 1 path ending at v.  Blocks go in sorted order and
@@ -687,26 +660,26 @@ class PreprojectiveAlgebra:
 
     def __init__(self, quiver: DoubleQuiver):
         self.quiver = quiver
-        self.basis_by_degree = [[BasisPath(v, v, ()) for v in quiver.vertices]]
-        self.table: list[dict[tuple[int, str], dict[int, Fraction]]] = []
-        self._classes: dict[str, dict] = {}  # arrow name -> {(d, k): class}, see _class_after
-        arrows = quiver.arrows
+        self.basis_by_degree = [[BasisPath(v, v) for v in quiver.vertices]]
+        self.table: list[dict[tuple[int, int], dict[int, Fraction]]] = []
+        # per arrow position, {(d, k): class}; see _class_after
+        self._classes: list[dict] = [{} for _ in quiver.arrows]
         while True:
             degree = len(self.table)
             if degree >= MAX_DEGREE:
                 raise ResourceCapError(f"no vanishing by degree {MAX_DEGREE}")
             paths = self.basis_by_degree[degree]
-            blocks: dict[tuple[int, int], list[tuple[int, str]]] = {}
-            for a in arrows:
+            blocks: dict[tuple[int, int], list[tuple[int, int]]] = {}
+            for a in quiver.arrows:
                 for k, p in enumerate(paths):
                     if p.target == a.source:
-                        blocks.setdefault((p.source, a.target), []).append((k, a.name))
+                        blocks.setdefault((p.source, a.target), []).append((k, a.index))
             rows = {key: [] for key in blocks}
             for k, p in enumerate(self.basis_by_degree[degree - 1] if degree else ()):
                 row = {}
-                for sign, outer, inner in quiver.relation(p.target):
-                    for j, c in self.table[degree - 1][k, arrows[inner].name].items():
-                        cand = (j, arrows[outer].name)
+                for sign, outer, inner in quiver.relation[p.target]:
+                    for j, c in self.table[degree - 1][k, inner].items():
+                        cand = (j, outer)
                         row[cand] = row.get(cand, 0) + sign * c
                 if any(row.values()):
                     rows[p.source, p.target].append(row)
@@ -719,7 +692,7 @@ class PreprojectiveAlgebra:
                     level[cands[f]] = {n: 1}
                 for row, c in zip(red, pivots):
                     level[cands[c]] = {n: -row[f] for n, f in enumerate(free, start=len(new)) if row[f]}
-                new += [BasisPath(*key, paths[k].arrows + (name,), k) for k, name in (cands[f] for f in free)]
+                new += [BasisPath(*key, a, k) for k, a in (cands[f] for f in free)]
             self.table.append(level)
             if not new:
                 break
@@ -764,15 +737,15 @@ class PreprojectiveAlgebra:
         """The class in degree d + 1 of arrow a followed by basis path k of
         degree d: one table step from the class of a followed by the path's
         prefix.  Memoised per arrow, so all injectives share the classes."""
-        classes = self._classes.setdefault(a.name, {})
+        classes = self._classes[a.index]
         if (d, k) not in classes:
             if d == 0:
-                classes[d, k] = self.table[0][self.quiver.vertex_index(a.source), a.name]
+                classes[d, k] = self.table[0][self.quiver.vertex_index[a.source], a.index]
             else:
                 p = self.basis_by_degree[d][k]
                 vec: dict[int, Fraction] = {}
                 for j, c in self._class_after(a, d - 1, p.prefix).items():
-                    for n, x in self.table[d][j, p.arrows[-1]].items():
+                    for n, x in self.table[d][j, p.last].items():
                         vec[n] = vec.get(n, 0) + c * x
                 classes[d, k] = vec
         return classes[d, k]
@@ -799,10 +772,10 @@ def first_unreduced_position(quiver: DoubleQuiver, letters: Sequence[int]) -> Op
     reflected back through the letters before it."""
     for p in range(len(letters)):
         root = [0] * len(quiver.vertices)
-        root[quiver.vertex_index(letters[p])] = 1
+        root[quiver.vertex_index[letters[p]]] = 1
         for v in reversed(letters[:p]):
-            i = quiver.vertex_index(v)
-            neighbours = sum(root[quiver.vertex_index(a.target)] for a in quiver.arrows_from(v))
+            i = quiver.vertex_index[v]
+            neighbours = sum(root[quiver.vertex_index[a.target]] for a in quiver.arrows_from[v])
             root[i] = neighbours - root[i]
         if any(c < 0 for c in root):
             return p + 1
@@ -983,7 +956,7 @@ def span_sub_rep(rep: QuiverRep, vectors: Mapping[int, Sequence[Sequence]]) -> Q
                 frontier.append((v, coerced))
     while frontier:
         v, vec = frontier.pop()
-        for a in q.arrows_from(v):
+        for a in q.arrows_from[v]:
             image = mat_vec(F, rep.map_of(a), vec)
             if add_vector(a.target, image):
                 frontier.append((a.target, image))

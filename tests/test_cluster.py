@@ -231,6 +231,37 @@ def test_cluster_monomials_requires_exhausted():
         cluster_monomials(mc, 1)
 
 
+def reference_cluster_monomials(mc, bound):
+    """Every product formed in every cluster, de-duplicated as a Laurent
+    polynomial: the loop cluster_monomials runs, without its keys."""
+    found = {}
+    for idx, seed in mc.seeds.items():
+        for total in range(bound + 1):
+            for factors in itertools.combinations_with_replacement(seed.cluster, total):
+                poly = LaurentPoly.one(seed.varnames)
+                for f in factors:
+                    poly = poly * f
+                rec = found.get(poly)
+                if rec is None:
+                    found[poly] = {"monomial": poly, "degree": total, "clusters": [idx]}
+                elif idx not in rec["clusters"]:
+                    rec["clusters"].append(idx)
+    return sorted(found.values(), key=lambda r: (r["degree"], r["monomial"].sort_key()))
+
+
+def test_cluster_monomials_match_the_reference_loop():
+    # over one variable with B = 0 the cluster (x, x^2) is not free: x * x
+    # and x^2 are one monomial under two factor keys
+    x = LaurentPoly.variable("x", ("x",))
+    not_free = Seed(ExchangeMatrix(((0, 0), (0, 0)), 0), (x, x * x), ("x", "x2"))
+    for seed, bound in ((builtin_seed("grassmannian_2_5"), 2),
+                        (builtin_seed("quadric", n=5), 2), (not_free, 3)):
+        mc = explore(seed)
+        records = cluster_monomials(mc, bound)
+        assert records == reference_cluster_monomials(mc, bound)
+    assert any(r["monomial"] == x * x and r["clusters"] == [0, 1, 2] for r in records)
+
+
 def test_dot_export_deterministic():
     mc = explore(builtin_seed("quadric", n=4))
     dot = mutation_class_to_dot(mc)

@@ -171,7 +171,7 @@ def test_gfp_results_are_canonical_residues(p):
             rows = [row for row in red if any(row)]
             coords = coordinates(gf, rows, m)
             assert coords is not None and canonical(coords, p)
-            for b in q.arrows_from(a.target):
+            for b in q.arrows_from[a.target]:
                 assert canonical(mat_mul(gf, rep.map_of(b), m), p)
             for u in nullspace(gf, (), rep.dim(a.source)):
                 # -u has entries p - 1: mat_vec must reduce what it sums

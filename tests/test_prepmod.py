@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -71,6 +72,22 @@ def test_algebra_dimensions(kind):
     assert algebra.loewy_length == h - 1
 
 
+@pytest.mark.parametrize("kind", COXETER_NUMBERS)
+def test_arrow_positions_pair_each_arrow_with_its_reverse(kind):
+    arrows = dynkin_quiver(kind).arrows
+    for k, a in enumerate(arrows):
+        assert a.index == k
+        assert arrows[k ^ 1] == prepmod.Arrow(f"{a.target}->{a.source}", a.target, a.source, k ^ 1)
+
+
+@pytest.mark.parametrize("kind", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6"])
+def test_dual_is_an_involution_on_injectives(kind):
+    algebra = build_algebra_basis(kind)
+    for i in algebra.quiver.vertices:
+        q = algebra.injective(i)
+        assert dual(dual(q)) == q
+
+
 def test_a1_algebra_is_trivial():
     alg = build_algebra_basis("A1")
     assert alg.dimension == 1
@@ -123,7 +140,7 @@ def test_injectives_satisfy_relation_and_nilpotency(d4_algebra, a3_algebra):
 def test_injectives_have_simple_socle(d4_algebra):
     for i in (1, 2, 3, 4):
         soc = socle_top(d4_algebra.injective(i))["socle"]
-        assert sum(soc) == 1 and soc[D4.vertex_index(i)] == 1
+        assert sum(soc) == 1 and soc[D4.vertex_index[i]] == 1
 
 
 # ----------------------------------------------------------------------
@@ -213,12 +230,12 @@ def test_functor_E_dimension_drop():
         for v in (1, 2, 3, 4):
             image = functor_E(m, v)
             expected = list(m.dims)
-            expected[D4.vertex_index(v)] -= report["top"][D4.vertex_index(v)]
+            expected[D4.vertex_index[v]] -= report["top"][D4.vertex_index[v]]
             assert list(image.dims) == expected
             assert check_relation(image) == (True, None)
             quotient = functor_E_dagger(m, v)
             expected = list(m.dims)
-            expected[D4.vertex_index(v)] -= report["socle"][D4.vertex_index(v)]
+            expected[D4.vertex_index[v]] -= report["socle"][D4.vertex_index[v]]
             assert list(quotient.dims) == expected
             assert check_relation(quotient) == (True, None)
 
@@ -252,7 +269,7 @@ def radical_layers_oracle(rep):
             break
         nxt = {}
         for w in q.vertices:
-            images = [mat_vec(F, rep.map_of(a), u) for a in q.arrows_into(w) for u in span[a.source]]
+            images = [mat_vec(F, rep.map_of(a), u) for a in q.arrows_into[w] for u in span[a.source]]
             red, pivots = rref(F, tuple(images))
             nxt[w] = red[:len(pivots)]
         layers.append(tuple(len(span[v]) - len(nxt[v]) for v in q.vertices))
@@ -545,6 +562,41 @@ def test_positive_root_counts():
     assert positive_root_count(D4, (1, 2, 3)) == 6
     assert positive_root_count(dynkin_quiver("D5"), (1, 2, 3, 4, 5)) == 20
     assert positive_root_count(D4, ()) == 0
+    for kind, count in (("E6", 36), ("E7", 63), ("E8", 120)):
+        quiver = dynkin_quiver(kind)
+        assert positive_root_count(quiver, quiver.vertices) == count
+
+
+def test_positive_root_count_refuses_diagrams_not_of_dynkin_type():
+    # affine D4, affine A2 (a triangle) and a star with five leaves, whose
+    # sub-diagram on 1, 2, 3, 4 is D4 and still counts 12 roots
+    for edges in (((1, 3), (2, 3), (3, 4), (3, 5)), ((1, 2), (1, 3), (2, 3)),
+                  ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6))):
+        vertices = tuple(sorted({v for edge in edges for v in edge}))
+        quiver = prepmod.DoubleQuiver("X", vertices, edges)
+        with pytest.raises(prepmod.ResourceCapError, match="not of Dynkin type"):
+            positive_root_count(quiver, vertices)
+    assert positive_root_count(quiver, (1, 2, 3, 4)) == 12
+
+
+def greedy_longest_word(kind, K):
+    """A reduced word in the letters of K that no letter of K lengthens.
+    The only such element of the parabolic subgroup W_K is its longest
+    element w0^K, whose length is the number of positive roots of K."""
+    word = ()
+    while True:
+        letter = next((s for s in K if weyl_length(kind, word + (s,)) > len(word)), None)
+        if letter is None:
+            return word
+        word += (letter,)
+
+
+@pytest.mark.parametrize("kind", ["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6"])
+def test_positive_root_count_is_the_length_of_w0K(kind):
+    quiver = dynkin_quiver(kind)
+    for size in range(len(quiver.vertices) + 1):
+        for K in itertools.combinations(quiver.vertices, size):
+            assert positive_root_count(quiver, K) == len(greedy_longest_word(kind, K))
 
 
 def test_build_complete_rigid_a2():
@@ -660,7 +712,7 @@ def reference_span_sub_rep(rep, vectors):
                 frontier.append((v, coerced))
     while frontier:
         v, vec = frontier.pop()
-        for a in q.arrows_from(v):
+        for a in q.arrows_from[v]:
             image = mat_vec(F, rep.map_of(a), vec)
             if add_vector(a.target, image):
                 frontier.append((a.target, image))
