@@ -30,11 +30,18 @@ counts every coefficient at once, and each coefficient's count polynomial
 is evaluated at q = 1, its fit accepted once it is stable across two
 additional primes.
 
+The recursion spends work only where a letter chooses.  A letter at a
+vertex of dimension 0 is dropped before the memo is asked (it takes
+a_j = 0), a state whose only choice is a = 0 passes on its next state's
+table itself, and taking a socle part that is all of M_v sets dim v to 0
+without row reduction.  Inside the recursion a multiplicity vector is one
+packed int; the top-level callers read tuples.
+
 The recursion is memoised in a `FlagCounter` keyed by each quotient
-module itself: a `QuiverRep` compares and hashes by its presentation, so
-two paths to an equal presentation share one entry.  Every top-level call
-owns its counter unless the caller passes one in, so no memo outlives the
-call.
+module itself and the letters still to come, empty-vertex letters dropped:
+a `QuiverRep` compares and hashes by its presentation, so two paths to an
+equal presentation share one entry.  Every top-level call owns its counter
+unless the caller passes one in, so no memo outlives the call.
 """
 
 from __future__ import annotations
@@ -103,8 +110,9 @@ class FlagCounter:
     results.  A module is keyed by itself, so only equal presentations
     (same quiver, field, dims and map entries) share entries.  The cap
     `MEMO_MAX_ENTRIES` counts one entry per stored coefficient, and at
-    least one per stored result; reaching it only disables insertion,
-    never correctness.
+    least one per stored result, so a result stored under several keys
+    counts once per key; reaching it only disables insertion, never
+    correctness.
     """
 
     def __init__(self):
@@ -261,32 +269,89 @@ def _quotient_classes(rep: QuiverRep, v: int, soc: list, a: int,
                     yield weight, subspace
 
 
+# Inside `_packed_flags` a multiplicity vector a is one int: a_j is the digit
+# at position len(letters) - 1 - j, counted from the end of the word, so a
+# suffix's digits keep their positions when letters are put in front of it,
+# and the first letter is the most significant digit.  a_j <= dim M_v, and
+# a module with a vertex of dimension 2^32 cannot be held in memory, so a
+# digit never overflows its width.  Packed vectors of one word length
+# compare like the tuples they encode.
+_DIGIT_BITS = 32
+
+
+def _unpacked(table: dict[int, int], length: int) -> dict[tuple[int, ...], int]:
+    """A packed `{a: count}` table over a word of the given length with
+    tuple keys."""
+    mask, shifts = (1 << _DIGIT_BITS) - 1, range(_DIGIT_BITS * (length - 1), -1, -_DIGIT_BITS)
+    return {tuple(a >> shift & mask for shift in shifts): count for a, count in table.items()}
+
+
+def _emptied(rep: QuiverRep, v: int) -> QuiverRep:
+    """The quotient of rep by all of M_v when M_v is all socle, with the
+    presentation `quotient_rep(rep, {v: socle_basis_at(rep, v)})` gives
+    it: dim v is 0, each map out of v keeps its rows with no columns, and
+    each map into v has no rows."""
+    q = rep.quiver
+    k = q.vertex_index[v]
+    maps = list(rep.maps)
+    for arrow in q.arrows_from[v]:
+        maps[arrow.index] = ((),) * len(maps[arrow.index])
+    for arrow in q.arrows_into[v]:
+        maps[arrow.index] = ()
+    return QuiverRep(q, rep.field, rep.dims[:k] + (0,) + rep.dims[k + 1:], tuple(maps))
+
+
 def _flags(rep: QuiverRep, letters: tuple[int, ...], full: bool,
            counter: FlagCounter) -> dict[tuple[int, ...], int]:
     """{a: number of chains of type (letters, a)} over rep's field, zero
-    counts omitted.  `full` forces every a_j = 1, counting composition
-    series.  Over QQ a proper nonzero subspace of a socle part raises
-    _SocleBranching; over GF(p) one quotient is built for each orbit of
-    `_quotient_classes`, and its counts are multiplied by the orbit's
-    weight.  The torus components are found once per state.
+    counts omitted: the table of `_packed_flags` with tuple keys."""
+    return _unpacked(_packed_flags(rep, letters, full, counter), len(letters))
+
+
+def _packed_flags(rep: QuiverRep, letters: tuple[int, ...], full: bool,
+                  counter: FlagCounter) -> dict[int, int]:
+    """{a: number of chains of type (letters, a)} over rep's field, zero
+    counts omitted and each a packed into one int (`_DIGIT_BITS`).  `full`
+    forces every a_j = 1, counting composition series.  Over QQ a proper
+    nonzero subspace of a socle part raises _SocleBranching; over GF(p)
+    one quotient is built for each orbit of `_quotient_classes`, and its
+    counts are multiplied by the orbit's weight.  The torus components are
+    found once per state.
+
+    Work is spent only where a letter chooses.  A letter at a vertex of
+    dimension 0 is dropped before the memo lookup (it takes a_j = 0, or in
+    full mode leaves no flags), so the memo key is the suffix without it.
+    A state whose only choice is a = 0 returns and stores its next state's
+    table object itself, as its digit is 0.  Taking a socle part that is
+    all of M_v builds the quotient with `_emptied`, not `quotient_rep`.
+    Tables are shared between states, so no caller may change one.
 
     A letter's last occurrence quotients away all of M_v, so a support
     vertex missing from the letters still to come can only be missing on
     entry; the callers check that once (such a word has no flags)."""
+    while letters and not rep.dim(letters[0]):
+        if full:
+            return {}
+        letters = letters[1:]
     if not letters:
-        return {(): 1} if rep.is_zero else {}
+        return {0: 1} if rep.is_zero else {}
     v, rest = letters[0], letters[1:]
     key = (full, letters)
     hit = counter.lookup(rep, key)
     if hit is not None:
         return hit
     soc = socle_basis_at(rep, v)
-    s = len(soc)
+    s, dim = len(soc), rep.dim(v)
     # With no later v, this step must take all of M_v.
-    least = rep.dim(v) if v not in rest else 0
+    least = dim if v not in rest else 0
     choices = [a for a in ((1,) if full else range(s + 1)) if least <= a <= s]
-    result: dict[tuple[int, ...], int] = {}
+    if choices == [0]:
+        result = _packed_flags(rep, rest, full, counter)
+        counter.store(rep, key, result)
+        return result
+    result: dict[int, int] = {}
     labels = None
+    shift = _DIGIT_BITS * len(rest)
     for a in choices:
         if a == 0:
             classes: Iterable[tuple[int, list]] = ((1, []),)
@@ -299,11 +364,16 @@ def _flags(rep: QuiverRep, letters: tuple[int, ...], full: bool,
                 # Over GF(2) the torus is trivial: one label serves.
                 labels = _socle_components(rep, v, soc) if rep.field.p > 2 else [0] * s
             classes = _quotient_classes(rep, v, soc, a, labels)
+        head = a << shift
         for weight, subspace in classes:
-            quotient = quotient_rep(rep, {v: subspace}) if subspace else rep
-            for tail, count in _flags(quotient, rest, full, counter).items():
-                avec = (a,) + tail
-                result[avec] = result.get(avec, 0) + weight * count
+            if not subspace:
+                quotient = rep
+            elif a == dim:
+                quotient = _emptied(rep, v)
+            else:
+                quotient = quotient_rep(rep, {v: subspace})
+            for tail, count in _packed_flags(quotient, rest, full, counter).items():
+                result[head + tail] = result.get(head + tail, 0) + weight * count
     counter.store(rep, key, result)
     return result
 

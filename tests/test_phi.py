@@ -106,7 +106,10 @@ def test_count_flags_mod_p_rejects_a_second_prime_for_a_prime_field_module():
 def _subspaces(field, basis, a):
     """The a-dimensional subspaces of a GF(p)-span, each once: the rows of
     every a x s reduced row echelon coefficient matrix, mapped through the
-    basis."""
+    basis.  None and all of the span are one subspace over any field."""
+    if a in (0, len(basis)):
+        yield list(basis[:a])
+        return
     p, s = field.p, len(basis)
     for pivots in itertools.combinations(range(s), a):
         free = [(r, c) for r, pivot in enumerate(pivots)
@@ -120,7 +123,8 @@ def _subspaces(field, basis, a):
 
 def _reference_flags(rep, letters, memo):
     """`_flags` in partial mode with one quotient per subspace of each
-    Grassmannian, memoised only on equal presentations."""
+    Grassmannian, memoised only on equal presentations.  Over QQ it takes
+    only none or all of each socle part."""
     if not letters:
         return {(): 1} if rep.is_zero else {}
     key = (rep, letters)
@@ -203,16 +207,21 @@ def test_quotient_classes_agree_with_every_subspace(p):
     assert joined > 0 if p > 2 else joined == 0
 
 
-def _counting(monkeypatch, name, key):
-    """Wrap phi_module.<name> to count its calls by key(first argument)."""
+# The two ways the recursion builds a quotient: `_emptied` when it takes all
+# of M_v, `quotient_rep` otherwise.
+QUOTIENTS = ("quotient_rep", "_emptied")
+
+
+def _counting(monkeypatch, names, key):
+    """Wrap phi_module.<name> for one name or each of a tuple of names, to
+    count their calls together by key(first argument)."""
     counts = collections.Counter()
-    real = getattr(phi_module, name)
+    for name in (names,) if isinstance(names, str) else names:
+        def counted(rep, *args, real=getattr(phi_module, name)):
+            counts[key(rep)] += 1
+            return real(rep, *args)
 
-    def counted(rep, *args):
-        counts[key(rep)] += 1
-        return real(rep, *args)
-
-    monkeypatch.setattr(phi_module, name, counted)
+        monkeypatch.setattr(phi_module, name, counted)
     return counts
 
 
@@ -220,7 +229,7 @@ def test_socle_lines_of_a_semisimple_part_are_one_class_per_pivot(monkeypatch):
     # S1^3 over GF(13) has [3]_13! = 183 * 14 full flags.  No arrow reaches
     # its socle, so all subspaces with one pivot pattern share a quotient:
     # the first step builds 3 quotients, not one for each of the 183 lines.
-    built = _counting(monkeypatch, "quotient_rep", lambda rep: rep.dims)
+    built = _counting(monkeypatch, QUOTIENTS, lambda rep: rep.dims)
     s1 = simple_rep(A2, 1, PrimeField(13))
     assert count_flags(direct_sum(s1, s1, s1), (1, 1, 1)) == 183 * 14
     assert built == {(3, 0): 3, (2, 0): 2, (1, 0): 1}
@@ -229,14 +238,15 @@ def test_socle_lines_of_a_semisimple_part_are_one_class_per_pivot(monkeypatch):
 def test_a_product_rule_pair_makes_fewer_flag_calls(monkeypatch):
     # The third A3 pair of the benchmark's product-rule pool (random.Random(0),
     # two random_module("A3", rng, 4) per pair).  One quotient per subspace
-    # made 881 `_flags` calls here, and one per quotient class 580.
+    # made 881 recursive calls here, one per quotient class 580, one per
+    # orbit 424, and with empty-vertex letters dropped 385.
     rng = random.Random(0)
     for _ in range(3):
         m, n = random_module("A3", rng, 4), random_module("A3", rng, 4)
     assert (m.dims, n.dims) == ((2, 2, 0), (1, 1, 2))
-    calls = _counting(monkeypatch, "_flags", lambda rep: rep.field.name)
+    calls = _counting(monkeypatch, "_packed_flags", lambda rep: rep.field.name)
     assert verify_multiplication(m, n, A3_W0_LETTERS)["product_rule"]["holds"]
-    assert sum(calls.values()) <= 424
+    assert sum(calls.values()) <= 385
 
 
 def test_lines_between_two_summands_are_one_orbit(monkeypatch):
@@ -250,7 +260,7 @@ def test_lines_between_two_summands_are_one_orbit(monkeypatch):
     soc = socle_basis_at(reps[13], 1)
     weights = [k for k, _ in phi_module._quotient_classes(reps[13], 1, soc, 1)]
     assert weights == [1, 12, 1] and sum(weights) == _gaussian_binomial(2, 1, 13)
-    built = _counting(monkeypatch, "quotient_rep", lambda rep: rep.field.name)
+    built = _counting(monkeypatch, QUOTIENTS, lambda rep: rep.field.name)
     for rep in reps.values():
         assert (phi_module._flags(rep, (1, 2, 1, 2), False, FlagCounter())
                 == _reference_flags(rep, (1, 2, 1, 2), {}))
@@ -266,7 +276,7 @@ def test_a_direct_sum_builds_as_many_quotients_at_every_prime(monkeypatch):
     for _ in range(8):
         random_module("A3", rng, 4), random_module("A3", rng, 4)
     m, n = random_module("D4", rng, 3), random_module("D4", rng, 3)
-    built = _counting(monkeypatch, "quotient_rep", lambda rep: rep.field.name)
+    built = _counting(monkeypatch, QUOTIENTS, lambda rep: rep.field.name)
     report = phi_eval(direct_sum(m, n), D4_W0_LETTERS)
     assert report.primes == (2, 3, 5, 7, 11)
     assert {name: built[name] for name in built if name != "QQ"} == {f"GF({p})": 121 for p in report.primes}
@@ -275,15 +285,99 @@ def test_a_direct_sum_builds_as_many_quotients_at_every_prime(monkeypatch):
 def test_d6_q4_keeps_its_memo_sharing(monkeypatch):
     # Q4 of D6 merges no quotient classes on this word, so its quotients
     # and memo keys are those of one quotient per subspace: a change of
-    # their presentation would show as more `_flags` calls.
-    calls = _counting(monkeypatch, "_flags", lambda rep: rep.field.name)
+    # their presentation would show as more recursive calls.  Dropping the
+    # letters at empty vertices took 31 calls off each prime's count.
+    calls = _counting(monkeypatch, "_packed_flags", lambda rep: rep.field.name)
     report = phi_eval(build_algebra_basis("D6").injective(4), (1, 2, 4, 6, 3, 5) * 5)
-    limits = {"QQ": 158, "GF(2)": 3095, "GF(3)": 3627, "GF(5)": 4691}
+    limits = {"QQ": 158, "GF(2)": 3064, "GF(3)": 3596, "GF(5)": 4660}
     assert set(calls) == set(limits)
     assert all(calls[name] <= limit for name, limit in limits.items()), dict(calls)
     assert report.backend == INTERPOLATED and report.primes == (2, 3, 5)
     exps = (0, 0, 1, 0, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 2, 0, 2, 1, 1, 1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0)
     assert report.poly.terms == {exps: 1}
+
+
+# ----------------------------------------------------------------------
+# letters that do not choose
+
+
+def _good_reductions(rep, primes):
+    return [r for r in (phi_module._reduce_mod_p(rep, p, fingerprint(rep)) for p in primes) if r is not None]
+
+
+def test_emptying_a_vertex_is_its_quotient_by_the_whole_socle_part():
+    # Where the socle part at v is all of M_v, `_emptied` must give the
+    # presentation that quotient_rep gives, or the memo would stop sharing
+    # states.  The socle series of each module reaches many such vertices,
+    # some of them next to vertices of dimension 0, whose maps are ().
+    rng = random.Random(33)
+    checked = beside_empty = 0
+    for kind in ("A3", "A4", "D4", "D5"):
+        for _ in range(4):
+            m = random_module(kind, rng, 6)
+            for rep in [m] + _good_reductions(m, (2, 3, 5)):
+                while not rep.is_zero:
+                    bases = {v: socle_basis_at(rep, v) for v in rep.quiver.vertices}
+                    for v, soc in bases.items():
+                        if soc and len(soc) == rep.dim(v):
+                            emptied, expected = phi_module._emptied(rep, v), quotient_rep(rep, {v: soc})
+                            assert emptied == expected and hash(emptied) == hash(expected), (kind, rep.dims, v)
+                            checked += 1
+                            beside_empty += any(not rep.dim(a.target) for a in rep.quiver.arrows_from[v])
+                    rep = quotient_rep(rep, bases)
+    assert checked > 150 and beside_empty > 50, (checked, beside_empty)
+
+
+def _q_factorial(a, q):
+    return math.prod((q ** i - 1) // (q - 1) for i in range(1, a + 1))
+
+
+def test_letters_that_do_not_choose_keep_their_counts():
+    # Each word starts with the letters at vertices whose socle part is 0
+    # (the only choice is a = 0) and at vertices of dimension 0 (dropped),
+    # and its second pass of w0 meets the vertices the first pass emptied.
+    # Over GF(3) each partial flag of type a refines to prod [a_j]_3! full
+    # flags of the expanded word, which count_flags counts.
+    rng = random.Random(34)
+    seen = collections.Counter()
+    for kind, w0 in (("A3", A3_W0_LETTERS), ("D4", D4_W0_LETTERS)):
+        vertices = dynkin_quiver(kind).vertices
+        for _ in range(5):
+            m = random_module(kind, rng, 4)
+            for rep in (m, direct_sum(m, random_module(kind, rng, 3))):
+                sealed = tuple(v for v in vertices if rep.dim(v) and not socle_basis_at(rep, v))
+                empty = tuple(v for v in vertices if not rep.dim(v))
+                seen["sealed"] += bool(sealed)
+                seen["empty"] += bool(empty)
+                word = sealed + empty + w0 + w0[:len(vertices)]
+                try:
+                    exact = phi_module._flags(rep, word, False, FlagCounter())
+                except phi_module._SocleBranching:
+                    pass
+                else:
+                    assert exact == _reference_flags(rep, word, {}), (kind, rep.dims)
+                    seen["QQ"] += 1
+                for rep_3 in _good_reductions(rep, (3,)):
+                    counts = _reference_flags(rep_3, word, {})
+                    assert phi_module._flags(rep_3, word, False, FlagCounter()) == counts, (kind, rep.dims)
+                    seen["GF(3)"] += 1
+                    for avec, count in list(counts.items())[:8]:
+                        expanded = tuple(v for v, a in zip(word, avec) for _ in range(a))
+                        weight = math.prod(_q_factorial(a, 3) for a in avec)
+                        assert count_flags(rep_3, expanded) == weight * count, (kind, rep.dims, avec)
+    assert seen["sealed"] >= 10 and seen["empty"] >= 5 and seen["QQ"] >= 4 and seen["GF(3)"] >= 10, dict(seen)
+
+
+def test_a_simple_meets_its_vertex_twice_among_empty_ones():
+    # S1 of A3 on (2, 1, 3, 1): the letters 2 and 3 are at empty vertices,
+    # and S1 is taken at the first 1 or at the second.  A full flag must
+    # take a dimension at every letter, so an empty vertex leaves none.
+    s1, word = simple_rep(dynkin_quiver("A3"), 1), (2, 1, 3, 1)
+    names = ("t1", "t2", "t3", "t4")
+    report = phi_eval(s1, word)
+    t2, t4 = (LaurentPoly.variable(v, names) for v in ("t2", "t4"))
+    assert report.poly == t2 + t4 and report.backend == EXACT
+    assert phi_module._flags(s1, word, True, FlagCounter()) == {}
 
 
 # ----------------------------------------------------------------------
