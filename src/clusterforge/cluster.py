@@ -527,8 +527,9 @@ def is_finite_type(s: Seed, max_seeds: int = 100000, max_depth: int = 64) -> dic
 
     The search is `_search`'s, with an integer layer: a node is the tuple
     of g-vectors that `_search` passes, keyed by its discovery number, with
-    the principal part B as its rows, mutated only for a new seed and not
-    checked on a met c-vector key.  `_search` runs the g-vector recursion
+    the principal part B as its rows, mutated only for a new seed that the
+    search admits (none past max_seeds) and not checked on a met c-vector
+    key.  `_search` runs the g-vector recursion
     (`_mutate_gvecs`) and raises ClusterError for a c-vector that is not
     sign-coherent.  Cluster variables are counted as distinct g-vectors.
     The counts are `explore`'s whenever the cluster of s is a free
@@ -545,7 +546,10 @@ def is_finite_type(s: Seed, max_seeds: int = 100000, max_depth: int = 64) -> dic
     nodes: dict = {}
 
     def integer(node, rows, kk, gvecs):
-        return len(nodes), gvecs, _mutate_rows(rows, kk), range(m)
+        # A new c-vector key is a new seed here, which `_search` refuses at
+        # max_seeds: its matrix is never read, so it is not mutated.
+        new_rows = _mutate_rows(rows, kk) if len(nodes) < max_seeds else None
+        return len(nodes), gvecs, new_rows, range(m)
 
     root = (0, _identity(m), s.matrix.rows[:m], range(m))
     exhausted = _search(nodes, root, integer, max_seeds, max_depth)[1]

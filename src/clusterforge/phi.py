@@ -28,14 +28,19 @@ torus fixed-point count.  When the QQ recursion meets
 (a denominator vanishes or the socle/radical layers change); each prime
 counts every coefficient at once, and each coefficient's count polynomial
 is evaluated at q = 1, its fit accepted once it is stable across two
-additional primes.
+additional primes.  The layers are computed once over QQ, recording the
+pivots that the row reductions invert; a prime that divides none of them
+keeps the layers, so only the other primes compute them again.
 
-The recursion spends work only where a letter chooses.  A letter at a
-vertex of dimension 0 is dropped before the memo is asked (it takes
-a_j = 0), a state whose only choice is a = 0 passes on its next state's
-table itself, and taking a socle part that is all of M_v sets dim v to 0
-without row reduction.  Inside the recursion a multiplicity vector is one
-packed int; the top-level callers read tuples.
+Each piece of work is done once.  A letter at a vertex of dimension 0 is
+dropped before the memo is asked (it takes a_j = 0), a state whose only
+choice is a = 0 passes on its next state's table itself, and taking a
+socle part that is all of M_v sets dim v to 0 without row reduction.  The
+socle part of a module at a vertex, its torus labels and the quotients
+of each choice are found once, and every state of that module at a
+letter at that vertex reuses them, whatever letters follow.  Inside the
+recursion a multiplicity vector is one packed int; the top-level callers
+read tuples.
 
 The recursion is memoised in a `FlagCounter` keyed by each quotient
 module itself and the letters still to come, empty-vertex letters dropped:
@@ -106,12 +111,20 @@ class FlagCounter:
     """Memo table for the counting recursion.  A call without `counter=`
     makes its own; pass one in to share entries across calls.
 
-    One exact tier: a `QuiverRep` maps to a dict from state keys to
-    results.  A module is keyed by itself, so only equal presentations
-    (same quiver, field, dims and map entries) share entries.  The cap
-    `MEMO_MAX_ENTRIES` counts one entry per stored coefficient, and at
-    least one per stored result, so a result stored under several keys
-    counts once per key; reaching it only disables insertion, never
+    One exact tier: a `QuiverRep` maps to a dict, its table, that holds
+    three kinds of entry.  A state key (full, letters) maps to the state's
+    counts.  A vertex v maps to the expansion of the module at v: 0 when
+    its socle part there is 0, and otherwise [socle basis, torus labels or
+    None, then the (weight, quotient) pairs of each choice a = 1..s, None
+    until built], so a module reached again under other letters reuses
+    them.  None maps to the module the table is keyed by, so a quotient
+    built again is swapped for that object and expansions hold no copies.
+    A module is keyed by itself, so only equal presentations (same quiver,
+    field, dims and map entries) share entries.  The cap
+    `MEMO_MAX_ENTRIES` counts one entry per stored coefficient, at least
+    one per state (a table stored under several keys counts once per key),
+    and one per pair that an expansion keeps; its socle basis and labels
+    are not counted.  Reaching the cap only disables insertion, never
     correctness.
     """
 
@@ -119,15 +132,27 @@ class FlagCounter:
         self.tables: dict[QuiverRep, dict] = {}
         self.entry_count = 0
 
-    def lookup(self, rep: QuiverRep, key: tuple):
+    def lookup(self, rep: QuiverRep, key):
         table = self.tables.get(rep)
         return None if table is None else table.get(key)
 
-    def store(self, rep: QuiverRep, key: tuple, result) -> None:
+    def store(self, rep: QuiverRep, key, result) -> None:
+        """Store a state's counts, which count by coefficient, or an
+        expansion, which counts by the pairs `keep` puts in it."""
         if self.entry_count >= MEMO_MAX_ENTRIES:
             return
-        self.tables.setdefault(rep, {})[key] = result
-        self.entry_count += max(1, len(result)) if isinstance(result, dict) else 1
+        table = self.tables.get(rep)
+        if table is None:
+            table = self.tables[rep] = {None: rep}
+        table[key] = result
+        if isinstance(result, dict):
+            self.entry_count += max(1, len(result))
+
+    def keep(self, expansion: list, a: int, pairs: tuple) -> None:
+        """Keep the (weight, quotient) pairs of choice a in an expansion."""
+        if self.entry_count < MEMO_MAX_ENTRIES:
+            expansion[a + 1] = pairs
+            self.entry_count += len(pairs)
 
 
 def _word_matches_dims(rep: QuiverRep, word: Sequence[int]) -> bool:
@@ -315,8 +340,7 @@ def _packed_flags(rep: QuiverRep, letters: tuple[int, ...], full: bool,
     forces every a_j = 1, counting composition series.  Over QQ a proper
     nonzero subspace of a socle part raises _SocleBranching; over GF(p)
     one quotient is built for each orbit of `_quotient_classes`, and its
-    counts are multiplied by the orbit's weight.  The torus components are
-    found once per state.
+    counts are multiplied by the orbit's weight.
 
     Work is spent only where a letter chooses.  A letter at a vertex of
     dimension 0 is dropped before the memo lookup (it takes a_j = 0, or in
@@ -324,7 +348,11 @@ def _packed_flags(rep: QuiverRep, letters: tuple[int, ...], full: bool,
     A state whose only choice is a = 0 returns and stores its next state's
     table object itself, as its digit is 0.  Taking a socle part that is
     all of M_v builds the quotient with `_emptied`, not `quotient_rep`.
-    Tables are shared between states, so no caller may change one.
+    The socle basis at v, the torus components and the quotients of each
+    choice are the expansion of (rep, v), stored in the memo under v and
+    shared by every state of rep at a letter v, whatever the letters
+    after it.  Tables are shared between states, so no caller may change
+    one.
 
     A letter's last occurrence quotients away all of M_v, so a support
     vertex missing from the letters still to come can only be missing on
@@ -340,42 +368,63 @@ def _packed_flags(rep: QuiverRep, letters: tuple[int, ...], full: bool,
     hit = counter.lookup(rep, key)
     if hit is not None:
         return hit
-    soc = socle_basis_at(rep, v)
-    s, dim = len(soc), rep.dim(v)
+    expansion = counter.lookup(rep, v)
+    if expansion is None:
+        soc = socle_basis_at(rep, v)
+        expansion = [soc, None] + [None] * len(soc) if soc else 0
+        counter.store(rep, v, expansion)
+    s = len(expansion) - 2 if expansion else 0
     # With no later v, this step must take all of M_v.
-    least = dim if v not in rest else 0
+    least = rep.dim(v) if v not in rest else 0
     choices = [a for a in ((1,) if full else range(s + 1)) if least <= a <= s]
     if choices == [0]:
         result = _packed_flags(rep, rest, full, counter)
         counter.store(rep, key, result)
         return result
     result: dict[int, int] = {}
-    labels = None
     shift = _DIGIT_BITS * len(rest)
     for a in choices:
-        if a == 0:
-            classes: Iterable[tuple[int, list]] = ((1, []),)
-        elif a == s:
-            classes = ((1, soc),)
-        elif isinstance(rep.field, RationalField):
-            raise _SocleBranching(f"socle part of dimension {s} at vertex {v} over QQ")
-        else:
-            if labels is None:
-                # Over GF(2) the torus is trivial: one label serves.
-                labels = _socle_components(rep, v, soc) if rep.field.p > 2 else [0] * s
-            classes = _quotient_classes(rep, v, soc, a, labels)
         head = a << shift
-        for weight, subspace in classes:
-            if not subspace:
-                quotient = rep
-            elif a == dim:
-                quotient = _emptied(rep, v)
-            else:
-                quotient = quotient_rep(rep, {v: subspace})
+        pairs = ((1, rep),) if a == 0 else _quotients(rep, v, a, expansion, counter)
+        for weight, quotient in pairs:
             for tail, count in _packed_flags(quotient, rest, full, counter).items():
                 result[head + tail] = result.get(head + tail, 0) + weight * count
     counter.store(rep, key, result)
     return result
+
+
+def _quotients(rep: QuiverRep, v: int, a: int, expansion: list,
+               counter: FlagCounter) -> tuple[tuple[int, QuiverRep], ...]:
+    """The (weight, quotient) pairs of choice a > 0 at v: the quotient of
+    rep by one subspace for each orbit of `_quotient_classes`, or by the
+    whole socle part when a = s.  They are built once and kept at position
+    a + 1 of the expansion [socle basis, torus labels, pairs of a = 1..s]
+    of (rep, v); once every choice is built, the basis and labels are
+    dropped.  Over QQ a proper nonzero subspace raises _SocleBranching."""
+    pairs = expansion[a + 1]
+    if pairs is not None:
+        return pairs
+    soc, labels = expansion[0], expansion[1]
+    s = len(soc)
+    if a == s:
+        classes: Iterable[tuple[int, list]] = ((1, soc),)
+    elif isinstance(rep.field, RationalField):
+        raise _SocleBranching(f"socle part of dimension {s} at vertex {v} over QQ")
+    else:
+        if labels is None:
+            # Over GF(2) the torus is trivial: one label serves.
+            labels = expansion[1] = _socle_components(rep, v, soc) if rep.field.p > 2 else [0] * s
+        classes = _quotient_classes(rep, v, soc, a, labels)
+    whole = a == rep.dim(v)
+    built = []
+    for weight, subspace in classes:
+        quotient = _emptied(rep, v) if whole else quotient_rep(rep, {v: subspace})
+        built.append((weight, counter.lookup(quotient, None) or quotient))
+    pairs = tuple(built)
+    counter.keep(expansion, a, pairs)
+    if None not in expansion[2:]:
+        expansion[0] = expansion[1] = None
+    return pairs
 
 
 def count_flags(rep: QuiverRep, word: Sequence[int], counter: Optional[FlagCounter] = None) -> int:
@@ -407,18 +456,53 @@ def count_flags_mod_p(rep: QuiverRep, word: Sequence[int], p: Optional[int] = No
         return count_flags(rep, word, counter)
     if p is None:
         raise PhiError("count_flags_mod_p needs a prime for a rational module")
-    rep_p = _reduce_mod_p(rep, p, fingerprint(rep))
+    rep_p = _reduce_mod_p(rep, p, _certificate(rep))
     if rep_p is None:
         raise PhiError(f"{p} is a bad prime for this module")
     return count_flags(rep_p, word, counter)
 
 
-def _reduce_mod_p(rep: QuiverRep, p: int, invariants: tuple) -> Optional[QuiverRep]:
+class _PivotRecorder(RationalField):
+    """QQ that records every element its `inv` inverts."""
+
+    def __init__(self):
+        self.pivots = set()
+
+    def inv(self, a):
+        self.pivots.add(a)
+        return super().inv(a)
+
+
+def _certificate(rep: QuiverRep) -> tuple[tuple, frozenset]:
+    """The `fingerprint` of a rational module, and the numerators and
+    denominators above 1 of the pivots that its row reductions invert."""
+    recorder = _PivotRecorder()
+    invariants = fingerprint(QuiverRep(rep.quiver, recorder, rep.dims, rep.maps))
+    return invariants, frozenset(n for x in recorder.pivots
+                                 for n in (abs(x.numerator), x.denominator) if n > 1)
+
+
+def _reduce_mod_p(rep: QuiverRep, p: int, certificate: tuple) -> Optional[QuiverRep]:
     """Reduce a rational module mod p, or None when p is a bad prime: a
     denominator vanishes mod p, or the reduction degenerates (its
-    `fingerprint` differs from `invariants`, the rational module's), e.g.
-    when an integer matrix entry is divisible by p.  Either way p is no
-    interpolation point.
+    `fingerprint` differs from the rational module's), e.g. when an
+    integer matrix entry is divisible by p.  Either way p is no
+    interpolation point.  certificate is `_certificate(rep)`.
+
+    When p divides no recorded pivot, the reduction keeps the fingerprint
+    and is returned without computing it.  `fingerprint` runs `rref`,
+    `nullspace`, `quotient_rep`, `socle_series` and `dual`, which divide
+    only through `field.inv`, branch only on whether an entry is zero, and
+    otherwise add, subtract and multiply.  Run the same steps over GF(p)
+    and compare them with the rational run.  By induction every rational
+    value is p-integral and reduces to the GF(p) value: the entries of the
+    maps coerce, and each inverted pivot is a unit mod p.  Each zero test
+    agrees: a rational zero reduces to 0, and where rref's search stops at
+    a nonzero pivot, that pivot is nonzero mod p.  A nonzero rational that
+    vanishes mod p is never a pivot, so it is only an elimination factor
+    or a quotient coefficient; skipping it over GF(p) drops a term that is
+    0 there.  So both runs pick the same pivots, and the dimensions they
+    count, the fingerprint, are equal.
     """
     gf = PrimeField(p)
     try:
@@ -426,6 +510,9 @@ def _reduce_mod_p(rep: QuiverRep, p: int, invariants: tuple) -> Optional[QuiverR
     except ZeroDivisionError:
         return None
     rep_p = QuiverRep(rep.quiver, gf, rep.dims, maps)
+    invariants, pivots = certificate
+    if all(n % p for n in pivots):
+        return rep_p
     return rep_p if fingerprint(rep_p) == invariants else None
 
 
@@ -460,9 +547,9 @@ def _solve(rep: QuiverRep, letters: tuple[int, ...], full: bool,
     tracked = {(1,) * len(letters)} if full else set()
     counts: list[tuple[int, dict]] = []
     results: dict[tuple[int, ...], ChiResult] = {}
-    invariants = fingerprint(rep)
+    certificate = _certificate(rep)
     for p in PRIMES:
-        rep_p = _reduce_mod_p(rep, p, invariants)
+        rep_p = _reduce_mod_p(rep, p, certificate)
         if rep_p is None:
             continue
         counts.append((p, _flags(rep_p, letters, full, counter)))

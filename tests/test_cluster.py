@@ -962,6 +962,27 @@ def test_is_finite_type_mutates_each_edge_once(monkeypatch, make, clusters, vari
     assert len(b_mutations) == clusters - 1
 
 
+@pytest.mark.parametrize("rank, max_seeds", [(4, 5), (6, 100)])
+def test_is_finite_type_mutates_b_only_for_admitted_seeds(monkeypatch, rank, max_seeds):
+    """At max_seeds every further new c-vector key is a seed the search
+    refuses, so B is mutated once per admitted seed but the root, while
+    the refused keys still have their c-vectors checked."""
+    from clusterforge import cluster
+
+    b_mutations, mutate_rows = [], cluster._mutate_rows
+
+    def counting_mutate_rows(rows, kk):
+        b_mutations.append(kk)
+        return mutate_rows(rows, kk)
+
+    monkeypatch.setattr(cluster, "_mutate_rows", counting_mutate_rows)
+    rows = tuple(tuple((j == i + 1) - (j == i - 1) for j in range(rank)) for i in range(rank))
+    result = is_finite_type(plain_seed(rows), max_seeds=max_seeds)
+    assert not result["finite"] and not result["exhausted"]
+    assert result["cluster_count"] == max_seeds
+    assert len(b_mutations) == result["cluster_count"] - 1
+
+
 def test_is_finite_type_rejects_nonpositive_limits():
     for limits in ({"max_seeds": 0}, {"max_depth": 0}):
         with pytest.raises(ClusterError, match="limits must be positive"):

@@ -13,7 +13,7 @@ import pytest
 from clusterforge.cases import d4_nonrigid_module
 from clusterforge.fields import QQ, PrimeField
 from clusterforge.linalg import coordinates, mat_mul, mat_vec, nullspace, rref
-from clusterforge.phi import _reduce_mod_p, count_flags_mod_p
+from clusterforge.phi import _certificate, _reduce_mod_p, count_flags_mod_p
 from clusterforge.prepmod import (
     QuiverRep,
     build_algebra_basis,
@@ -157,7 +157,7 @@ def test_gfp_results_are_canonical_residues(p):
         kept = []
         while len(kept) < 3:
             rep = random_module(kind, rng, 6)
-            rep_p = _reduce_mod_p(rep, p, fingerprint(rep))
+            rep_p = _reduce_mod_p(rep, p, _certificate(rep))
             if rep_p is not None:
                 kept.append(rep_p)
         reps += kept
